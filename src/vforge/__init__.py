@@ -14,7 +14,7 @@ from .extensions import (
     root_difference_valuations,
 )
 from .finitefields import FiniteField, FieldExtension, FqPoly, ff_factor, ff_is_irreducible
-from .maclane import Chain, ChainError, ChainParseError, KeyCertificate
+from .maclane import Chain, ChainError, ChainParseError, InvariantError, KeyCertificate
 from .newton import NewtonPolygon, root_valuations
 from .pairs import (
     FieldPoly,
@@ -51,6 +51,7 @@ __all__ = [
     "FiniteField",
     "FqPoly",
     "INFINITY",
+    "InvariantError",
     "KeyCertificate",
     "NewtonPolygon",
     "PairOfDefinition",

@@ -128,6 +128,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vforge",
@@ -173,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'props' the valuation laws",
     )
     p_ver.add_argument("--seed", type=int, default=default_seed, help="sampling seed")
-    p_ver.add_argument("--samples", type=int, default=100, help="random samples per check")
+    p_ver.add_argument("--samples", type=_positive_int, default=100, help="random samples per check")
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finitefields import ff_factor
-from .maclane import Chain
+from .maclane import Chain, InvariantError, _term_minimum
 from .newton import NewtonPolygon
 from .polynomials import (
     Poly,
     difference_resultant,
     hasse_derivative,
     padic_valuation,
-    q_expansion,
 )
 from .values import INFINITY, Value
 
@@ -62,37 +61,13 @@ def rational_factor_list(m: Poly) -> list[Poly]:
     return out
 
 
-def is_irreducible_over_q(m: Poly) -> bool:
-    return len(rational_factor_list(m)) == 1
-
-
-def _expansion_points(chain: Chain, m: Poly):
-    """(index, value) points of the expansion of m in the last key.
+def _last_minimum(chain: Chain, g: Poly):
+    """(minimum term value, indices attaining it) of g expanded in the last key.
 
     Digit values are prefix values, so they do not move when the last
     assigned value changes.
     """
-    pts = []
-    for j, digit in enumerate(q_expansion(m, chain.last_key)):
-        if digit.is_zero():
-            continue
-        pts.append((j, chain.eval(digit).r))
-    return pts
-
-
-def _active_width(chain: Chain, m: Poly) -> int:
-    """Width of the minimum-value index range of m's expansion."""
-    best = None
-    achieving = []
-    beta = chain.last_value
-    for j, v in _expansion_points(chain, m):
-        term = Value(v) + beta.scale(j)
-        if best is None or term < best:
-            best = term
-            achieving = [j]
-        elif term == best:
-            achieving.append(j)
-    return achieving[-1] - achieving[0]
+    return _term_minimum(chain._terms(g, chain.last_key, len(chain) - 2), chain.last_value)
 
 
 def _attach(chain: Chain, psi: Poly, value: Value) -> Chain:
@@ -115,13 +90,13 @@ def _branch_children(chain: Chain, m: Poly) -> list[Chain]:
         if u.degree == 1 and u[0].is_zero():
             continue
         psi = chain.key_from_residual(u)
-        digits = q_expansion(m, psi)
-        if digits[0].is_zero():
+        terms = chain._terms(m, psi, len(chain) - 1)
+        if terms[0][0] != 0:
             # psi divides m exactly, hence equals m: the branch is exact and
             # any larger assigned value works
             out.append(_attach(chain, psi, chain.eval(psi) + Value(1)))
             continue
-        pts = [(j, chain.eval(d).r) for j, d in enumerate(digits) if not d.is_zero()]
+        pts = [(j, value.r) for j, _digit, value in terms]
         current = chain.eval(psi).r
         for pslope, _plen in NewtonPolygon(pts).slopes():
             plam = -pslope
@@ -131,7 +106,10 @@ def _branch_children(chain: Chain, m: Poly) -> list[Chain]:
 
 
 def _is_isolated(chain: Chain, m: Poly) -> bool:
-    return chain.last_key == m or _active_width(chain, m) == 1
+    if chain.last_key == m:
+        return True
+    _, achieving = _last_minimum(chain, m)
+    return achieving[-1] - achieving[0] == 1
 
 
 class ValuationExtension:
@@ -158,7 +136,8 @@ class ValuationExtension:
 
     def _improve(self):
         children = _branch_children(self._chain, self.m)
-        assert len(children) == 1, "isolated branch must improve deterministically"
+        if len(children) != 1:
+            raise InvariantError("isolated branch must improve deterministically")
         self._chain = children[0]
 
     def is_exact(self) -> bool:
@@ -185,15 +164,9 @@ class ValuationExtension:
                 chain = self._chain
                 if g.degree < chain.degree:
                     return chain.eval(g)
-                digits = q_expansion(g, chain.last_key)
-                if not digits[0].is_zero():
-                    v0 = chain.eval(digits[0])
-                    beta = chain.last_value
-                    if all(
-                        digit.is_zero() or chain.eval(digit) + beta.scale(j) > v0
-                        for j, digit in enumerate(digits[1:], start=1)
-                    ):
-                        return v0
+                v0, achieving = _last_minimum(chain, g)
+                if achieving == [0]:
+                    return v0
                 self._improve()
 
     def difference_profile(self) -> list[Fraction]:
@@ -280,13 +253,15 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
             roots.append(branch)
             continue
         children = _branch_children(branch, m)
-        assert children, "an unisolated branch must continue"
+        if not children:
+            raise InvariantError("an unisolated branch must continue")
         queue.extend(children)
 
     roots.sort(key=lambda c: tuple((tuple(l.key.coeffs), l.beta.r) for l in c.levels))
     exts = [ValuationExtension(m, p, chain, i) for i, chain in enumerate(roots)]
     total = sum(ext.e * ext.f for ext in exts)
-    assert total == m.degree, f"local degrees {total} must sum to {m.degree}"
+    if total != m.degree:
+        raise InvariantError(f"local degrees {total} must sum to {m.degree}")
     return exts
 
 
@@ -313,7 +288,7 @@ def root_difference_valuations(m1: Poly, m2: Poly, p: int) -> list:
             raise ValueError("inputs must be squarefree")
     out = [INFINITY] * order
     out.extend(Value(v) for v in NewtonPolygon.of_poly(res, p).root_valuations())
-    out.sort(key=lambda v: (1,) if v.infinite else (0, v.r))
+    out.sort()
     return out
 
 

@@ -35,7 +35,6 @@ from .polynomials import (
     Poly,
     PolyParseError,
     hasse_derivative,
-    padic_int_valuation,
     padic_valuation,
     q_expansion,
 )
@@ -51,6 +50,10 @@ class ChainError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of the algorithms failed; never bad input."""
 
 
 class ChainParseError(ValueError):
@@ -138,6 +141,8 @@ class Chain:
         return chain
 
     def _build_level(self, key, beta, prev_denom, res_field, ext=None, res_degree=1):
+        if beta.infinite:
+            raise ChainError("chain.value", "level values must be finite, got inf")
         level = _Level(key, beta)
         level.res_field = res_field
         level.ext = ext
@@ -157,7 +162,8 @@ class Chain:
                 g, a, b = _xgcd(level.numer, e)
                 if g < 0:
                     g, a, b = -g, -a, -b
-                assert g == 1, "numerator and relative index are coprime by minimality"
+                if g != 1:
+                    raise InvariantError("numerator and relative index must be coprime")
                 a %= e
                 b = (1 - a * level.numer) // e
             level.numer_inv = a
@@ -254,45 +260,35 @@ class Chain:
         f = Poly.of(f)
         return self._eval_level(len(self.levels) - 1, f)
 
+    def _terms(self, f: Poly, key: Poly, i: int) -> list:
+        """(j, digit, value) for the nonzero digits of f in base key.
+
+        Each digit is valued by the chain prefix through level i; below
+        level 0 (i = -1) digits are constants valued by v_p.
+        """
+        out = []
+        for j, digit in enumerate(q_expansion(f, key)):
+            if digit.is_zero():
+                continue
+            value = padic_valuation(digit[0], self.p) if i < 0 else self._eval_level(i, digit)
+            out.append((j, digit, value))
+        return out
+
     def _eval_level(self, i: int, f: Poly) -> Value:
         if f.is_zero():
             return INFINITY
         level = self.levels[i]
-        if i == 0:
-            center = -level.key[0]
-            best = None
-            for j, c in enumerate(_taylor(f, center)):
-                if c == 0:
-                    continue
-                term = padic_valuation(c, self.p) + level.beta.scale(j)
-                if best is None or term < best:
-                    best = term
-            return best
-        best = None
-        for j, digit in enumerate(q_expansion(f, level.key)):
-            if digit.is_zero():
-                continue
-            term = self._eval_level(i - 1, digit) + level.beta.scale(j)
-            if best is None or term < best:
-                best = term
-        return best
+        return _term_minimum(self._terms(f, level.key, i - 1), level.beta)[0]
 
     def truncate(self, i: int, f: Poly) -> Value:
-        """Value of f under the level-i truncation of the chain valuation."""
+        """Value of f under the level-i truncation of the chain valuation.
+
+        Its digits in Q_i have degree below deg Q_i, where the full chain and
+        the prefix through level i - 1 agree, so this is the level-i value.
+        """
         if not 0 <= i < len(self.levels):
             raise IndexError(f"no level {i} in a chain of length {len(self.levels)}")
-        f = Poly.of(f)
-        if f.is_zero():
-            return INFINITY
-        level = self.levels[i]
-        best = None
-        for j, digit in enumerate(q_expansion(f, level.key)):
-            if digit.is_zero():
-                continue
-            term = self.eval(digit) + level.beta.scale(j)
-            if best is None or term < best:
-                best = term
-        return best
+        return self._eval_level(i, Poly.of(f))
 
     def epsilon(self, f: Poly) -> Value:
         """Growth invariant max_b (w(f) - w(f^[b])) / b over divided derivatives.
@@ -381,44 +377,24 @@ class Chain:
         """Graded image of f at level i: (fbar, i0, j0, value as Fraction)."""
         level = self.levels[i]
         k = level.res_field
-        if level.tau:
-            # unique minimal term; the residual degenerates to a bare monomial
-            digits = q_expansion(f, level.key)
-            best = None
-            for j, digit in enumerate(digits):
-                if digit.is_zero():
-                    continue
-                dval = padic_valuation(digit[0], self.p) if i == 0 else self._eval_level(i - 1, digit)
-                term = dval + level.beta.scale(j)
-                if best is None or term < best[0]:
-                    best = (term, j)
-            if best is None:
-                raise ValueError("graded reduction of zero")
-            fbar = FqPoly.from_ints(k, [0] * best[1] + [1])
-            return fbar, 0, 0, best[0]
-        if i == 0:
-            center = -level.key[0]
-            digits = _taylor(f, center)
-            terms = {}
-            for j, c in enumerate(digits):
-                if c == 0:
-                    continue
-                vj = padic_int_valuation(c, self.p)
-                terms[j] = (vj, j * level.numer + vj * level.rel_denom)
+        if level.tau or i == 0:
+            terms = self._terms(f, level.key, i - 1)
             if not terms:
                 raise ValueError("graded reduction of zero")
-            vmin = min(t[1] for t in terms.values())
+            best, achieving = _term_minimum(terms, level.beta)
+            if level.tau:
+                # unique minimal term; the residual degenerates to a bare monomial
+                return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, best
+            vmin = int(best.r * level.denom)
             e = level.rel_denom
             i0 = (level.numer_inv * vmin) % e if e > 1 else 0
             j0 = (vmin - i0 * level.numer) // e
             coeffs = {}
-            for j, (vj, vnum) in terms.items():
-                if vnum != vmin:
-                    continue
-                m = (j - i0) // e
-                coeffs[m] = self._residue_scalar(digits[j], vj)
+            for j, digit, value in terms:
+                if j in achieving:
+                    coeffs[(j - i0) // e] = self._residue_scalar(digit[0], int(value.r))
             fbar = FqPoly.from_ints(k, [coeffs.get(m, 0) for m in range(max(coeffs) + 1)])
-            return fbar, i0, j0, Fraction(vmin, level.denom)
+            return fbar, i0, j0, best.r
         digits = q_expansion(f, level.key)
         reduced = {}
         for j, digit in enumerate(digits):
@@ -439,7 +415,8 @@ class Chain:
                 continue
             m = (j - i0) // e
             cbar, texp = self._graded_map(i, c1, i1, j1)
-            assert texp == j0 - m * level.numer, "graded bookkeeping out of step"
+            if texp != j0 - m * level.numer:
+                raise InvariantError("graded bookkeeping out of step")
             coeffs[m] = cbar
         cc = [coeffs.get(m, k.zero) for m in range(max(coeffs) + 1)]
         return FqPoly(k, cc), i0, j0, Fraction(vmin, level.denom)
@@ -538,18 +515,13 @@ class Chain:
                 "key.degree",
                 f"degree {q.degree} is not a positive multiple of {last.degree}",
             )
-        digits = q_expansion(q, last.key)
-        if digits[0].is_zero():
+        terms = self._terms(q, last.key, len(self.levels) - 2)
+        if terms[0][0] != 0:
             return KeyCertificate(False, "divisible_by_last_key", f"{last.key} divides {q}")
-        term_values = []
-        for j, digit in enumerate(digits):
-            if digit.is_zero():
-                term_values.append(None)
-                continue
-            term_values.append(self.eval(digit) + last.beta.scale(j))
-        present = [v for v in term_values if v is not None]
-        if any(v != present[0] for v in present):
-            shown = ", ".join("-" if v is None else str(v) for v in term_values)
+        _, achieving = _term_minimum(terms, last.beta)
+        if len(achieving) < len(terms):
+            values = {j: str(value + last.beta.scale(j)) for j, _, value in terms}
+            shown = ", ".join(values.get(j, "-") for j in range(terms[-1][0] + 1))
             return KeyCertificate(False, "inhomogeneous", f"expansion term values {{{shown}}}")
         if last.tau:
             return KeyCertificate(False, "inhomogeneous", "infinitesimal level admits no keys")
@@ -618,6 +590,18 @@ def _value_file_text(v: Value) -> str:
     return f"{v.r} {sign} {abs(v.s)} t"
 
 
+def _term_minimum(terms, beta: Value):
+    """(min of value + j * beta over terms, the indices j attaining it)."""
+    best, achieving = None, []
+    for j, _digit, value in terms:
+        term = value + beta.scale(j)
+        if best is None or term < best:
+            best, achieving = term, [j]
+        elif term == best:
+            achieving.append(j)
+    return best, achieving
+
+
 def _xgcd(a: int, b: int):
     old_r, r = a, b
     old_s, s = 1, 0
@@ -628,25 +612,3 @@ def _xgcd(a: int, b: int):
         old_s, s = s, old_s - qq * s
         old_t, t = t, old_t - qq * t
     return old_r, old_s, old_t
-
-
-def _taylor(f: Poly, center) -> list:
-    """Digits of f at the center: f = sum digits[j] * (X - center)^j."""
-    center = Fraction(center)
-    cc = [Fraction(c) for c in f.coeffs]
-    if not cc:
-        return [Fraction(0)]
-    if center == 0:
-        return cc
-    out = []
-    work = cc
-    while work:
-        # synthetic division of work by (X - center)
-        quo = [Fraction(0)] * (len(work) - 1)
-        b = Fraction(0)
-        for k in range(len(work) - 1, 0, -1):
-            b = work[k] + center * b
-            quo[k - 1] = b
-        out.append(work[0] + center * b if len(work) > 1 else work[0])
-        work = quo
-    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import Poly, padic_int_valuation
+from .polynomials import Poly, padic_valuation
 
 
 def lower_hull(points):
@@ -49,7 +49,7 @@ class NewtonPolygon:
         pts = []
         for j, c in enumerate(f.coeffs):
             if c != 0:
-                pts.append((j, padic_int_valuation(c, p)))
+                pts.append((j, padic_valuation(c, p).r))
         return cls(pts)
 
     def slopes(self):

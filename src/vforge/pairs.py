@@ -33,6 +33,7 @@ from .polynomials import (
     Poly,
     composed_value_poly,
     difference_resultant,
+    padic_valuation,
     resultant,
 )
 from .values import Value
@@ -309,7 +310,7 @@ def is_minimal_pair(pair: PairOfDefinition, chain: Chain | None = None) -> Minim
         if level.key.degree >= deg:
             continue
         dists = center.ext.root_distances_to(level.key)
-        best = max(dists, key=lambda v: (1,) if v.infinite else (0, v.r))
+        best = max(dists)
         if best >= pair.delta:
             return MinimalityVerdict(
                 False, deg, None, f"a degree {level.key.degree} center within {pair.delta} exists"
@@ -562,7 +563,7 @@ def verify_root_lemmas(chain: Chain, j: int, sample_centers=None) -> RootLemmaRe
 
     for ext in extend_to_number_field(qnext, chain.p):
         dists = ext.root_distances_to(qj)
-        best = max(dists, key=lambda v: (1,) if v.infinite else (0, v.r))
+        best = max(dists)
         report.add(
             CheckOutcome(
                 f"root_proximity.ext{ext.index}",
@@ -588,8 +589,6 @@ def verify_root_lemmas(chain: Chain, j: int, sample_centers=None) -> RootLemmaRe
             continue  # c is a root of the level-j key
         furthest = max(dists, default=Fraction(0))
         if Value(furthest) < eps_j:
-            from .polynomials import padic_valuation
-
             vq = padic_valuation(qj(Fraction(c)), chain.p)
             report.add(
                 CheckOutcome(

@@ -53,14 +53,6 @@ class Poly:
             return cls(x)
         raise TypeError(f"cannot coerce {x!r} to Poly")
 
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "Poly":
-        return cls((0,) * degree + (coeff,))
-
-    @classmethod
-    def variable(cls) -> "Poly":
-        return cls((0, 1))
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -207,21 +199,6 @@ class Poly:
             return a
         return a * (1 / a.leading())
 
-    def content_times_primitive(self):
-        """Return (content, primitive part) with integer primitive coefficients."""
-        if self.is_zero():
-            return Fraction(0), self
-        from math import gcd as igcd, lcm
-
-        den = lcm(*[c.denominator for c in self.coeffs])
-        nums = [int(c * den) for c in self.coeffs]
-        g = 0
-        for n in nums:
-            g = igcd(g, abs(n))
-        sign = 1 if nums[-1] > 0 else -1
-        g *= sign
-        return Fraction(g, den), Poly([Fraction(n, g) for n in nums])
-
     # -- text ---------------------------------------------------------------
 
     def __str__(self):
@@ -295,7 +272,10 @@ class Poly:
             exponent = 0
             got_body = False
             if kind == "num":
-                coeff = Fraction(val)
+                try:
+                    coeff = Fraction(val)
+                except ZeroDivisionError:
+                    fail("zero denominator", tokens[i])
                 got_body = True
                 i += 1
                 if i < len(tokens) and tokens[i] == ("op", "*", tokens[i][2]):
@@ -347,23 +327,6 @@ def padic_valuation(x, p: int) -> Value:
     return Value(v)
 
 
-def padic_int_valuation(x, p: int):
-    """v_p of a nonzero rational as a plain int; None for 0."""
-    x = Fraction(x)
-    if x == 0:
-        return None
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
 # -- operations used throughout the chain machinery ---------------------------
 
 
@@ -380,7 +343,8 @@ def hasse_derivative(f: Poly, b: int) -> Poly:
 def q_expansion(f: Poly, q: Poly) -> list[Poly]:
     """Digits of f in base q: f = sum digits[j] * q**j with deg digits[j] < deg q.
 
-    q must be monic of positive degree.
+    q must be monic of positive degree.  For a linear q = X - c the digits
+    are the coefficients of f(X + c), as constant polynomials.
     """
     q = Poly.of(q)
     if not q.is_monic():
@@ -388,16 +352,20 @@ def q_expansion(f: Poly, q: Poly) -> list[Poly]:
     if q.degree < 1:
         raise ValueError("expansion base must have positive degree")
     f = Poly.of(f)
+    if q.degree == 1:
+        # Taylor shift by repeated in-place synthetic division by X - c
+        c = -q[0]
+        cc = list(f.coeffs)
+        if c:
+            for i in range(len(cc) - 1):
+                for k in range(len(cc) - 2, i - 1, -1):
+                    cc[k] += c * cc[k + 1]
+        return [Poly((x,)) for x in cc] or [Poly()]
     digits = []
     while not f.is_zero():
         f, r = f.divmod(q)
         digits.append(r)
     return digits or [Poly()]
-
-
-def taylor_digits(f: Poly, b) -> list[Poly]:
-    """Constant digits of f at the center b, i.e. the q_expansion in (X - b)."""
-    return q_expansion(f, Poly((-Fraction(b), 1)))
 
 
 def resultant(f: Poly, g: Poly) -> Fraction:

@@ -57,10 +57,13 @@ class Value:
         m = _TERM_RE.match(stripped)
         if not m:
             raise ValueError(f"cannot parse value {text!r}")
-        r = Fraction(m.group("r"))
+        try:
+            r = Fraction(m.group("r"))
+            s = Fraction(m.group("s") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in value {text!r}") from None
         if m.group("sign") is None:
             return cls(r)
-        s = Fraction(m.group("s")) if m.group("s") is not None else Fraction(1)
         if m.group("sign") == "-":
             s = -s
         return cls(r, s)

@@ -160,3 +160,35 @@ def test_chain_roundtrip_through_files(chain_files, tmp_path, capsys):
         text = open(chain_files[name]).read()
         chain = Chain.parse(text)
         assert chain.to_text() == text
+
+
+def test_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "zero.vchain"
+    path.write_text("p = 2\nQ0: X @ 1/0\n")
+    code, _, err = run(capsys, ["eval", "--chain", str(path), "--poly", "X"])
+    assert code == 2
+    assert "line 2" in err and "Traceback" not in err
+
+    good = tmp_path / "ok.vchain"
+    good.write_text(C2_TEXT)
+    code, _, err = run(capsys, ["eval", "--chain", str(good), "--poly", "1/0X"])
+    assert code == 2
+    assert "column 1" in err and "Traceback" not in err
+
+
+def test_infinite_level_value_is_an_invalid_chain(tmp_path, capsys):
+    for name, text in [("first", "p = 2\nQ0: X @ inf\n"), ("later", C2_TEXT.replace("3/2", "inf"))]:
+        path = tmp_path / f"{name}.vchain"
+        path.write_text(text)
+        code, out, err = run(capsys, ["eval", "--chain", str(path), "--poly", "X"])
+        assert code == 3, name
+        assert out == "" and "chain.value" in err and "Traceback" not in err
+
+
+def test_verify_samples_must_be_positive(chain_files, capsys):
+    for samples in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--chain", chain_files["c2"], "--samples", samples])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--samples" in err and "Traceback" not in err

@@ -219,3 +219,14 @@ def test_concurrent_valuations_are_safe():
     assert len(results) == 6
     for v in results:
         assert v >= Value(1)
+
+
+def test_broken_improvement_invariant_raises_named_error(monkeypatch):
+    import vforge.extensions as extensions
+    from vforge import InvariantError
+
+    assert not issubclass(InvariantError, ValueError)  # the CLI maps ValueError to exit 2
+    ext = extend_to_number_field(P("X^2 - 17"), 2)[0]
+    monkeypatch.setattr(extensions, "_branch_children", lambda chain, m: [chain, chain])
+    with pytest.raises(InvariantError):
+        ext.ensure_value_above(F(1000))

@@ -106,14 +106,18 @@ def test_q_expansion_roundtrip():
     for _ in range(100):
         f = rand_poly(rng, 8)
         q = rand_poly(rng, 3, monic=True)
-        if q.degree < 1:
-            continue
-        digits = q_expansion(f, q)
-        total = Poly()
-        for j, d in enumerate(digits):
-            assert d.degree < q.degree
-            total = total + d * q**j
-        assert total == f
+        c = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        # linear keys take the Taylor-shift path: X, and X - c for c != 0
+        for key in (q, P("X"), Poly((-c, 1))):
+            if key.degree < 1:
+                continue
+            digits = q_expansion(f, key)
+            total = Poly()
+            for j, d in enumerate(digits):
+                assert d.degree < key.degree
+                total = total + d * key**j
+            assert total == f
+        assert [d[0] for d in q_expansion(f, Poly((-c, 1)))] == list(f.shift(c).coeffs)
 
 
 # -- resultants -------------------------------------------------------------------
