@@ -8,11 +8,12 @@ Subcommands:
   vforge extend   -p 2 --min-poly "X^2 - 17"          table of valuation extensions
   vforge verify   --chain FILE [--suite lemmas|props|all]
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input text,
-3 invalid chain (with the violated invariant named), 4 reducible minimal
-polynomial (with a factor).  ``--seed`` (or the VFORGE_SEED environment
-variable) fixes all sampling; identical configuration yields
-byte-identical reports.
+Exit codes: 0 success, 1 verification failure, 2 malformed input text or
+a usage error (including a degree bound above 16), 3 invalid chain (with
+the violated invariant named), 4 reducible minimal polynomial (with a
+factor), 5 internal error (one line on stderr, never a traceback).
+``--seed`` (or the VFORGE_SEED environment variable) fixes all sampling;
+identical configuration yields byte-identical reports.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 
-from .extensions import ReducibleError, extend_to_number_field
+from .extensions import MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
 from .maclane import Chain, ChainError, ChainParseError
 from .polynomials import Poly, PolyParseError
 from .verify import run_suite
@@ -32,6 +33,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INVALID_CHAIN = 3
 EXIT_REDUCIBLE = 4
+EXIT_INTERNAL = 5
 
 
 def _load_chain(path: str) -> Chain:
@@ -135,6 +137,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _degree_bound(text: str) -> int:
+    n = int(text)
+    if not 1 <= n <= MAX_DEGREE_BOUND:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_DEGREE_BOUND}, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vforge",
@@ -166,7 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext = sub.add_parser("extend", help="extensions of v_p to a number field")
     p_ext.add_argument("-p", "--prime", type=int, required=True)
     p_ext.add_argument("--min-poly", required=True, help="monic irreducible polynomial")
-    p_ext.add_argument("--degree-bound", type=int, default=8)
+    p_ext.add_argument(
+        "--degree-bound", type=_degree_bound, default=8,
+        help=f"largest accepted degree of the minimal polynomial (at most {MAX_DEGREE_BOUND})",
+    )
     p_ext.add_argument("--format", choices=("text", "json"), default="text")
     p_ext.set_defaults(func=_cmd_extend)
 
@@ -197,10 +209,12 @@ def main(argv=None) -> int:
         return _fail(f"invalid chain: {exc.code}: {exc}", EXIT_INVALID_CHAIN)
     except ReducibleError as exc:
         return _fail(f"reducible: {exc} ", EXIT_REDUCIBLE)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable chain file
         return _fail(str(exc), EXIT_PARSE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_PARSE)
+    except Exception as exc:  # noqa: BLE001 - InvariantError or a bug: no traceback, never exit 1
+        return _fail(f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

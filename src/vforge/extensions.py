@@ -14,6 +14,9 @@ otherwise the chain is improved until the constant digit of the
 expansion is the strict unique minimum, which pins the exact value.
 Improvement is guarded by a lock, so concurrent valuation queries on a
 shared extension are safe.
+
+The minimal polynomial is first proved irreducible over Q by factoring
+it with Zassenhaus's algorithm (``rational_factor_list``).
 """
 
 from __future__ import annotations
@@ -21,8 +24,20 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from math import isqrt, lcm
 
-from .finitefields import ff_factor
+from .finitefields import (
+    FiniteField,
+    FqPoly,
+    _fp_add,
+    _fp_divmod,
+    _fp_mul,
+    _fp_sub,
+    _fp_trim,
+    ff_factor,
+)
 from .maclane import Chain, InvariantError, _term_minimum
 from .newton import NewtonPolygon
 from .polynomials import (
@@ -34,6 +49,9 @@ from .polynomials import (
 from .values import INFINITY, Value
 
 DEFAULT_DEGREE_BOUND = 8
+# Ceiling on degree_bound; it keeps factorization over Q below 2^16
+# recombination trials (subsets of at most 8 of at most 16 modular factors).
+MAX_DEGREE_BOUND = 16
 
 
 class ReducibleError(ValueError):
@@ -44,20 +62,207 @@ class ReducibleError(ValueError):
         self.factor = factor
 
 
-def rational_factor_list(m: Poly) -> list[Poly]:
-    """Monic irreducible factors of m over Q (multiplicity flattened)."""
-    import sympy
+# -- factorization over Q ------------------------------------------------------
+#
+# Zassenhaus's algorithm (von zur Gathen-Gerhard, Modern Computer Algebra,
+# ch. 15) on integer coefficient lists, index = exponent.
 
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(m.coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(expr, x))
+# Primes keeping f squarefree that are screened before taking the one with
+# the fewest modular factors.
+_PRIME_TRIALS = 3
+
+
+def _small_primes():
+    ell = 2
+    while True:
+        if all(ell % d for d in range(2, isqrt(ell) + 1)):
+            yield ell
+        ell += 1
+
+
+def _fp_product(polys, modulus):
+    return reduce(lambda a, b: _fp_mul(a, b, modulus), polys, [1])
+
+
+def _fp_bezout(g, h, ell):
+    """(s, t) with s*g + t*h = 1 mod the prime ell, deg s < deg h, deg t < deg g."""
+    r0, s0, t0 = g, [1], []
+    r1, s1, t1 = h, [], [1]
+    while r1:
+        q, r = _fp_divmod(r0, r1, ell)
+        r0, r1 = r1, r
+        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, ell), ell)
+        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, ell), ell)
+    if len(r0) != 1:
+        raise InvariantError("modular factors must be coprime")
+    inv = pow(r0[0], -1, ell)
+    return [c * inv % ell for c in s0], [c * inv % ell for c in t0]
+
+
+def _fp_gcd(a, b, ell):
+    while b:
+        a, b = b, _fp_divmod(a, b, ell)[1]
+    return a
+
+
+def _factor_count(f, ell):
+    """Number of irreducible factors of the monic f mod ell by distinct-degree
+    splitting, or None when f is not squarefree mod ell."""
+    f = _fp_trim(f, ell)
+    if len(_fp_gcd(f, _fp_trim([k * c for k, c in enumerate(f)][1:], ell), ell)) > 1:
+        return None
+    count = 0
+    x = h = [0, 1]
+    d = 0
+    while len(f) > 2 * d + 2:
+        d += 1
+        power, h = h, [1]
+        for bit in bin(ell)[2:]:  # h := power^ell mod f
+            h = _fp_divmod(_fp_mul(h, h, ell), f, ell)[1]
+            if bit == "1":
+                h = _fp_divmod(_fp_mul(h, power, ell), f, ell)[1]
+        g = _fp_gcd(f, _fp_sub(h, x, ell), ell)
+        if len(g) > 1:
+            count += (len(g) - 1) // d
+            f = _fp_divmod(f, g, ell)[0]
+            h = _fp_divmod(h, f, ell)[1]
+    return count + (len(f) > 1)
+
+
+def _modular_factors(f):
+    """(ell, monic factors of f mod ell) for a monic squarefree integer f.
+
+    Among the first _PRIME_TRIALS primes that keep f squarefree, takes the one
+    with the fewest factors, stopping early at a prime where f is irreducible.
+    """
+    best = None
+    tried = 0
+    for ell in _small_primes():
+        count = _factor_count(f, ell)
+        if count is None:
+            continue  # ell divides the discriminant of f
+        if best is None or count < best[0]:
+            best = (count, ell)
+        tried += 1
+        if count == 1 or tried == _PRIME_TRIALS:
+            break
+    count, ell = best
+    if count == 1:
+        return ell, [_fp_trim(f, ell)]
+    factors = ff_factor(FqPoly.from_ints(FiniteField(ell), f))
+    return ell, [[c.coeffs[0] for c in u.coeffs] for u, _mult in factors]
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """Lift f = g*h and s*g + t*h = 1 from mod m to mod m^2, for monic h
+    (Modern Computer Algebra, Algorithm 15.10)."""
+    mm = m * m
+    e = _fp_sub(f, _fp_mul(g, h, mm), mm)
+    q, r = _fp_divmod(_fp_mul(s, e, mm), h, mm)
+    g = _fp_add(g, _fp_add(_fp_mul(t, e, mm), _fp_mul(q, g, mm), mm), mm)
+    h = _fp_add(h, r, mm)
+    b = _fp_sub(_fp_add(_fp_mul(s, g, mm), _fp_mul(t, h, mm), mm), [1], mm)
+    c, d = _fp_divmod(_fp_mul(s, b, mm), h, mm)
+    s = _fp_sub(s, d, mm)
+    t = _fp_sub(t, _fp_add(_fp_mul(t, b, mm), _fp_mul(c, g, mm), mm), mm)
+    return g, h, s, t
+
+
+def _hensel_lift(f, factors, ell, modulus):
+    """Lift f = prod(factors) mod ell, all monic and pairwise coprime, to a
+    factorization mod modulus = ell^(2^k), by halving the factor list."""
+    if len(factors) == 1:
+        return [_fp_trim(f, modulus)]
+    half = len(factors) // 2
+    g = _fp_product(factors[:half], ell)
+    h = _fp_product(factors[half:], ell)
+    s, t = _fp_bezout(g, h, ell)
+    m = ell
+    while m < modulus:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return _hensel_lift(g, factors[:half], ell, modulus) + _hensel_lift(h, factors[half:], ell, modulus)
+
+
+def _exact_quotient(f, g):
+    """f / g over Z for a monic g, or None when g does not divide f."""
+    if g[0] and f[0] % g[0]:
+        return None
+    dg = len(g) - 1
+    rem = list(f)
+    quo = [0] * max(0, len(f) - dg)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem[k + dg]
+        if c:
+            for j, y in enumerate(g):
+                rem[k + j] -= c * y
+    return None if any(rem[:dg]) else quo
+
+
+def _recombine(f, lifted, modulus):
+    """Factors of f over Z from its factors mod modulus, by trial division
+    of subset products (Modern Computer Algebra, Algorithm 15.19).
+
+    modulus exceeds twice a bound on the coefficients of every factor of f,
+    so a factor is its subset product in symmetric representation.
+    """
+    half = modulus // 2
     out = []
-    for fac, mult in factors:
-        poly = sympy.Poly(fac, x)
-        cc = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
-        lead = cc[-1]
-        monic = Poly([c / lead for c in cc])
-        out.extend([monic] * mult)
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            product = _fp_product([lifted[i] for i in subset], modulus)
+            g = [c - modulus if c > half else c for c in product]
+            quotient = _exact_quotient(f, g)
+            if quotient is not None:
+                out.append(g)
+                f = quotient
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    out.append(f)
+    return out
+
+
+def _squarefree_integer_factors(f):
+    """Irreducible factors over Z of a monic squarefree integer f."""
+    if len(f) <= 2:
+        return [f] if len(f) == 2 else []
+    ell, modular = _modular_factors(f)
+    if len(modular) == 1:
+        return [f]
+    # Mignotte: a factor of f has coefficients of size at most 2^deg f * |f|_2
+    bound = (isqrt(sum(c * c for c in f)) + 1) << (len(f) - 1)
+    modulus = ell
+    while modulus <= 2 * bound:
+        modulus *= modulus
+    return _recombine(f, _hensel_lift(f, modular, ell, modulus), modulus)
+
+
+def rational_factor_list(m: Poly) -> list[Poly]:
+    """Monic irreducible factors of m over Q (multiplicity flattened).
+
+    Sorted by degree, then by the coefficients from the constant term up.
+    With d the common denominator of monic m, f(X) = d^n m(X/d) is monic
+    over Z; each factor g of its squarefree part is counted as often as it
+    divides f and mapped back to d^(-deg g) g(dX).
+    """
+    m = Poly.of(m)
+    m = m * (1 / m.leading())
+    n = m.degree
+    d = lcm(*(c.denominator for c in m.coeffs))
+    f = [int(c * d ** (n - k)) for k, c in enumerate(m.coeffs)]
+    whole = Poly(f)
+    squarefree = whole // whole.gcd(whole.derivative())
+    out = []
+    for g in _squarefree_integer_factors([int(c) for c in squarefree.coeffs]):
+        factor = Poly([Fraction(c, d ** (len(g) - 1 - k)) for k, c in enumerate(g)])
+        rest = _exact_quotient(f, g)
+        while rest is not None:
+            out.append(factor)
+            rest = _exact_quotient(rest, g)
+    out.sort(key=lambda g: (g.degree, g.coeffs))
     return out
 
 
@@ -221,8 +426,11 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
 
     Runs the branch search from the center 0; each isolated branch yields
     one ValuationExtension with its ramification index and residue degree.
-    The sum of e*f over the result equals deg m.
+    The sum of e*f over the result equals deg m.  degree_bound is at most
+    MAX_DEGREE_BOUND.
     """
+    if not 1 <= degree_bound <= MAX_DEGREE_BOUND:
+        raise ValueError(f"degree bound must lie in 1..{MAX_DEGREE_BOUND}, got {degree_bound}")
     m = Poly.of(m)
     if not m.is_monic():
         raise ValueError("minimal polynomial must be monic")
@@ -232,8 +440,7 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
         raise ValueError(f"degree {m.degree} exceeds the configured bound {degree_bound}")
     factors = rational_factor_list(m)
     if len(factors) > 1:
-        other = next(f for f in factors if f != m)
-        raise ReducibleError(m, other)
+        raise ReducibleError(m, next(f for f in factors if f != m))
     if m.degree == 1:
         return [ValuationExtension(m, p, None, 0, rational_root=-m[0])]
     if any(c.denominator % p == 0 for c in m.coeffs):

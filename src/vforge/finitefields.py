@@ -173,7 +173,7 @@ class FiniteField:
         while len(r1) > 1:
             q, r = _fp_divmod(r0, r1, p)
             r0, r1 = r1, _fp_trim(r, p)
-            s0, s1 = s1, _fp_trim(_fp_sub(s0, _fp_mul(q, s1, p), p), p)
+            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
             if not r1:
                 raise ZeroDivisionError("element not invertible")
         c = pow(r1[0], -1, p)
@@ -193,6 +193,11 @@ class FiniteField:
         return f"GF({self.p}^{self.degree})"
 
 
+# Integer coefficient lists (index = exponent) modulo p.  Nothing here needs
+# p prime except the division, which needs a divisor whose leading
+# coefficient is a unit mod p; Hensel lifting runs them modulo prime powers.
+
+
 def _fp_trim(v, p):
     v = [c % p for c in v]
     while v and v[-1] == 0:
@@ -200,9 +205,14 @@ def _fp_trim(v, p):
     return v
 
 
+def _fp_add(a, b, p):
+    n = max(len(a), len(b))
+    return _fp_trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)], p)
+
+
 def _fp_sub(a, b, p):
     n = max(len(a), len(b))
-    return [( (a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0)) % p for k in range(n)]
+    return _fp_trim([(a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0) for k in range(n)], p)
 
 
 def _fp_mul(a, b, p):

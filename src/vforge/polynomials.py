@@ -8,7 +8,8 @@ floating point.
 The text syntax accepted by ``Poly.parse`` covers integer and rational
 coefficients, ``^`` powers and a single variable letter (``X`` by
 default, ``Y`` for number-field minimal polynomials), e.g. ``X^4 + 4``,
-``X^2 - 17``, ``1/2 Y^3 - Y``.
+``X^2 - 17``, ``1/2 Y^3 - Y``.  Terms are joined by exactly one ``+`` or
+``-``; juxtaposed terms, repeated signs and trailing operators are errors.
 """
 
 from __future__ import annotations
@@ -255,31 +256,37 @@ class Poly:
 
         seen_var = var
         terms = []
-        sign = 1
         i = 0
 
         def fail(msg, tok=None):
             col = tok[2] if tok else (tokens[i][2] if i < len(tokens) else len(text))
             raise PolyParseError(msg, col)
 
-        while i < len(tokens):
-            kind, val, col = tokens[i]
-            if kind == "op" and val in "+-":
-                sign = 1 if val == "+" else -1
+        def is_op(k, ops):
+            return k < len(tokens) and tokens[k][0] == "op" and tokens[k][1] in ops
+
+        # [sign] term (sign term)*: one sign per term, juxtaposed terms rejected
+        while True:
+            sign = 1
+            if is_op(i, "+-"):
+                sign = -1 if tokens[i][1] == "-" else 1
                 i += 1
-                continue
+            elif terms:
+                fail("expected '+' or '-' between terms")
             coeff = Fraction(1)
             exponent = 0
             got_body = False
-            if kind == "num":
+            if i < len(tokens) and tokens[i][0] == "num":
                 try:
-                    coeff = Fraction(val)
+                    coeff = Fraction(tokens[i][1])
                 except ZeroDivisionError:
                     fail("zero denominator", tokens[i])
                 got_body = True
                 i += 1
-                if i < len(tokens) and tokens[i] == ("op", "*", tokens[i][2]):
+                if is_op(i, "*"):
                     i += 1
+                    if i >= len(tokens) or tokens[i][0] != "var":
+                        fail("expected variable after '*'")
             if i < len(tokens) and tokens[i][0] == "var":
                 letter = tokens[i][1]
                 if seen_var is None:
@@ -289,7 +296,7 @@ class Poly:
                 exponent = 1
                 got_body = True
                 i += 1
-                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
+                if is_op(i, "^"):
                     i += 1
                     if i >= len(tokens) or tokens[i][0] != "num" or "/" in tokens[i][1]:
                         fail("expected integer exponent after '^'")
@@ -298,7 +305,8 @@ class Poly:
             if not got_body:
                 fail("expected coefficient or variable")
             terms.append((exponent, sign * coeff))
-            sign = 1
+            if i == len(tokens):
+                break
 
         deg = max(e for e, _ in terms)
         cc = [Fraction(0)] * (deg + 1)

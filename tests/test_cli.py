@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vforge import Chain, InvariantError
 from vforge.cli import main
 
 C2_TEXT = "p = 2\nQ0: X @ 1/2\nQ1: X^2 - 2 @ 3/2\n"
@@ -154,8 +155,6 @@ def test_verify_seed_env_fallback(chain_files, capsys, monkeypatch):
 
 
 def test_chain_roundtrip_through_files(chain_files, tmp_path, capsys):
-    from vforge import Chain
-
     for name in ("c2", "c3", "c4"):
         text = open(chain_files[name]).read()
         chain = Chain.parse(text)
@@ -192,3 +191,39 @@ def test_verify_samples_must_be_positive(chain_files, capsys):
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert "--samples" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mtxt,factor", [("X^2 - 4", "X - 2"), ("X^4 - 4X^2 + 4", "X^2 - 2")])
+def test_extend_reducible_message(capsys, mtxt, factor):
+    code, out, err = run(capsys, ["extend", "-p", "2", "--min-poly", mtxt])
+    assert code == 4 and out == ""
+    assert err == f"reducible: {mtxt} is reducible; factor {factor} \n"
+
+
+def test_degree_bound_above_ceiling_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", "-p", "2", "--min-poly", "X^2 - 2", "--degree-bound", "17"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--degree-bound" in err and "Traceback" not in err
+    code, _, _ = run(capsys, ["extend", "-p", "2", "--min-poly", "X^2 - 2", "--degree-bound", "16"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("error", [InvariantError, KeyError])
+def test_internal_error_exit_code(capsys, monkeypatch, error):
+    # an internal failure must not look like a failed verification (exit 1)
+    def broken(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(Chain, "_build_level", broken)
+    code, out, err = run(capsys, ["extend", "-p", "2", "--min-poly", "X^2-2"])
+    assert code == 5
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("internal error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_unreadable_chain_file_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, ["eval", "--chain", str(tmp_path), "--poly", "X"])
+    assert code == 2
+    assert out == "" and "Traceback" not in err

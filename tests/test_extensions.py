@@ -13,6 +13,8 @@ from vforge import (
     root_difference_valuations,
     value_min,
 )
+from vforge.extensions import MAX_DEGREE_BOUND, rational_factor_list
+from vforge.finitefields import FiniteField, FqPoly, ff_factor
 from vforge.newton import NewtonPolygon
 from vforge.polynomials import composed_value_poly
 
@@ -60,9 +62,114 @@ def test_reducible_rejected():
     assert err.value.factor in (P("X - 2"), P("X + 2"))
 
 
+@pytest.mark.parametrize("mtxt,factor", [("X^2 - 4", "X - 2"), ("X^4 - 4X^2 + 4", "X^2 - 2")])
+def test_reducible_factor_is_the_smallest_other_factor(mtxt, factor):
+    with pytest.raises(ReducibleError) as err:
+        extend_to_number_field(P(mtxt), 2)
+    assert err.value.factor == P(factor)
+    assert str(err.value).endswith(f"factor {factor}")
+
+
 def test_degree_bound_rejected():
     with pytest.raises(ValueError):
         extend_to_number_field(P("X^9 + X + 2"), 2, degree_bound=8)
+
+
+def test_degree_bound_ceiling():
+    assert MAX_DEGREE_BOUND == 16
+    for bound in (0, MAX_DEGREE_BOUND + 1):
+        with pytest.raises(ValueError, match="degree bound"):
+            extend_to_number_field(P("X^2 - 2"), 2, degree_bound=bound)
+    assert len(extend_to_number_field(P("X^2 - 2"), 2, degree_bound=MAX_DEGREE_BOUND)) == 1
+
+
+# -- factorization over Q ---------------------------------------------------------
+
+
+def _sorted(polys):
+    return sorted(polys, key=lambda g: (g.degree, g.coeffs))
+
+
+def _product(polys):
+    out = Poly((1,))
+    for g in polys:
+        out = out * g
+    return out
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ["X + 1", "X^2 - 2", "X^3 - 3"],
+        ["X^2 + X + 1", "X^4 + X + 1"],
+        ["X - 5", "X + 5", "X^2 + 25"],
+        ["X", "X^5 - 2"],
+        ["X^2 - 2", "X^2 - 2"],  # repeated factors
+        ["X - 1", "X - 1", "X - 1", "X^2 + 1"],
+        ["X - 1/2", "X + 1/2"],  # X^2 - 1/4
+        ["X - 1/3", "X^2 + 1/2"],
+        ["X^4 + 1", "X^4 - 10X^2 + 1"],
+    ],
+)
+def test_rational_factor_list_products(factors):
+    expected = _sorted(P(t) for t in factors)
+    assert rational_factor_list(_product(expected)) == expected
+    # a non-monic multiple has the same monic factors
+    assert rational_factor_list(_product(expected) * F(-3, 2)) == expected
+
+
+@pytest.mark.parametrize("mtxt", ["X^4 + 1", "X^4 - 10X^2 + 1"])
+def test_irreducible_that_splits_mod_every_prime(mtxt):
+    m = P(mtxt)
+    for ell in (3, 5, 7, 11, 13):
+        modular = ff_factor(FqPoly.from_ints(FiniteField(ell), [int(c) for c in m.coeffs]))
+        assert sum(mult for _u, mult in modular) > 1
+    assert rational_factor_list(m) == [m]
+
+
+def test_rational_factor_list_degree_eight():
+    # the minimal polynomial of sqrt 2 + sqrt 3 + sqrt 5, and a split octic
+    sd = P("X^8 - 40X^6 + 352X^4 - 960X^2 + 576")
+    assert rational_factor_list(sd) == [sd]
+    split = [P(t) for t in ("X - 2", "X + 3", "X^2 - 3", "X^4 + 1")]
+    assert rational_factor_list(_product(split)) == _sorted(split)
+
+
+def test_rational_factor_list_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(61)
+    for _ in range(60):
+        m = _product(
+            Poly([F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(1, 4))] + [1])
+            for _ in range(rng.randint(1, 3))
+        )
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(m.coeffs))
+        expected = []
+        for fac, mult in sympy.factor_list(sympy.Poly(expr, x))[1]:
+            cc = [F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(fac, x).all_coeffs())]
+            expected.extend([Poly([c / cc[-1] for c in cc])] * mult)
+        assert rational_factor_list(m) == _sorted(expected), str(m)
+
+
+def test_cold_extend_does_not_import_sympy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import vforge
+
+    code = (
+        "import sys\n"
+        "from vforge.cli import main\n"
+        "code = main(['extend', '-p', '2', '--min-poly', 'X^4 - 10X^2 + 1'])\n"
+        "sys.exit(code if 'sympy' not in sys.modules else 99)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(vforge.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "extension(s) of v_2" in proc.stdout
 
 
 def test_degree_one_extension():

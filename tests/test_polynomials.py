@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vforge import (
     NewtonPolygon,
@@ -194,3 +196,27 @@ def test_difference_resultant_root_set():
     # roots of m1 = X^2-1 are +-1, of m2 = X-2 is 2: differences b - a are 1, 3
     res = difference_resultant(P("X^2 - 1"), P("X - 2"))
     assert res == P("X - 1") * P("X - 3")
+
+
+@pytest.mark.parametrize("text", ["2 3", "X X", "X^2 3", "--X", "+-X", "3X^2 -", "X +", "2*", "2 * 3"])
+def test_parse_rejects_ambiguous_text(text):
+    # juxtaposed terms, repeated signs, trailing operators
+    with pytest.raises(PolyParseError):
+        P(text)
+
+
+def test_parse_keeps_coefficient_times_variable():
+    assert P("3X^2") == Poly((0, 0, 3))
+    assert P("2*X") == Poly((0, 2))
+    assert P("2 * X^2 + 1") == Poly((1, 0, 2))
+    assert P("+X") == Poly((0, 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=9),
+    st.sampled_from("XY"),
+)
+def test_parse_inverts_to_text(coeffs, var):
+    f = Poly(coeffs)
+    assert Poly.parse(f.to_text(var)) == f
