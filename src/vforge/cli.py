@@ -37,8 +37,12 @@ EXIT_INTERNAL = 5
 
 
 def _load_chain(path: str) -> Chain:
-    with open(path, "r", encoding="utf-8") as handle:
-        return Chain.parse(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:  # a missing or unreadable chain file is an input error
+        raise ValueError(str(exc)) from exc
+    return Chain.parse(text)
 
 
 def _fail(message: str, code: int) -> int:
@@ -209,7 +213,7 @@ def main(argv=None) -> int:
         return _fail(f"invalid chain: {exc.code}: {exc}", EXIT_INVALID_CHAIN)
     except ReducibleError as exc:
         return _fail(f"reducible: {exc} ", EXIT_REDUCIBLE)
-    except OSError as exc:  # unreadable chain file
+    except FileNotFoundError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_PARSE)

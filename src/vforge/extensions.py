@@ -32,6 +32,7 @@ from .finitefields import (
     FiniteField,
     FqPoly,
     _fp_add,
+    _fp_bezout,
     _fp_divmod,
     _fp_mul,
     _fp_sub,
@@ -67,11 +68,6 @@ class ReducibleError(ValueError):
 # Zassenhaus's algorithm (von zur Gathen-Gerhard, Modern Computer Algebra,
 # ch. 15) on integer coefficient lists, index = exponent.
 
-# Primes keeping f squarefree that are screened before taking the one with
-# the fewest modular factors.
-_PRIME_TRIALS = 3
-
-
 def _small_primes():
     ell = 2
     while True:
@@ -84,73 +80,13 @@ def _fp_product(polys, modulus):
     return reduce(lambda a, b: _fp_mul(a, b, modulus), polys, [1])
 
 
-def _fp_bezout(g, h, ell):
-    """(s, t) with s*g + t*h = 1 mod the prime ell, deg s < deg h, deg t < deg g."""
-    r0, s0, t0 = g, [1], []
-    r1, s1, t1 = h, [], [1]
-    while r1:
-        q, r = _fp_divmod(r0, r1, ell)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, ell), ell)
-        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, ell), ell)
-    if len(r0) != 1:
-        raise InvariantError("modular factors must be coprime")
-    inv = pow(r0[0], -1, ell)
-    return [c * inv % ell for c in s0], [c * inv % ell for c in t0]
-
-
-def _fp_gcd(a, b, ell):
-    while b:
-        a, b = b, _fp_divmod(a, b, ell)[1]
-    return a
-
-
-def _factor_count(f, ell):
-    """Number of irreducible factors of the monic f mod ell by distinct-degree
-    splitting, or None when f is not squarefree mod ell."""
-    f = _fp_trim(f, ell)
-    if len(_fp_gcd(f, _fp_trim([k * c for k, c in enumerate(f)][1:], ell), ell)) > 1:
-        return None
-    count = 0
-    x = h = [0, 1]
-    d = 0
-    while len(f) > 2 * d + 2:
-        d += 1
-        power, h = h, [1]
-        for bit in bin(ell)[2:]:  # h := power^ell mod f
-            h = _fp_divmod(_fp_mul(h, h, ell), f, ell)[1]
-            if bit == "1":
-                h = _fp_divmod(_fp_mul(h, power, ell), f, ell)[1]
-        g = _fp_gcd(f, _fp_sub(h, x, ell), ell)
-        if len(g) > 1:
-            count += (len(g) - 1) // d
-            f = _fp_divmod(f, g, ell)[0]
-            h = _fp_divmod(h, f, ell)[1]
-    return count + (len(f) > 1)
-
-
 def _modular_factors(f):
-    """(ell, monic factors of f mod ell) for a monic squarefree integer f.
-
-    Among the first _PRIME_TRIALS primes that keep f squarefree, takes the one
-    with the fewest factors, stopping early at a prime where f is irreducible.
-    """
-    best = None
-    tried = 0
+    """(ell, monic factors of f mod ell) for a monic squarefree integer f,
+    at the first prime ell that keeps f squarefree."""
     for ell in _small_primes():
-        count = _factor_count(f, ell)
-        if count is None:
-            continue  # ell divides the discriminant of f
-        if best is None or count < best[0]:
-            best = (count, ell)
-        tried += 1
-        if count == 1 or tried == _PRIME_TRIALS:
-            break
-    count, ell = best
-    if count == 1:
-        return ell, [_fp_trim(f, ell)]
-    factors = ff_factor(FqPoly.from_ints(FiniteField(ell), f))
-    return ell, [[c.coeffs[0] for c in u.coeffs] for u, _mult in factors]
+        u = FqPoly.from_ints(FiniteField(ell), f)
+        if u.gcd(u.derivative()).degree == 0:
+            return ell, [[c.coeffs[0] for c in g.coeffs] for g, _mult in ff_factor(u)]
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -176,7 +112,7 @@ def _hensel_lift(f, factors, ell, modulus):
     half = len(factors) // 2
     g = _fp_product(factors[:half], ell)
     h = _fp_product(factors[half:], ell)
-    s, t = _fp_bezout(g, h, ell)
+    s, t = _fp_bezout(g, h, ell)  # g, h coprime: f is squarefree mod ell
     m = ell
     while m < modulus:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)

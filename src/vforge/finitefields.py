@@ -164,22 +164,12 @@ class FiniteField:
         return tuple(cc)
 
     def _inv(self, a):
-        # extended Euclid in F_p[z] against the modulus; s_k * a = r_k (mod modulus)
-        p = self.p
-        r0, s0 = list(self.modulus), []
-        r1, s1 = _fp_trim(list(a), p), [1]
-        if not r1:
+        # s * a + t * modulus = 1 in F_p[z]
+        if not _fp_trim(list(a), self.p):
             raise ZeroDivisionError("inversion of zero in finite field")
-        while len(r1) > 1:
-            q, r = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, _fp_trim(r, p)
-            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
-            if not r1:
-                raise ZeroDivisionError("element not invertible")
-        c = pow(r1[0], -1, p)
-        inv = [(c * x) % p for x in s1]
+        inv = _fp_bezout(a, self.modulus, self.p)[0]
         inv += [0] * (self.degree - len(inv))
-        return tuple(inv[: self.degree])
+        return tuple(inv)
 
     def __eq__(self, other):
         return isinstance(other, FiniteField) and self.key == other.key
@@ -224,6 +214,24 @@ def _fp_mul(a, b, p):
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
     return _fp_trim(out, p)
+
+
+def _fp_bezout(g, h, p):
+    """(s, t) with s*g + t*h = 1 mod the prime p, deg s < deg h, deg t < deg g.
+
+    Raises ZeroDivisionError when g and h are not coprime mod p.
+    """
+    r0, s0, t0 = _fp_trim(list(g), p), [1], []
+    r1, s1, t1 = _fp_trim(list(h), p), [], [1]
+    while r1:
+        q, r = _fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
+    if len(r0) != 1:
+        raise ZeroDivisionError("element not invertible")
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
 def _fp_divmod(a, b, p):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -227,3 +228,18 @@ def test_unreadable_chain_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, ["eval", "--chain", str(tmp_path), "--poly", "X"])
     assert code == 2
     assert out == "" and "Traceback" not in err
+
+
+def test_output_error_is_an_internal_error(capsys, monkeypatch):
+    # a failed write (e.g. a closed pipe) is not an input error
+    class ClosedPipe:
+        def write(self, _text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["extend", "-p", "2", "--min-poly", "X^2-2"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: BrokenPipeError") and "Traceback" not in err

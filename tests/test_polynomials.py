@@ -2,8 +2,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vforge import (
     NewtonPolygon,
@@ -211,12 +209,3 @@ def test_parse_keeps_coefficient_times_variable():
     assert P("2 * X^2 + 1") == Poly((1, 0, 2))
     assert P("+X") == Poly((0, 1))
 
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(
-    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=9),
-    st.sampled_from("XY"),
-)
-def test_parse_inverts_to_text(coeffs, var):
-    f = Poly(coeffs)
-    assert Poly.parse(f.to_text(var)) == f
