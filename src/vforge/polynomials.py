@@ -1,24 +1,36 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-A Poly stores a tuple of Fractions, index = exponent, with a nonzero
-leading coefficient; the zero polynomial is the empty tuple and reports
-degree -1.  All arithmetic is exact; nothing in this package ever touches
-floating point.
+A Poly stores its coefficients as integer numerators over one common
+denominator: ``num`` is a tuple of ints, index = exponent, with a nonzero
+last entry, and ``den`` is a positive int.  The pair is kept canonical,
+with ``gcd(num[0], ..., num[-1], den) == 1``, and the zero polynomial is
+``((), 1)`` and reports degree -1; so equality and hashing compare ints
+only.  Sums, products, division, Taylor shifts and divided derivatives
+run on Python ints: division by any divisor G is one pseudo-division
+``lc(G)^k * F = Q * G + R`` on the numerators (von zur Gathen-Gerhard,
+*Modern Computer Algebra*, ch. 3 and 6), which costs no growth for the
+monic integral keys of a chain.  ``coeffs``, indexing, iteration and
+``leading()`` give Fractions, built on demand.  Nothing in this package
+ever touches floating point.
 
 The text syntax accepted by ``Poly.parse`` covers integer and rational
 coefficients, ``^`` powers and a single variable letter (``X`` by
 default, ``Y`` for number-field minimal polynomials), e.g. ``X^4 + 4``,
 ``X^2 - 17``, ``1/2 Y^3 - Y``.  Terms are joined by exactly one ``+`` or
 ``-``; juxtaposed terms, repeated signs and trailing operators are errors.
+Exponents above ``MAX_DEGREE`` are rejected before anything is allocated.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .values import INFINITY, Value
+
+# Largest exponent Poly.parse accepts; it bounds the size of parsed input.
+MAX_DEGREE = 1024
 
 
 class PolyParseError(ValueError):
@@ -29,16 +41,62 @@ class PolyParseError(ValueError):
         self.column = column
 
 
+def _frac(n: int, d: int) -> Fraction:
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+def _make(num, den: int = 1) -> "Poly":
+    """The canonical Poly for num / den; num holds ints, den is nonzero."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    obj = object.__new__(Poly)
+    if not n:
+        obj.num, obj.den = (), 1
+        return obj
+    if den < 0:
+        num, den = [-a for a in num[:n]], -den
+    elif n < len(num):
+        num = num[:n]
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    obj.num, obj.den = tuple(num), den
+    return obj
+
+
+def _shifted_numerators(num, an: int, ad: int):
+    """(cc, s) with sum cc[k] X^k / s == sum num[k] (X + an/ad)^k, all ints.
+
+    With n = len(num) - 1, the Taylor shift by the integer an runs on
+    ad^n * f(Z / ad) and Z = ad * X is substituted back, so s = ad^n.
+    """
+    if not num:
+        return [], 1
+    n = len(num) - 1
+    cc = list(num) if ad == 1 else [c * ad ** (n - k) for k, c in enumerate(num)]
+    if an:
+        # repeated in-place synthetic division by X - an
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                cc[k] += an * cc[k + 1]
+    if ad == 1:
+        return cc, 1
+    return [c * ad**k for k, c in enumerate(cc)], ad**n
+
+
 class Poly:
     """Immutable dense polynomial over Q."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cc = [Fraction(c) for c in coeffs]
-        while cc and cc[-1] == 0:
-            cc.pop()
-        self.coeffs = tuple(cc)
+        cc = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cc))
+        canonical = _make([c.numerator * (den // c.denominator) for c in cc], den)
+        self.num, self.den = canonical.num, canonical.den
 
     # -- construction helpers --------------------------------------------
 
@@ -47,7 +105,7 @@ class Poly:
         if isinstance(x, Poly):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls((Fraction(x),))
+            return _make((x.numerator,), x.denominator)
         if isinstance(x, str):
             return cls.parse(x)
         if isinstance(x, (list, tuple)):
@@ -57,63 +115,90 @@ class Poly:
     # -- basic queries ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, index = exponent."""
+        if self.den == 1:
+            return tuple(map(Fraction, self.num))
+        return tuple([Fraction(a, self.den) for a in self.num])
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.num) and self.num[-1] == self.den
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _frac(self.num[-1], self.den)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return _frac(self.num[k], self.den)
         return Fraction(0)
 
     def __iter__(self):
         return iter(self.coeffs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     # -- arithmetic --------------------------------------------------------
 
+    def _plus(self, other, sign: int) -> "Poly":
+        a, b = self.num, other.num
+        da, db = self.den, other.den
+        if da != db:
+            g = gcd(da, db)
+            a = [x * (db // g) for x in a]
+            b = [x * (da // g) for x in b]
+            da *= db // g
+        if sign < 0:
+            b = [-x for x in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, x in enumerate(b):
+            out[k] += x
+        return _make(out, da)
+
     def __add__(self, other):
-        other = Poly.of(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        return self._plus(Poly.of(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        obj = object.__new__(Poly)
+        obj.num, obj.den = tuple([-a for a in self.num]), self.den
+        return obj
 
     def __sub__(self, other):
-        return self + (-Poly.of(other))
+        return self._plus(Poly.of(other), -1)
 
     def __rsub__(self, other):
-        return Poly.of(other) - self
+        return Poly.of(other)._plus(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+        if isinstance(other, int):
+            return _make([a * other for a in self.num], self.den)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _make([a * n for a in self.num], self.den * other.denominator)
         other = Poly.of(other)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self.num, other.num
+        if not a or not b:
+            return _make(())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -130,22 +215,35 @@ class Poly:
         return result
 
     def divmod(self, divisor: "Poly"):
-        """Exact Euclidean division; divisor must be nonzero."""
+        """Exact Euclidean division; divisor must be nonzero.
+
+        One pseudo-division on the numerators, lc^k * F = Q * G + R with
+        k = deg F - deg G + 1, so that every step divides by lc exactly; a
+        monic integral divisor has lc = 1 and costs no growth.
+        """
         divisor = Poly.of(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        lead = divisor.leading()
-        quo = [Fraction(0)] * max(0, len(rem) - dd)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            c = rem[k + dd] / lead
-            if c == 0:
+        g = divisor.num
+        m = len(g) - 1
+        steps = len(self.num) - m
+        if steps <= 0:
+            return _make(()), self
+        lead = g[-1]
+        scale = lead**steps
+        rem = list(self.num) if scale == 1 else [a * scale for a in self.num]
+        quo = [0] * steps
+        for k in range(steps - 1, -1, -1):
+            c = rem[k + m]
+            if not c:
                 continue
+            if lead != 1:
+                c //= lead
             quo[k] = c
-            for j, b in enumerate(divisor.coeffs):
-                rem[k + j] -= c * b
-        return Poly(quo), Poly(rem[:dd])
+            for j in range(m):
+                rem[k + j] -= c * g[j]
+        den = scale * self.den
+        return _make([c * divisor.den for c in quo], den), _make(rem[:m], den)
 
     def __mod__(self, divisor):
         return self.divmod(divisor)[1]
@@ -154,14 +252,15 @@ class Poly:
         return self.divmod(divisor)[0]
 
     def __eq__(self, other):
-        try:
-            other = Poly.of(other)
-        except TypeError:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if not isinstance(other, Poly):
+            try:
+                other = Poly.of(other)
+            except TypeError:
+                return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __call__(self, x):
         """Evaluate by Horner; x may be a Fraction or anything with ring ops."""
@@ -177,19 +276,17 @@ class Poly:
     def shift(self, a) -> "Poly":
         """Return self(X + a)."""
         a = Fraction(a)
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * Poly((a, 1)) + Poly((c,))
-        return out
+        cc, s = _shifted_numerators(self.num, a.numerator, a.denominator)
+        return _make(cc, self.den * s)
 
     def compose(self, inner: "Poly") -> "Poly":
         out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * inner + Poly((c,))
-        return out
+        for c in reversed(self.num):
+            out = out * inner + c
+        return out * Fraction(1, self.den)
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return _make([k * c for k, c in enumerate(self.num)][1:], self.den)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd over Q."""
@@ -198,7 +295,7 @@ class Poly:
             a, b = b, a % b
         if a.is_zero():
             return a
-        return a * (1 / a.leading())
+        return _make(a.num, a.num[-1])
 
     # -- text ---------------------------------------------------------------
 
@@ -229,27 +326,22 @@ class Poly:
                 parts.append(f" {sign} {body}")
         return "".join(parts)
 
-    _TOKEN = re.compile(
-        r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z])|(?P<op>[+\-^*()]))"
-    )
+    _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z])|(?P<op>[+\-^*()])")
 
     @classmethod
     def parse(cls, text: str, var: str | None = None) -> "Poly":
         """Parse polynomial text; raises PolyParseError with a column on failure."""
-        tokens = []
+        tokens = []  # (kind, text, column of its first character)
         pos = 0
-        while pos < len(text):
+        while True:
+            while pos < len(text) and text[pos].isspace():
+                pos += 1
+            if pos == len(text):
+                break
             m = cls._TOKEN.match(text, pos)
             if not m:
-                if text[pos:].strip() == "":
-                    break
                 raise PolyParseError(f"unexpected character {text[pos]!r}", pos + 1)
-            if m.group("num"):
-                tokens.append(("num", m.group("num"), pos + 1))
-            elif m.group("var"):
-                tokens.append(("var", m.group("var"), pos + 1))
-            else:
-                tokens.append(("op", m.group("op"), pos + 1))
+            tokens.append((m.lastgroup, m.group(), pos + 1))
             pos = m.end()
         if not tokens:
             raise PolyParseError("empty polynomial", 1)
@@ -300,7 +392,10 @@ class Poly:
                     i += 1
                     if i >= len(tokens) or tokens[i][0] != "num" or "/" in tokens[i][1]:
                         fail("expected integer exponent after '^'")
-                    exponent = int(tokens[i][1])
+                    digits = tokens[i][1].lstrip("0") or "0"
+                    if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                        fail(f"exponent above the degree ceiling {MAX_DEGREE}", tokens[i])
+                    exponent = int(digits)
                     i += 1
             if not got_body:
                 fail("expected coefficient or variable")
@@ -319,9 +414,10 @@ class Poly:
 
 
 def padic_valuation(x, p: int) -> Value:
-    """v_p of a rational, as a Value; v_p(0) = infinity."""
-    x = Fraction(x)
-    if x == 0:
+    """v_p of an int or a rational, as a Value; v_p(0) = infinity."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    if not x:
         return INFINITY
     v = 0
     n = x.numerator
@@ -332,7 +428,7 @@ def padic_valuation(x, p: int) -> Value:
     while d % p == 0:
         d //= p
         v -= 1
-    return Value(v)
+    return Value._exact(Fraction(v))
 
 
 # -- operations used throughout the chain machinery ---------------------------
@@ -343,9 +439,8 @@ def hasse_derivative(f: Poly, b: int) -> Poly:
     if b < 1:
         raise ValueError("derivative order must be >= 1")
     f = Poly.of(f)
-    if b > f.degree:
-        return Poly()
-    return Poly([comb(n, b) * f.coeffs[n] for n in range(b, len(f.coeffs))])
+    num = f.num
+    return _make([comb(n, b) * num[n] for n in range(b, len(num))], f.den)
 
 
 def q_expansion(f: Poly, q: Poly) -> list[Poly]:
@@ -361,14 +456,10 @@ def q_expansion(f: Poly, q: Poly) -> list[Poly]:
         raise ValueError("expansion base must have positive degree")
     f = Poly.of(f)
     if q.degree == 1:
-        # Taylor shift by repeated in-place synthetic division by X - c
-        c = -q[0]
-        cc = list(f.coeffs)
-        if c:
-            for i in range(len(cc) - 1):
-                for k in range(len(cc) - 2, i - 1, -1):
-                    cc[k] += c * cc[k + 1]
-        return [Poly((x,)) for x in cc] or [Poly()]
+        # the Taylor shift's numerators over one denominator are the digits
+        cc, s = _shifted_numerators(f.num, -q.num[0], q.den)
+        den = f.den * s
+        return [_make((c,), den) for c in cc] or [_make(())]
     digits = []
     while not f.is_zero():
         f, r = f.divmod(q)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+_ZERO = Fraction(0)
+
 _TERM_RE = re.compile(
     r"""^\s*(?P<r>[+-]?\d+(?:/\d+)?)\s*
         (?:(?P<sign>[+-])\s*(?P<s>\d+(?:/\d+)?)?\s*t\s*)?$""",
@@ -40,6 +42,13 @@ class Value:
             self.r = Fraction(r)
             self.s = Fraction(s)
             self.infinite = False
+
+    @classmethod
+    def _exact(cls, r: Fraction, s: Fraction = _ZERO) -> "Value":
+        """A finite value from r and s that are already Fractions."""
+        obj = object.__new__(cls)
+        obj.r, obj.s, obj.infinite = r, s, False
+        return obj
 
     @classmethod
     def of(cls, x) -> "Value":
@@ -74,10 +83,11 @@ class Value:
         return not self.infinite and self.s == 0
 
     def __add__(self, other):
-        other = Value.of(other)
+        if not isinstance(other, Value):
+            other = Value.of(other)
         if self.infinite or other.infinite:
             return INFINITY
-        return Value(self.r + other.r, self.s + other.s)
+        return Value._exact(self.r + other.r, self.s + other.s if other.s else self.s)
 
     __radd__ = __add__
 
@@ -87,23 +97,24 @@ class Value:
             raise ArithmeticError("cannot subtract infinity")
         if self.infinite:
             return INFINITY
-        return Value(self.r - other.r, self.s - other.s)
+        return Value._exact(self.r - other.r, self.s - other.s)
 
     def __neg__(self):
         if self.infinite:
             raise ArithmeticError("cannot negate infinity")
-        return Value(-self.r, -self.s)
+        return Value._exact(-self.r, -self.s)
 
     def scale(self, c) -> "Value":
         """Multiply by a rational scalar c; scaling infinity by 0 is undefined."""
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         if self.infinite:
             if c == 0:
                 raise ArithmeticError("0 * infinity is undefined")
             if c < 0:
                 raise ArithmeticError("cannot scale infinity by a negative")
             return INFINITY
-        return Value(self.r * c, self.s * c)
+        return Value._exact(self.r * c, self.s * c if self.s else self.s)
 
     def _key(self):
         if self.infinite:
@@ -116,13 +127,16 @@ class Value:
                 other = Value.of(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return self._key() == other._key()
+        if self.infinite or other.infinite:
+            return self.infinite == other.infinite
+        return self.r == other.r and self.s == other.s
 
     def __hash__(self):
         return hash(self._key())
 
     def __lt__(self, other):
-        other = Value.of(other)
+        if not isinstance(other, Value):
+            other = Value.of(other)
         if self.infinite:
             return False
         if other.infinite:

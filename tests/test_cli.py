@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -243,3 +245,21 @@ def test_output_error_is_an_internal_error(capsys, monkeypatch):
     assert main(["extend", "-p", "2", "--min-poly", "X^2-2"]) == 5
     err = capsys.readouterr().err
     assert err.startswith("internal error: BrokenPipeError") and "Traceback" not in err
+
+
+def test_degree_above_ceiling_is_a_parse_error(chain_files):
+    # run under an address-space limit, so a regression fails with a
+    # MemoryError (exit 5) instead of allocating a billion coefficients
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from vforge.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["eval", "--chain", chain_files["c2"], "--poly", "X^1000000000"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "parse error: exponent above the degree ceiling 1024 (column 3)\n"

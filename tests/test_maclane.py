@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from vforge import Chain, ChainError, ChainParseError, Poly, Value, value_min
 from vforge.maclane import RESIDUE_TRANSCENDENTAL, VALUE_TRANSCENDENTAL
+from vforge.verify import run_suite
 
 P = Poly.parse
 
@@ -274,3 +276,24 @@ def test_chain_file_rejects_nonprime():
     with pytest.raises(ChainError) as err:
         Chain.parse("p = 4\nQ0: X @ 0\n")
     assert err.value.code == "chain.prime"
+
+
+# -- keys with non-integral coefficients ---------------------------------------
+# The corpus keys are all integral, so these are the chains whose expansions
+# divide by keys whose numerators do not have leading coefficient 1.
+
+
+def test_non_integral_key_chain_passes_all_checks():
+    chain = Chain.from_levels(5, [(P("X"), Value(0)), (P("X^2 + 1/3"), Value(1))])
+    report = run_suite(chain, "all", 0, samples=30)
+    assert report.ok
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "0a5fe3b7cf8ce93c11dffcd9ced2fe6b3435c978d5eaafce28aa006f019194a6"
+
+
+def test_non_integral_key_chain_values():
+    chain = Chain.from_levels(3, [(P("X"), Value(-1)), (P("X^2 + 1/9"), Value(F(-1, 2)))])
+    assert chain.eval(P("X^5 + 7X + 1/4")) == Value(-5)
+    assert chain.eval(P("9X^4 + 2X^2 + 1/9")) == Value(1)
+    assert chain.eval(P("X^2 + 1/9")) == Value(F(-1, 2))
+    assert chain.epsilon(P("X^3 - 1/27")) == Value(-1)

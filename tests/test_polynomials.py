@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -14,6 +15,7 @@ from vforge import (
     resultant,
     root_valuations,
 )
+from vforge.polynomials import MAX_DEGREE
 
 P = Poly.parse
 
@@ -196,11 +198,35 @@ def test_difference_resultant_root_set():
     assert res == P("X - 1") * P("X - 3")
 
 
-@pytest.mark.parametrize("text", ["2 3", "X X", "X^2 3", "--X", "+-X", "3X^2 -", "X +", "2*", "2 * 3"])
-def test_parse_rejects_ambiguous_text(text):
-    # juxtaposed terms, repeated signs, trailing operators
-    with pytest.raises(PolyParseError):
+AMBIGUOUS = [
+    ("2 3", 3),
+    ("X X", 3),
+    ("X^2 3", 5),
+    ("--X", 2),
+    ("+-X", 2),
+    ("3X^2 -", 6),
+    ("X +", 3),
+    ("2*", 2),
+    ("2 * 3", 5),
+    ("X^2 + + 1", 7),
+]
+
+
+@pytest.mark.parametrize("text,column", [pytest.param(t, c, id=t) for t, c in AMBIGUOUS])
+def test_parse_rejects_ambiguous_text(text, column):
+    # juxtaposed terms, repeated signs, trailing operators; the column is the
+    # offending token's first character, not the whitespace before it
+    with pytest.raises(PolyParseError) as exc:
         P(text)
+    assert exc.value.column == column
+
+
+def test_parse_degree_ceiling():
+    assert P(f"X^{MAX_DEGREE} + 1").degree == MAX_DEGREE
+    for text, column in [(f"X^{MAX_DEGREE + 1}", 3), ("2 + 3X^1000000000", 8), ("X^" + "9" * 5000, 3)]:
+        with pytest.raises(PolyParseError) as exc:
+            P(text)
+        assert exc.value.column == column and "degree ceiling" in str(exc.value)
 
 
 def test_parse_keeps_coefficient_times_variable():
@@ -209,3 +235,97 @@ def test_parse_keeps_coefficient_times_variable():
     assert P("2 * X^2 + 1") == Poly((1, 0, 2))
     assert P("+X") == Poly((0, 1))
 
+
+
+# -- the integer core against a Fraction-list reference ------------------------
+
+
+def _trim(cc):
+    cc = list(cc)
+    while cc and cc[-1] == 0:
+        cc.pop()
+    return cc
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def ref_divmod(a, g):
+    rem, m = list(a), len(g) - 1
+    quo = [F(0)] * max(0, len(a) - m)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + m] / g[-1]
+        for j, y in enumerate(g):
+            rem[k + j] -= quo[k] * y
+    return _trim(quo), _trim(rem[:m])
+
+
+def ref_shift(a, c):
+    out = []
+    for x in reversed(a):
+        out = ref_add(ref_mul(out, [c, F(1)]), [x])
+    return out
+
+
+def ref_hasse(a, b):
+    return _trim([comb(n, b) * a[n] for n in range(b, len(a))])
+
+
+def ref_q_expansion(a, q):
+    digits = []
+    while a:
+        a, r = ref_divmod(a, q)
+        digits.append(r)
+    return digits or [[]]
+
+
+# monic integral, monic with non-integral coefficients, and non-monic divisors
+DIVISORS = ["X^2 - 2", "X^3 + X + 1", "X + 3", "X^2 + 1/3", "X^2 + 1/9", "X - 1/2",
+            "3X^2 - 2X + 1/2", "-2X + 5", "1/4 X^3 - 7"]
+
+
+def rand_rational_poly(rng, max_deg=7):
+    deg = rng.randint(-1, max_deg)
+    return Poly([F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(deg + 1)])
+
+
+def test_integer_core_matches_fraction_reference():
+    rng = random.Random(41)
+    for _ in range(150):
+        f, g = rand_rational_poly(rng), rand_rational_poly(rng)
+        a, b = list(f.coeffs), list(g.coeffs)
+        assert list((f + g).coeffs) == ref_add(a, b)
+        assert list((f - g).coeffs) == ref_add(a, [-y for y in b])
+        assert list((f * g).coeffs) == ref_mul(a, b)
+        c = F(rng.randint(-9, 9), rng.randint(1, 5))
+        assert list(f.shift(c).coeffs) == ref_shift(a, c)
+        order = rng.randint(1, 4)
+        assert list(hasse_derivative(f, order).coeffs) == ref_hasse(a, order)
+        for text in DIVISORS:
+            d = P(text)
+            quo, rem = f.divmod(d)
+            assert (list(quo.coeffs), list(rem.coeffs)) == ref_divmod(a, list(d.coeffs))
+            if d.is_monic():
+                expected = ref_q_expansion(a, list(d.coeffs))
+                assert [list(x.coeffs) for x in q_expansion(f, d)] == expected
+
+
+def test_canonical_form():
+    half = Poly([F(1, 2), F(1, 2)])
+    assert half == Poly([1, 1]) * F(1, 2)
+    assert hash(half) == hash(Poly([1, 1]) * F(1, 2))
+    assert (half.num, half.den) == ((1, 1), 2)
+    assert (Poly([F(2, 4), F(-6, 4), 0]).num, Poly([F(2, 4), F(-6, 4), 0]).den) == ((1, -3), 2)
+    assert (Poly([0, 0]).num, Poly([0, 0]).den) == ((), 1)
+    assert (P("X^2 + 1/3") * -3).num == (-1, 0, -3)
+    assert all(type(c) is F for c in P("X^2 + 1/3").coeffs)
