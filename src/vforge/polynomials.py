@@ -117,9 +117,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as Fractions, index = exponent."""
-        if self.den == 1:
-            return tuple(map(Fraction, self.num))
-        return tuple([Fraction(a, self.den) for a in self.num])
+        return tuple([_frac(a, self.den) for a in self.num])
 
     @property
     def degree(self) -> int:
@@ -173,9 +171,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        obj = object.__new__(Poly)
-        obj.num, obj.den = tuple([-a for a in self.num]), self.den
-        return obj
+        return _make([-a for a in self.num], self.den)
 
     def __sub__(self, other):
         return self._plus(Poly.of(other), -1)
