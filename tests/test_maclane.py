@@ -287,6 +287,7 @@ def test_non_integral_key_chain_passes_all_checks():
     chain = Chain.from_levels(5, [(P("X"), Value(0)), (P("X^2 + 1/3"), Value(1))])
     report = run_suite(chain, "all", 0, samples=30)
     assert report.ok
+    # byte for byte the report the Fraction-coefficient Poly gave
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == "0a5fe3b7cf8ce93c11dffcd9ced2fe6b3435c978d5eaafce28aa006f019194a6"
 
