@@ -9,7 +9,8 @@ Subcommands:
   vforge verify   --chain FILE [--suite lemmas|props|all]
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input text or
-a usage error (including a degree bound above 16), 3 invalid chain (with
+a usage error (including a degree bound above 16, or an ``extend -p`` that
+is not a prime of at most 2^31 - 1), 3 invalid chain (with
 the violated invariant named), 4 reducible minimal polynomial (with a
 factor), 5 internal error (one line on stderr, never a traceback).
 ``--seed`` (or the VFORGE_SEED environment variable) fixes all sampling;
@@ -24,7 +25,7 @@ import os
 import sys
 
 from .extensions import MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
-from .maclane import Chain, ChainError, ChainParseError
+from .maclane import MAX_PRIME, Chain, ChainError, ChainParseError, prime_error
 from .polynomials import Poly, PolyParseError
 from .verify import run_suite
 
@@ -148,6 +149,14 @@ def _degree_bound(text: str) -> int:
     return n
 
 
+def _prime(text: str) -> int:
+    p = int(text)
+    reason = prime_error(p)
+    if reason:
+        raise argparse.ArgumentTypeError(reason)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vforge",
@@ -177,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=_cmd_classify)
 
     p_ext = sub.add_parser("extend", help="extensions of v_p to a number field")
-    p_ext.add_argument("-p", "--prime", type=int, required=True)
+    p_ext.add_argument(
+        "-p", "--prime", type=_prime, required=True, help=f"a prime of at most {MAX_PRIME}"
+    )
     p_ext.add_argument("--min-poly", required=True, help="monic irreducible polynomial")
     p_ext.add_argument(
         "--degree-bound", type=_degree_bound, default=8,

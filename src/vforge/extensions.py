@@ -205,10 +205,11 @@ def rational_factor_list(m: Poly) -> list[Poly]:
 def _last_minimum(chain: Chain, g: Poly):
     """(minimum term value, indices attaining it) of g expanded in the last key.
 
-    Digit values are prefix values, so they do not move when the last
-    assigned value changes.
+    The value is an int numerator over the last level's ``denom``.  Digit
+    values are prefix values, so they do not move when the last assigned
+    value changes.
     """
-    return _term_minimum(chain._terms(g, chain.last_key, len(chain) - 2), chain.last_value)
+    return _term_minimum(chain._terms(g, chain.last_key, len(chain) - 2), chain.levels[-1])
 
 
 def _attach(chain: Chain, psi: Poly, value: Value) -> Chain:
@@ -237,10 +238,12 @@ def _branch_children(chain: Chain, m: Poly) -> list[Chain]:
             # any larger assigned value works
             out.append(_attach(chain, psi, chain.eval(psi) + Value(1)))
             continue
-        pts = [(j, value.r) for j, _digit, value in terms]
+        # polygon of the digit value numerators over the last level's denom
+        denom = chain.levels[-1].denom
+        pts = [(j, n) for j, _digit, n in terms]
         current = chain.eval(psi).r
         for pslope, _plen in NewtonPolygon(pts).slopes():
-            plam = -pslope
+            plam = -pslope / denom
             if plam > current:
                 out.append(_attach(chain, psi, Value(plam)))
     return out
@@ -307,7 +310,7 @@ class ValuationExtension:
                     return chain.eval(g)
                 v0, achieving = _last_minimum(chain, g)
                 if achieving == [0]:
-                    return v0
+                    return Value(Fraction(v0, chain.levels[-1].denom))
                 self._improve()
 
     def difference_profile(self) -> list[Fraction]:

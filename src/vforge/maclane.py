@@ -11,6 +11,14 @@ All level values except possibly the last are rational.  A final value
 with a nonzero infinitesimal part makes the chain value-transcendental;
 such a chain accepts no further augmentation.
 
+Every value at a rational level i lies in (1 / e_0...e_i) Z, so evaluation
+carries it as an int numerator over that level denominator (``denom``): a
+term of digit numerator n costs ``n * rel_denom + j * numer``, and below
+level 0 a digit's numerator is v_p of its Taylor-shift numerator minus
+v_p of the polynomial's denominator.  A ``Value`` is built once, at the
+public boundary (``eval``, ``truncate``); only a final infinitesimal level
+adds ``j * b_k`` to its digit values as Values.
+
 Alongside evaluation this module carries the graded residue machinery:
 residues of digits relative to normalizing monomials in p and earlier
 keys, residual polynomials over the chain's residue field, lifting of
@@ -29,16 +37,23 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .finitefields import FFElement, FieldExtension, FiniteField, FqPoly, ff_is_irreducible
 from .polynomials import (
     Poly,
     PolyParseError,
+    _p_order,
+    _shifted_numerators,
     hasse_derivative,
     padic_valuation,
     q_expansion,
 )
-from .values import INFINITY, Value, value_max
+from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value, value_max
+
+# Largest prime a chain accepts; it bounds the trial division that proves p
+# prime (at most 46341 divisors).
+MAX_PRIME = 2**31 - 1
 
 RESIDUE_TRANSCENDENTAL = "residue-transcendental"
 VALUE_TRANSCENDENTAL = "value-transcendental"
@@ -63,6 +78,15 @@ class ChainParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+def prime_error(p: int) -> str | None:
+    """Why p cannot be a chain's prime, or None when it is a prime <= MAX_PRIME."""
+    if p > MAX_PRIME:
+        return f"{p} exceeds the prime ceiling {MAX_PRIME}"
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        return f"{p} is not prime"
+    return None
 
 
 @dataclass(frozen=True)
@@ -97,6 +121,7 @@ class _Level:
         "beta",
         "degree",
         "denom",
+        "prev_denom",
         "rel_denom",
         "numer",
         "numer_inv",
@@ -118,8 +143,9 @@ class Chain:
     """Immutable valuation chain over a fixed prime."""
 
     def __init__(self, p: int, key: Poly, beta: Value):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ChainError("chain.prime", f"{p} is not prime")
+        reason = prime_error(p)
+        if reason:
+            raise ChainError("chain.prime", reason)
         key = Poly.of(key)
         beta = Value.of(beta)
         if key.degree != 1 or not key.is_monic():
@@ -144,6 +170,7 @@ class Chain:
         if beta.infinite:
             raise ChainError("chain.value", "level values must be finite, got inf")
         level = _Level(key, beta)
+        level.prev_denom = prev_denom
         level.res_field = res_field
         level.ext = ext
         level.res_degree = res_degree
@@ -258,27 +285,41 @@ class Chain:
     def eval(self, f: Poly) -> Value:
         """Value of f under the full chain; eval(0) is infinity."""
         f = Poly.of(f)
-        return self._eval_level(len(self.levels) - 1, f)
+        return self._level_value(len(self.levels) - 1, f)
 
     def _terms(self, f: Poly, key: Poly, i: int) -> list:
-        """(j, digit, value) for the nonzero digits of f in base key.
+        """(j, digit, n) for the nonzero digits of f in base key.
 
-        Each digit is valued by the chain prefix through level i; below
-        level 0 (i = -1) digits are constants valued by v_p.
+        n is the digit's value under the chain prefix through the rational
+        level i, as an int numerator over that level's ``denom``.  Below
+        level 0 (i = -1) the key is the level-0 key X - c, whose integer
+        center keeps the Taylor shift over f.den: each digit is an int
+        numerator over f.den and n is v_p of the constant it stands for.
         """
+        if i < 0:
+            p = self.p
+            cc, _ = _shifted_numerators(f.num, -key.num[0], 1)
+            shift = int(padic_valuation(f.den, p).r)
+            return [(j, c, _p_order(c, p) - shift) for j, c in enumerate(cc) if c]
         out = []
         for j, digit in enumerate(q_expansion(f, key)):
-            if digit.is_zero():
-                continue
-            value = padic_valuation(digit[0], self.p) if i < 0 else self._eval_level(i, digit)
-            out.append((j, digit, value))
+            if digit.num:
+                out.append((j, digit, self._eval_level(i, digit)))
         return out
 
-    def _eval_level(self, i: int, f: Poly) -> Value:
+    def _eval_level(self, i: int, f: Poly) -> int:
+        """Value of the nonzero f under the chain through the rational level i,
+        as an int numerator over that level's ``denom``."""
+        level = self.levels[i]
+        return _term_minimum(self._terms(f, level.key, i - 1), level)[0]
+
+    def _level_value(self, i: int, f: Poly) -> Value:
+        """Value of f under the chain through level i, as a Value."""
         if f.is_zero():
             return INFINITY
         level = self.levels[i]
-        return _term_minimum(self._terms(f, level.key, i - 1), level.beta)[0]
+        best = _term_minimum(self._terms(f, level.key, i - 1), level)[0]
+        return best if level.tau else Value._exact(Fraction(best, level.denom))
 
     def truncate(self, i: int, f: Poly) -> Value:
         """Value of f under the level-i truncation of the chain valuation.
@@ -288,7 +329,7 @@ class Chain:
         """
         if not 0 <= i < len(self.levels):
             raise IndexError(f"no level {i} in a chain of length {len(self.levels)}")
-        return self._eval_level(i, Poly.of(f))
+        return self._level_value(i, Poly.of(f))
 
     def epsilon(self, f: Poly) -> Value:
         """Growth invariant max_b (w(f) - w(f^[b])) / b over divided derivatives.
@@ -374,39 +415,40 @@ class Chain:
         return (num * pow(den, -1, self.p)) % self.p
 
     def _graded_reduce(self, i: int, f: Poly):
-        """Graded image of f at level i: (fbar, i0, j0, value as Fraction)."""
+        """Graded image of f at level i: (fbar, i0, j0, vnum).
+
+        vnum is the value of f as an int numerator over the level's
+        ``denom``; at an infinitesimal level it is the Value itself.
+        """
         level = self.levels[i]
         k = level.res_field
+        e = level.rel_denom
         if level.tau or i == 0:
             terms = self._terms(f, level.key, i - 1)
             if not terms:
                 raise ValueError("graded reduction of zero")
-            best, achieving = _term_minimum(terms, level.beta)
+            vmin, achieving = _term_minimum(terms, level)
             if level.tau:
                 # unique minimal term; the residual degenerates to a bare monomial
-                return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, best
-            vmin = int(best.r * level.denom)
-            e = level.rel_denom
+                return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, vmin
             i0 = (level.numer_inv * vmin) % e if e > 1 else 0
             j0 = (vmin - i0 * level.numer) // e
             coeffs = {}
-            for j, digit, value in terms:
+            for j, c, n in terms:
                 if j in achieving:
-                    coeffs[(j - i0) // e] = self._residue_scalar(digit[0], int(value.r))
+                    coeffs[(j - i0) // e] = self._residue_scalar(Fraction(c, f.den), n)
             fbar = FqPoly.from_ints(k, [coeffs.get(m, 0) for m in range(max(coeffs) + 1)])
-            return fbar, i0, j0, best.r
+            return fbar, i0, j0, vmin
         digits = q_expansion(f, level.key)
         reduced = {}
         for j, digit in enumerate(digits):
             if digit.is_zero():
                 continue
             c1, i1, j1, vc = self._graded_reduce(i - 1, digit)
-            vnum = int(vc * level.denom) + j * level.numer
-            reduced[j] = (c1, i1, j1, vnum)
+            reduced[j] = (c1, i1, j1, vc * e + j * level.numer)
         if not reduced:
             raise ValueError("graded reduction of zero")
         vmin = min(t[3] for t in reduced.values())
-        e = level.rel_denom
         i0 = (level.numer_inv * vmin) % e if e > 1 else 0
         j0 = (vmin - i0 * level.numer) // e
         coeffs = {}
@@ -419,7 +461,7 @@ class Chain:
                 raise InvariantError("graded bookkeeping out of step")
             coeffs[m] = cbar
         cc = [coeffs.get(m, k.zero) for m in range(max(coeffs) + 1)]
-        return FqPoly(k, cc), i0, j0, Fraction(vmin, level.denom)
+        return FqPoly(k, cc), i0, j0, vmin
 
     def _graded_map(self, i: int, h: FqPoly, i1: int, j1: int):
         # map a level-(i-1) graded element into the level-i constant field
@@ -518,9 +560,9 @@ class Chain:
         terms = self._terms(q, last.key, len(self.levels) - 2)
         if terms[0][0] != 0:
             return KeyCertificate(False, "divisible_by_last_key", f"{last.key} divides {q}")
-        _, achieving = _term_minimum(terms, last.beta)
+        _, achieving = _term_minimum(terms, last)
         if len(achieving) < len(terms):
-            values = {j: str(value + last.beta.scale(j)) for j, _, value in terms}
+            values = {j: str(_term_value(last, j, n)) for j, _, n in terms}
             shown = ", ".join(values.get(j, "-") for j in range(terms[-1][0] + 1))
             return KeyCertificate(False, "inhomogeneous", f"expansion term values {{{shown}}}")
         if last.tau:
@@ -556,7 +598,7 @@ class Chain:
         m = re.match(r"^\s*p\s*=\s*(\d+)\s*$", lines[0])
         if not m:
             raise ChainParseError("expected 'p = <prime>'", 1)
-        p = int(m.group(1))
+        p = _parse_int(m, 1, 1)
         levels = []
         for lineno, raw in enumerate(lines[1:], start=2):
             if not raw.strip():
@@ -564,21 +606,32 @@ class Chain:
             m = re.match(r"^\s*Q(\d+)\s*:\s*(.*?)\s*@\s*(.*?)\s*$", raw)
             if not m:
                 raise ChainParseError("expected 'Q<i>: <poly> @ <value>'", lineno)
-            idx = int(m.group(1))
+            idx = _parse_int(m, 1, lineno)
             if idx != len(levels):
                 raise ChainParseError(f"level index Q{idx} out of order", lineno)
+            # columns inside the polynomial and the value count from the line start
             try:
                 poly = Poly.parse(m.group(2), var="X")
             except PolyParseError as exc:
-                raise ChainParseError(str(exc), lineno, exc.column) from exc
+                raise ChainParseError(exc.reason, lineno, m.start(2) + exc.column) from exc
             try:
                 val = Value.parse(m.group(3))
-            except ValueError as exc:
-                raise ChainParseError(str(exc), lineno) from exc
+            except TextParseError as exc:
+                raise ChainParseError(exc.reason, lineno, m.start(3) + exc.column) from exc
             levels.append((poly, val))
         if not levels:
             raise ChainParseError("chain file has no levels", 1)
         return cls.from_levels(p, levels)
+
+
+def _parse_int(m, group: int, lineno: int) -> int:
+    """The digits of a chain-file match group, below the numeral ceiling."""
+    digits = m.group(group)
+    if len(digits) > MAX_NUMERAL_LENGTH:
+        raise ChainParseError(
+            f"numeral above the length ceiling {MAX_NUMERAL_LENGTH}", lineno, m.start(group) + 1
+        )
+    return int(digits)
 
 
 def _value_file_text(v: Value) -> str:
@@ -590,11 +643,24 @@ def _value_file_text(v: Value) -> str:
     return f"{v.r} {sign} {abs(v.s)} t"
 
 
-def _term_minimum(terms, beta: Value):
-    """(min of value + j * beta over terms, the indices j attaining it)."""
+def _term_value(level: _Level, j: int, n: int) -> Value:
+    """Value of term j, whose digit has value numerator n, at level."""
+    if level.tau:
+        return Value._exact(Fraction(n, level.prev_denom)) + level.beta.scale(j)
+    return Value._exact(Fraction(n * level.rel_denom + j * level.numer, level.denom))
+
+
+def _term_minimum(terms, level: _Level):
+    """(least term value, the indices j attaining it) over (j, digit, n) terms.
+
+    At a rational level a term value is the int numerator
+    n * rel_denom + j * numer over the level's ``denom``; at an
+    infinitesimal level it is a Value.
+    """
+    tau, e, numer = level.tau, level.rel_denom, level.numer
     best, achieving = None, []
-    for j, _digit, value in terms:
-        term = value + beta.scale(j)
+    for j, _digit, n in terms:
+        term = _term_value(level, j, n) if tau else n * e + j * numer
         if best is None or term < best:
             best, achieving = term, [j]
         elif term == best:

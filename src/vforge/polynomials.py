@@ -18,7 +18,9 @@ coefficients, ``^`` powers and a single variable letter (``X`` by
 default, ``Y`` for number-field minimal polynomials), e.g. ``X^4 + 4``,
 ``X^2 - 17``, ``1/2 Y^3 - Y``.  Terms are joined by exactly one ``+`` or
 ``-``; juxtaposed terms, repeated signs and trailing operators are errors.
-Exponents above ``MAX_DEGREE`` are rejected before anything is allocated.
+Exponents above ``MAX_DEGREE`` are rejected before anything is allocated,
+and numerals longer than ``values.MAX_NUMERAL_LENGTH`` before they are
+converted.
 """
 
 from __future__ import annotations
@@ -27,18 +29,14 @@ import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .values import INFINITY, Value
+from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value
 
 # Largest exponent Poly.parse accepts; it bounds the size of parsed input.
 MAX_DEGREE = 1024
 
 
-class PolyParseError(ValueError):
+class PolyParseError(TextParseError):
     """Raised on malformed polynomial text; carries the offending column."""
-
-    def __init__(self, message, column):
-        super().__init__(f"{message} (column {column})")
-        self.column = column
 
 
 def _frac(n: int, d: int) -> Fraction:
@@ -365,6 +363,8 @@ class Poly:
             exponent = 0
             got_body = False
             if i < len(tokens) and tokens[i][0] == "num":
+                if len(tokens[i][1]) > MAX_NUMERAL_LENGTH:
+                    fail(f"numeral above the length ceiling {MAX_NUMERAL_LENGTH}", tokens[i])
                 try:
                     coeff = Fraction(tokens[i][1])
                 except ZeroDivisionError:
@@ -409,22 +409,22 @@ class Poly:
 # -- p-adic coefficient valuations ------------------------------------------
 
 
+def _p_order(n: int, p: int) -> int:
+    """The exponent of p in the nonzero int n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def padic_valuation(x, p: int) -> Value:
     """v_p of an int or a rational, as a Value; v_p(0) = infinity."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     if not x:
         return INFINITY
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return Value._exact(Fraction(v))
+    return Value._exact(Fraction(_p_order(x.numerator, p) - _p_order(x.denominator, p)))
 
 
 # -- operations used throughout the chain machinery ---------------------------

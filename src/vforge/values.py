@@ -11,7 +11,9 @@ value-transcendental chain.
 
 Values print as ``3/2``, ``3/2 + 1/2t``, ``-1 - 2t`` or ``inf``, and
 ``Value.parse`` accepts the same forms (whitespace around ``t`` is
-ignored, so the chain-file spelling ``3/2 + 1 t`` also parses).
+ignored, so the chain-file spelling ``3/2 + 1 t`` also parses).  A numeral
+longer than ``MAX_NUMERAL_LENGTH`` characters is rejected at its column
+before it is converted; ``Poly.parse`` applies the same ceiling.
 """
 
 from __future__ import annotations
@@ -21,11 +23,25 @@ from fractions import Fraction
 
 _ZERO = Fraction(0)
 
+# Longest numeral that Value.parse and Poly.parse accept, in characters
+# (digits, a sign, the slash of a fraction); it keeps each int() below the
+# interpreter's 4300-digit string conversion limit.
+MAX_NUMERAL_LENGTH = 4000
+
 _TERM_RE = re.compile(
     r"""^\s*(?P<r>[+-]?\d+(?:/\d+)?)\s*
         (?:(?P<sign>[+-])\s*(?P<s>\d+(?:/\d+)?)?\s*t\s*)?$""",
     re.VERBOSE,
 )
+
+
+class TextParseError(ValueError):
+    """Malformed value or polynomial text; carries the offending column."""
+
+    def __init__(self, message, column):
+        super().__init__(f"{message} (column {column})")
+        self.reason = message
+        self.column = column
 
 
 class Value:
@@ -59,18 +75,28 @@ class Value:
 
     @classmethod
     def parse(cls, text: str) -> "Value":
-        """Parse ``r``, ``r + s t``, ``r - s t`` or ``inf``."""
+        """Parse ``r``, ``r + s t``, ``r - s t`` or ``inf``.
+
+        Raises TextParseError, a ValueError, with the column of the failure.
+        """
         stripped = text.strip()
         if stripped in ("inf", "Infinity", "oo"):
             return INFINITY
+        lead = len(text) - len(text.lstrip())
         m = _TERM_RE.match(stripped)
         if not m:
-            raise ValueError(f"cannot parse value {text!r}")
+            raise TextParseError(f"cannot parse value {stripped!r}", lead + 1)
+        for group in ("r", "s"):
+            if len(m.group(group) or "") > MAX_NUMERAL_LENGTH:
+                raise TextParseError(
+                    f"numeral above the length ceiling {MAX_NUMERAL_LENGTH}",
+                    lead + m.start(group) + 1,
+                )
         try:
             r = Fraction(m.group("r"))
             s = Fraction(m.group("s") or 1)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in value {text!r}") from None
+            raise TextParseError(f"zero denominator in value {stripped!r}", lead + 1) from None
         if m.group("sign") is None:
             return cls(r)
         if m.group("sign") == "-":

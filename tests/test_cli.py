@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from vforge import Chain, InvariantError
+from vforge import Chain, ChainError, InvariantError
 from vforge.cli import main
 
 C2_TEXT = "p = 2\nQ0: X @ 1/2\nQ1: X^2 - 2 @ 3/2\n"
@@ -263,3 +263,62 @@ def test_degree_above_ceiling_is_a_parse_error(chain_files):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "parse error: exponent above the degree ceiling 1024 (column 3)\n"
+
+
+def test_numeral_above_ceiling_is_a_parse_error(chain_files, tmp_path, capsys):
+    # a numeral past the ceiling is rejected at its column before int() sees
+    # it, instead of leaking the interpreter's digit-limit message
+    ones = "1" * 5000
+    code, out, err = run(capsys, ["eval", "--chain", chain_files["c2"], "--poly", f"{ones}X"])
+    assert (code, out) == (2, "")
+    assert err == "parse error: numeral above the length ceiling 4000 (column 1)\n"
+    code, _, err = run(capsys, ["eval", "--chain", chain_files["c2"], "--poly", f"X^2 - 3/{ones}"])
+    assert code == 2 and err.endswith("(column 7)\n")
+    cases = [
+        (f"p = 2\nQ0: X @ {ones}\n", "line 2, column 9"),
+        (f"p = 2\nQ0: X @ 1/2\nQ1: X^2 - 2 @ 3/2 + {ones} t\n", "line 3, column 21"),
+        (f"p = 2\nQ0: X - {ones} @ 1\n", "line 2, column 9"),
+        (f"p = {ones}\nQ0: X @ 1\n", "line 1, column 5"),
+        (f"p = 2\nQ{ones}: X @ 1\n", "line 2, column 2"),
+    ]
+    for i, (text, where) in enumerate(cases):
+        path = tmp_path / f"long{i}.vchain"
+        path.write_text(text)
+        code, out, err = run(capsys, ["eval", "--chain", str(path), "--poly", "X"])
+        assert (code, out) == (2, ""), text[:40]
+        assert err == f"parse error: numeral above the length ceiling 4000 ({where})\n", text[:40]
+    # at the ceiling the numeral still parses
+    code, out, _ = run(capsys, ["eval", "--chain", chain_files["c2"], "--poly", "1" * 4000 + "X"])
+    assert (code, out) == (0, "1/2\n")
+
+
+def test_chain_file_error_columns_count_from_the_line_start(tmp_path, capsys):
+    path = tmp_path / "bad.vchain"
+    for text, where in [("p = 2\nQ0:  X $ 1 @ 1\n", "line 2, column 8"),
+                        ("p = 2\nQ0: X @ 1/0\n", "line 2, column 9")]:
+        path.write_text(text)
+        code, _, err = run(capsys, ["eval", "--chain", str(path), "--poly", "X"])
+        assert code == 2 and err.startswith("parse error: ") and err.endswith(f"({where})\n")
+
+
+@pytest.mark.parametrize("prime", ["4", "1", "-3", "2147483648", "1000000000000000003"])
+def test_extend_prime_is_checked_as_a_usage_error(capsys, prime):
+    # non-primes and primes above maclane.MAX_PRIME are rejected by argparse
+    # (exit 2) before any trial division beyond the ceiling
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", "-p", prime, "--min-poly", "X^2 - 2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "-p/--prime" in err and "Traceback" not in err
+
+
+def test_prime_ceiling():
+    from vforge.maclane import MAX_PRIME, prime_error
+
+    assert MAX_PRIME == 2**31 - 1 and prime_error(MAX_PRIME) is None
+    assert prime_error(46337**2) == f"{46337**2} is not prime"
+    assert "ceiling" in prime_error(MAX_PRIME + 2)
+    with pytest.raises(ChainError) as err:
+        Chain.parse("p = 1000000000000000003\nQ0: X @ 0\n")
+    assert err.value.code == "chain.prime" and "ceiling" in str(err.value)
+    assert Chain.parse(f"p = {MAX_PRIME}\nQ0: X @ 0\n").p == MAX_PRIME

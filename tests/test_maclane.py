@@ -1,11 +1,16 @@
 import hashlib
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from vforge import Chain, ChainError, ChainParseError, Poly, Value, value_min
+from vforge import Chain, ChainError, ChainParseError, Poly, Value, value_max, value_min
+from vforge.finitefields import FqPoly
 from vforge.maclane import RESIDUE_TRANSCENDENTAL, VALUE_TRANSCENDENTAL
+from vforge.polynomials import hasse_derivative, padic_valuation, q_expansion
+from vforge.values import INFINITY
 from vforge.verify import run_suite
 
 P = Poly.parse
@@ -298,3 +303,160 @@ def test_non_integral_key_chain_values():
     assert chain.eval(P("9X^4 + 2X^2 + 1/9")) == Value(1)
     assert chain.eval(P("X^2 + 1/9")) == Value(F(-1, 2))
     assert chain.epsilon(P("X^3 - 1/27")) == Value(-1)
+
+
+# -- integer evaluation against a Value-arithmetic reference ----------------------
+# The chain evaluates rational levels as int numerators over the level
+# denominator.  The reference below is the plain definition on Values:
+# digits in each key, valued by the prefix (v_p below level 0), minimum of
+# digit value + j * beta.
+
+
+def _ref_terms(chain, f, key, i):
+    out = []
+    for j, digit in enumerate(q_expansion(f, key)):
+        if not digit.is_zero():
+            value = padic_valuation(digit[0], chain.p) if i < 0 else _ref_level(chain, i, digit)
+            out.append((j, digit, value))
+    return out
+
+
+def _ref_minimum(terms, beta):
+    best, achieving = None, []
+    for j, _digit, value in terms:
+        term = value + beta.scale(j)
+        if best is None or term < best:
+            best, achieving = term, [j]
+        elif term == best:
+            achieving.append(j)
+    return best, achieving
+
+
+def _ref_level(chain, i, f):
+    if f.is_zero():
+        return INFINITY
+    level = chain.levels[i]
+    return _ref_minimum(_ref_terms(chain, f, level.key, i - 1), level.beta)[0]
+
+
+def _ref_epsilon(chain, f):
+    top = len(chain.levels) - 1
+    wf = _ref_level(chain, top, f)
+    return value_max(
+        *((wf - _ref_level(chain, top, hasse_derivative(f, b))).scale(F(1, b))
+          for b in range(1, f.degree + 1))
+    )
+
+
+def _ref_graded_reduce(chain, i, f):
+    # the graded image with every value a Fraction or a Value
+    level = chain.levels[i]
+    k = level.res_field
+    if level.tau or i == 0:
+        terms = _ref_terms(chain, f, level.key, i - 1)
+        best, achieving = _ref_minimum(terms, level.beta)
+        if level.tau:
+            return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, best
+        vmin = int(best.r * level.denom)
+        e = level.rel_denom
+        i0 = (level.numer_inv * vmin) % e if e > 1 else 0
+        j0 = (vmin - i0 * level.numer) // e
+        coeffs = {}
+        for j, digit, value in terms:
+            if j in achieving:
+                x = digit[0] / F(chain.p) ** int(value.r)
+                coeffs[(j - i0) // e] = x.numerator * pow(x.denominator, -1, chain.p) % chain.p
+        fbar = FqPoly.from_ints(k, [coeffs.get(m, 0) for m in range(max(coeffs) + 1)])
+        return fbar, i0, j0, best.r
+    reduced = {}
+    for j, digit in enumerate(q_expansion(f, level.key)):
+        if not digit.is_zero():
+            c1, i1, j1, vc = _ref_graded_reduce(chain, i - 1, digit)
+            reduced[j] = (c1, i1, j1, vc + j * level.beta.r)
+    vmin = min(t[3] for t in reduced.values())
+    e = level.rel_denom
+    i0 = (level.numer_inv * int(vmin * level.denom)) % e if e > 1 else 0
+    j0 = (int(vmin * level.denom) - i0 * level.numer) // e
+    coeffs = {}
+    for j, (c1, i1, j1, vc) in reduced.items():
+        if vc == vmin:
+            coeffs[(j - i0) // e] = chain._graded_map(i, c1, i1, j1)[0]
+    cc = [coeffs.get(m, k.zero) for m in range(max(coeffs) + 1)]
+    return FqPoly(k, cc), i0, j0, vmin
+
+
+def _ref_inhomogeneous_detail(chain, q):
+    last = chain.levels[-1]
+    terms = _ref_terms(chain, q, last.key, len(chain.levels) - 2)
+    _, achieving = _ref_minimum(terms, last.beta)
+    if terms[0][0] != 0 or len(achieving) == len(terms):
+        return None
+    values = {j: str(value + last.beta.scale(j)) for j, _, value in terms}
+    shown = ", ".join(values.get(j, "-") for j in range(terms[-1][0] + 1))
+    return f"expansion term values {{{shown}}}"
+
+
+def _cross_check_chains(corpus):
+    chains = dict(corpus)
+    chains["p3_negative"] = Chain.from_levels(
+        3, [(P("X"), Value(-1)), (P("X^2 + 1/9"), Value(F(-1, 2)))]
+    )
+    chains["p5_fractional_key"] = Chain.from_levels(5, [(P("X"), Value(0)), (P("X^2 + 1/3"), Value(1))])
+    return chains
+
+
+def _rand_rational_poly(rng, chain, max_deg, monic=False):
+    # coefficients with powers of p in their denominators exercise v_p(f.den)
+    deg = rng.randint(1, max_deg)
+    spread = chain.p**3
+    cc = [F(rng.randint(-spread, spread), chain.p ** rng.randint(0, 2) * rng.choice((1, 1, 7)))
+          for _ in range(deg)]
+    cc.append(F(1) if monic else F(rng.randint(1, spread), rng.choice((1, chain.p))))
+    return Poly(cc)
+
+
+def test_integer_evaluation_matches_value_reference(corpus):
+    rng = random.Random(20200727)
+    chains = _cross_check_chains(corpus)
+    assert {"p3_tau", "c3"} <= set(chains)
+    for name, chain in chains.items():
+        top = len(chain.levels) - 1
+        for f in [lev.key for lev in chain.levels] + [
+            _rand_rational_poly(rng, chain, 2 * chain.degree + 2) for _ in range(25)
+        ]:
+            assert chain.eval(f) == _ref_level(chain, top, f), (name, f)
+            for i in range(top + 1):
+                assert chain.truncate(i, f) == _ref_level(chain, i, f), (name, i, f)
+            assert chain.epsilon(f) == _ref_epsilon(chain, f), (name, f)
+            assert chain.residual_polynomial(f) == _ref_graded_reduce(chain, top, f)[0], (name, f)
+
+
+def test_is_key_inhomogeneous_detail_matches_value_reference(corpus):
+    rng = random.Random(17)
+    seen = 0
+    for name, chain in _cross_check_chains(corpus).items():
+        for _ in range(20):
+            deg = chain.degree * rng.randint(1, 2)
+            q = _rand_rational_poly(rng, chain, deg, monic=True)
+            if q.degree != deg:
+                continue
+            expected = _ref_inhomogeneous_detail(chain, q)
+            cert = chain.is_key(q)
+            if expected is None:
+                assert cert.failed != "inhomogeneous" or chain.levels[-1].tau, (name, q)
+            else:
+                seen += 1
+                assert (cert.failed, cert.detail) == ("inhomogeneous", expected), (name, q)
+    assert seen > 50
+
+
+def test_corpus_reports_match_recorded_digests(corpus):
+    # the verify-corpus benchmark records the sha256 of every corpus report;
+    # seed 0 of each chain is checked here, so tier-1 catches a changed byte
+    path = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
+    with open(path, encoding="utf-8") as handle:
+        goldens = json.load(handle)["verify-corpus"]
+    assert len(corpus) == 14
+    for name, chain in sorted(corpus.items()):
+        text = run_suite(chain, "all", 0, samples=100).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == goldens[f"{name}|0"], name
