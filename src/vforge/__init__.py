@@ -1,8 +1,9 @@
 """Exact valuation chains on Q[X] over p-adic base fields.
 
 Everything computes in exact rational arithmetic: chain values live in
-Q + Q*t for a formal positive infinitesimal t, polynomials carry Fraction
-coefficients, and residue data lives in explicit small finite fields.
+Q + Q*t for a formal positive infinitesimal t, a polynomial is a tuple of
+int numerators over one common denominator, and residue data lives in
+explicit small finite fields.
 """
 
 from .extensions import (

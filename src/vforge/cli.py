@@ -9,8 +9,9 @@ Subcommands:
   vforge verify   --chain FILE [--suite lemmas|props|all]
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input text or
-a usage error (including a degree bound above 16, or an ``extend -p`` that
-is not a prime of at most 2^31 - 1), 3 invalid chain (with
+a usage error (including a degree bound above 16, ``--samples`` outside
+1..5000, or an ``extend -p`` that is not a prime of at most 2^31 - 1),
+3 invalid chain (with
 the violated invariant named), 4 reducible minimal polynomial (with a
 factor), 5 internal error (one line on stderr, never a traceback).
 ``--seed`` (or the VFORGE_SEED environment variable) fixes all sampling;
@@ -27,7 +28,7 @@ import sys
 from .extensions import MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
 from .maclane import MAX_PRIME, Chain, ChainError, ChainParseError, prime_error
 from .polynomials import Poly, PolyParseError
-from .verify import run_suite
+from .verify import MAX_SAMPLES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -135,10 +136,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
-def _positive_int(text: str) -> int:
+def _samples(text: str) -> int:
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_SAMPLES}, got {n}")
     return n
 
 
@@ -207,7 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
         "'props' the valuation laws",
     )
     p_ver.add_argument("--seed", type=int, default=default_seed, help="sampling seed")
-    p_ver.add_argument("--samples", type=_positive_int, default=100, help="random samples per check")
+    p_ver.add_argument(
+        "--samples", type=_samples, default=100,
+        help=f"random samples per check (at most {MAX_SAMPLES})",
+    )
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

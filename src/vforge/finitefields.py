@@ -312,12 +312,13 @@ class FqPoly:
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError
-        inv_lead = other.coeffs[-1].inverse()
+        lead = other.coeffs[-1]
+        inv_lead = None if lead == self.field.one else lead.inverse()
         rem = list(self.coeffs)
         d = other.degree
         quo = [self.field.zero] * max(0, len(rem) - d)
         for k in range(len(rem) - d - 1, -1, -1):
-            c = rem[k + d] * inv_lead
+            c = rem[k + d] if inv_lead is None else rem[k + d] * inv_lead
             if not c.is_zero():
                 quo[k] = c
                 for j, b in enumerate(other.coeffs):

@@ -89,6 +89,14 @@ def prime_error(p: int) -> str | None:
     return None
 
 
+def _check_center(key: Poly):
+    """Raise ChainError unless key is a valid level-0 key X - c, c an integer."""
+    if key.degree != 1 or not key.is_monic():
+        raise ChainError("chain.center", f"first key must be monic linear, got {key}")
+    if key[0].denominator != 1:
+        raise ChainError("chain.center", f"first key needs an integer center, got {key}")
+
+
 @dataclass(frozen=True)
 class KeyCertificate:
     """Outcome of the key test, recording which condition failed."""
@@ -148,10 +156,7 @@ class Chain:
             raise ChainError("chain.prime", reason)
         key = Poly.of(key)
         beta = Value.of(beta)
-        if key.degree != 1 or not key.is_monic():
-            raise ChainError("chain.center", f"first key must be monic linear, got {key}")
-        if key[0].denominator != 1:
-            raise ChainError("chain.center", f"first key needs an integer center, got {key}")
+        _check_center(key)
         self.p = p
         self.levels = (self._build_level(key, beta, prev_denom=1, res_field=FiniteField(p)),)
 
@@ -276,7 +281,10 @@ class Chain:
         if not beta > self.eval(key):
             raise ChainError("refine.value", f"{beta} not above current value of {key}")
         if len(self.levels) == 1:
-            return Chain(self.p, key, beta)
+            # the prime is already checked: build the level, not a new chain
+            _check_center(key)
+            level = self._build_level(key, beta, prev_denom=1, res_field=last.res_field)
+            return self._clone_with((level,))
         prefix = self._clone_with(self.levels[:-1])
         return prefix._augment_unchecked(key, beta)
 

@@ -281,11 +281,16 @@ class MinimalityVerdict:
     certificate: str
 
 
-def is_minimal_pair(pair: PairOfDefinition, chain: Chain | None = None) -> MinimalityVerdict:
+def is_minimal_pair(
+    pair: PairOfDefinition, chain: Chain | None = None, restriction: CheckOutcome | None = None
+) -> MinimalityVerdict:
     """Whether no center of smaller field degree defines the same valuation.
 
-    With a chain the pair is first checked to restrict to it, and the
-    verdict is the degree comparison against d(w).  Without a chain a
+    With a chain the pair must restrict to it, and the verdict is the
+    degree comparison against d(w).  ``restriction`` is the outcome of
+    ``common_extension_check`` already run for this pair and chain; when it
+    is None the check runs here with its defaults.  A failed restriction is
+    never re-sampled: the verdict is "not minimal".  Without a chain a
     direct search runs over rational centers (exactly, via the best
     rational approximation) and over the roots of the approximating
     chain's earlier keys.
@@ -293,9 +298,11 @@ def is_minimal_pair(pair: PairOfDefinition, chain: Chain | None = None) -> Minim
     center = pair.center
     deg = center.minimal_polynomial().degree
     if chain is not None:
-        outcome = common_extension_check(chain, pair)
-        if not outcome.ok:
-            return MinimalityVerdict(False, deg, chain.degree, f"pair does not restrict to the chain: {outcome.witness}")
+        if restriction is None:
+            restriction = common_extension_check(chain, pair)
+        if not restriction.ok:
+            reason = f"pair does not restrict to the chain: {restriction.witness}"
+            return MinimalityVerdict(False, deg, chain.degree, reason)
         minimal = deg == chain.degree
         return MinimalityVerdict(minimal, deg, chain.degree, "degree equals d(w)" if minimal else "degree exceeds d(w)")
     if deg == 1:
@@ -371,7 +378,7 @@ def _second_quadratic_root(m: Poly) -> Poly:
 
 
 def enumerate_common_extensions(
-    chain: Chain, samples: int = 100, rng: random.Random | None = None
+    chain: Chain, samples: int = 100, rng: random.Random | None = None, exts=None
 ) -> CommonExtensionReport:
     """Classes of pairs (root of the last key, last distance invariant).
 
@@ -379,7 +386,11 @@ def enumerate_common_extensions(
     verifies that each restricts to the chain, groups pairs into
     equivalence classes through the exact per-extension difference
     profiles, and reports class sizes, the class count against the
-    distinct-root bound, and minimality of each class.
+    distinct-root bound, and minimality of each class.  Each pair's
+    restriction check runs once, and the class leader's minimality is
+    read off that outcome.  ``exts`` is the result of
+    ``extend_to_number_field(chain.last_key, chain.p)`` when the caller
+    already has it; it is built here when None.
     """
     rng = rng or random.Random(0)
     m = chain.last_key
@@ -387,12 +398,15 @@ def enumerate_common_extensions(
     report = CommonExtensionReport(
         prime=chain.p, chain_text=chain.to_text(), delta=str(delta), root_bound=m.degree
     )
-    exts = extend_to_number_field(m, chain.p)
+    if exts is None:
+        exts = extend_to_number_field(m, chain.p)
     pairs = [PairOfDefinition(AlgebraicNumber(ext), delta) for ext in exts]
 
+    restrictions = []
     for ext, pair in zip(exts, pairs):
         outcome = common_extension_check(chain, pair, samples=samples, rng=rng)
         outcome.name = f"common_extension.ext{ext.index}"
+        restrictions.append(outcome)
         report.checks.append(outcome)
         if not outcome.ok:
             report.ok = False
@@ -437,7 +451,7 @@ def enumerate_common_extensions(
         count = local // size
         total_classes += count
         lead = group[0]
-        verdict = is_minimal_pair(pairs[lead], chain)
+        verdict = is_minimal_pair(pairs[lead], chain, restriction=restrictions[lead])
         report.classes.append(
             PairClass(
                 extension_index=exts[lead].index,
@@ -496,13 +510,16 @@ class RootLemmaReport:
         return {"level": self.level, "checks": [c.as_dict() for c in self.checks], "pass": self.ok}
 
 
-def verify_root_lemmas(chain: Chain, j: int, sample_centers=None) -> RootLemmaReport:
+def verify_root_lemmas(chain: Chain, j: int, sample_centers=None, exts=None) -> RootLemmaReport:
     """Exact identities between the roots of keys at levels j and j+1.
 
     Checks the signed resultant product identity, the value sum of the
     level-j key over the next key's roots against s * b_j, the proximity
     of every next-level root to a level-j root, and the strict value drop
-    at centers that stay away from every level-j root.
+    at centers that stay away from every level-j root.  ``exts`` holds the
+    extensions of the chain's last key; they are used when level j+1 is the
+    last level, and the extensions of the level-(j+1) key are built here
+    otherwise.
     """
     if not 0 <= j < len(chain.levels) - 1:
         raise IndexError("need a level with a successor")
@@ -561,7 +578,9 @@ def verify_root_lemmas(chain: Chain, j: int, sample_centers=None) -> RootLemmaRe
         )
     )
 
-    for ext in extend_to_number_field(qnext, chain.p):
+    if exts is None or qnext != chain.last_key:
+        exts = extend_to_number_field(qnext, chain.p)
+    for ext in exts:
         dists = ext.root_distances_to(qj)
         best = max(dists)
         report.add(

@@ -28,6 +28,9 @@ _ZERO = Fraction(0)
 # interpreter's 4300-digit string conversion limit.
 MAX_NUMERAL_LENGTH = 4000
 
+# Longest prefix of the input that a parse error quotes.
+MAX_QUOTED_LENGTH = 40
+
 _TERM_RE = re.compile(
     r"""^\s*(?P<r>[+-]?\d+(?:/\d+)?)\s*
         (?:(?P<sign>[+-])\s*(?P<s>\d+(?:/\d+)?)?\s*t\s*)?$""",
@@ -42,6 +45,13 @@ class TextParseError(ValueError):
         super().__init__(f"{message} (column {column})")
         self.reason = message
         self.column = column
+
+
+def _quoted(text: str) -> str:
+    """text quoted for an error message, cut to MAX_QUOTED_LENGTH characters."""
+    if len(text) <= MAX_QUOTED_LENGTH:
+        return repr(text)
+    return repr(text[:MAX_QUOTED_LENGTH]) + "..."
 
 
 class Value:
@@ -85,7 +95,7 @@ class Value:
         lead = len(text) - len(text.lstrip())
         m = _TERM_RE.match(stripped)
         if not m:
-            raise TextParseError(f"cannot parse value {stripped!r}", lead + 1)
+            raise TextParseError(f"cannot parse value {_quoted(stripped)}", lead + 1)
         for group in ("r", "s"):
             if len(m.group(group) or "") > MAX_NUMERAL_LENGTH:
                 raise TextParseError(
@@ -96,7 +106,7 @@ class Value:
             r = Fraction(m.group("r"))
             s = Fraction(m.group("s") or 1)
         except ZeroDivisionError:
-            raise TextParseError(f"zero denominator in value {stripped!r}", lead + 1) from None
+            raise TextParseError(f"zero denominator in value {_quoted(stripped)}", lead + 1) from None
         if m.group("sign") is None:
             return cls(r)
         if m.group("sign") == "-":

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from vforge import Chain, ChainError, InvariantError
+from vforge import Chain, ChainError, InvariantError, run_suite
 from vforge.cli import main
 
 C2_TEXT = "p = 2\nQ0: X @ 1/2\nQ1: X^2 - 2 @ 3/2\n"
@@ -194,6 +194,23 @@ def test_verify_samples_must_be_positive(chain_files, capsys):
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert "--samples" in err and "Traceback" not in err
+
+
+def test_samples_above_ceiling_is_a_usage_error(chain_files, capsys):
+    from vforge.cli import build_parser
+    from vforge.verify import MAX_SAMPLES
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--chain", chain_files["c2"], "--samples", str(MAX_SAMPLES + 1)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"1..{MAX_SAMPLES}" in err and "--samples" in err and "Traceback" not in err
+    args = build_parser().parse_args(
+        ["verify", "--chain", chain_files["c2"], "--samples", str(MAX_SAMPLES)]
+    )
+    assert args.samples == MAX_SAMPLES
+    with pytest.raises(ValueError):
+        run_suite(Chain.parse("p = 2\nQ0: X @ 0\n"), "props", 0, samples=MAX_SAMPLES + 1)
 
 
 @pytest.mark.parametrize("mtxt,factor", [("X^2 - 4", "X - 2"), ("X^4 - 4X^2 + 4", "X^2 - 2")])

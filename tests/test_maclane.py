@@ -297,6 +297,25 @@ def test_non_integral_key_chain_passes_all_checks():
     assert digest == "0a5fe3b7cf8ce93c11dffcd9ced2fe6b3435c978d5eaafce28aa006f019194a6"
 
 
+def test_one_level_refine_reuses_the_checked_prime(monkeypatch):
+    # refining a one-level chain must not prove its prime again by trial
+    # division (about 46k divisions at the prime ceiling)
+    import vforge.maclane as maclane
+
+    chain = Chain(maclane.MAX_PRIME, P("X"), Value(0))
+    calls = []
+    real = maclane.prime_error
+    monkeypatch.setattr(maclane, "prime_error", lambda p: calls.append(p) or real(p))
+    refined = chain.refine(P("X - 1"), Value(1))
+    assert calls == []
+    assert refined.p == maclane.MAX_PRIME and len(refined.levels) == 1
+    assert refined.last_key == P("X - 1") and refined.eval(P("X - 1")) == Value(1)
+    assert refined.eval(P("X")) == Value(0)
+    with pytest.raises(ChainError) as err:
+        chain.refine(P("X - 1/2"), Value(1))
+    assert err.value.code == "chain.center"
+
+
 def test_non_integral_key_chain_values():
     chain = Chain.from_levels(3, [(P("X"), Value(-1)), (P("X^2 + 1/9"), Value(F(-1, 2)))])
     assert chain.eval(P("X^5 + 7X + 1/4")) == Value(-5)

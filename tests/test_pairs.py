@@ -17,7 +17,7 @@ from vforge import (
     pairs_equivalent,
     verify_root_lemmas,
 )
-from vforge.pairs import FieldPoly
+from vforge.pairs import CheckOutcome, FieldPoly
 
 P = Poly.parse
 
@@ -171,6 +171,22 @@ def test_minimality_examples(c2, c4, sqrt2_pair, omega_exts):
     assert verdict.minimal and verdict.center_degree == 1
 
 
+def test_minimality_reads_a_given_restriction_outcome(c2, sqrt2_pair, monkeypatch):
+    # a restriction outcome already computed is used as is: a failed check
+    # gives "not minimal" and is never re-run with fresh samples
+    import vforge.pairs as pairs_mod
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("the restriction check must not run again")
+
+    monkeypatch.setattr(pairs_mod, "common_extension_check", no_check)
+    failed = CheckOutcome("common_extension.ext0", False, witness="X^2 + 1")
+    verdict = is_minimal_pair(sqrt2_pair, c2, restriction=failed)
+    assert not verdict.minimal and verdict.certificate.endswith("X^2 + 1")
+    passed = CheckOutcome("common_extension.ext0", True)
+    assert is_minimal_pair(sqrt2_pair, c2, restriction=passed).minimal
+
+
 def test_minimality_search_without_chain(sqrt2_pair):
     assert is_minimal_pair(sqrt2_pair).minimal
     # a generous delta is reachable by rationals when the root is split
@@ -238,3 +254,48 @@ def test_root_lemmas_all_levels(corpus):
 def test_root_lemmas_index_bounds(c2):
     with pytest.raises(IndexError):
         verify_root_lemmas(c2, 1)
+
+
+# -- one extension set and one restriction check per verify run ---------------------------
+
+
+def test_verify_builds_each_extension_and_runs_each_check_once(corpus, monkeypatch):
+    # counts calls only: the last key's extensions are built once and shared
+    # by every check, the earlier keys' once each for the root lemmas, and
+    # each root pair's restriction check runs once inside the enumeration
+    import vforge.pairs as pairs_mod
+    import vforge.verify as verify_mod
+
+    builds, checks, depth = [], [], []
+    real_extend = pairs_mod.extend_to_number_field
+    real_check = pairs_mod.common_extension_check
+    real_enumerate = verify_mod.enumerate_common_extensions
+
+    def extend(m, p, *args, **kwargs):
+        exts = real_extend(m, p, *args, **kwargs)
+        builds.append((m, len(exts)))
+        return exts
+
+    def check(*args, **kwargs):
+        checks.append(bool(depth))
+        return real_check(*args, **kwargs)
+
+    def enumerate_(*args, **kwargs):
+        depth.append(1)
+        try:
+            return real_enumerate(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    for module in (pairs_mod, verify_mod):
+        monkeypatch.setattr(module, "extend_to_number_field", extend)
+    monkeypatch.setattr(pairs_mod, "common_extension_check", check)
+    monkeypatch.setattr(verify_mod, "enumerate_common_extensions", enumerate_)
+    for name, chain in sorted(corpus.items()):
+        builds.clear()
+        checks.clear()
+        assert verify_mod.run_suite(chain, "all", 0, samples=20).ok, name
+        keys = {level.key for level in chain.levels[1:]} | {chain.last_key}
+        assert sorted(str(m) for m, _ in builds) == sorted(str(k) for k in keys), name
+        last_count = next(n for m, n in builds if m == chain.last_key)
+        assert checks == [True] * last_count, name

@@ -65,3 +65,20 @@ def test_addition_laws():
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
         assert a + b - b == a
+
+
+def test_parse_errors_quote_a_bounded_prefix():
+    from vforge.values import MAX_QUOTED_LENGTH, TextParseError
+
+    long_text = "1" * 5000 + "X"
+    with pytest.raises(TextParseError) as err:
+        Value.parse("  " + long_text)
+    assert err.value.column == 3
+    assert err.value.reason == f"cannot parse value {long_text[:MAX_QUOTED_LENGTH]!r}..."
+    with pytest.raises(TextParseError) as err:
+        Value.parse("1/" + "0" * 3000)
+    assert len(str(err.value)) < 2 * MAX_QUOTED_LENGTH + 40
+    assert err.value.reason.startswith("zero denominator in value '1/000")
+    with pytest.raises(TextParseError) as err:
+        Value.parse("1/0")
+    assert err.value.reason == "zero denominator in value '1/0'"
