@@ -13,7 +13,9 @@ degree below the current key degree the chain value is already exact;
 otherwise the chain is improved until the constant digit of the
 expansion is the strict unique minimum, which pins the exact value.
 Improvement is guarded by a lock, so concurrent valuation queries on a
-shared extension are safe.
+shared extension are safe.  The values of the Taylor coefficients of
+f(a + T) come from one shift at the center (``taylor_values``), and the
+root-distance multisets read them through ``newton.root_values``.
 
 The minimal polynomial is first proved irreducible over Q by factoring
 it with Zassenhaus's algorithm (``rational_factor_list``).
@@ -40,13 +42,8 @@ from .finitefields import (
     ff_factor,
 )
 from .maclane import Chain, InvariantError, _term_minimum
-from .newton import NewtonPolygon
-from .polynomials import (
-    Poly,
-    difference_resultant,
-    hasse_derivative,
-    padic_valuation,
-)
+from .newton import NewtonPolygon, root_values
+from .polynomials import Poly, difference_resultant, padic_valuation
 from .values import INFINITY, Value
 
 DEFAULT_DEGREE_BOUND = 8
@@ -313,18 +310,27 @@ class ValuationExtension:
                     return Value(Fraction(v0, chain.levels[-1].denom))
                 self._improve()
 
+    def taylor_values(self, coeffs, rep: Poly | None = None) -> list[Value]:
+        """[v(f^[j](a)) for j = 0..deg f]: the values of the coefficients of
+        f(a + T), for f = sum coeffs[k] X^k and a = rep(Y) (Y by default).
+
+        The coefficients are rationals or elements of Q[Y]/(m).  f(a + T) is
+        computed once, by Horner's rule in (Q[Y]/(m))[T].
+        """
+        m = self.m
+        a = Poly((0, 1)) % m if rep is None else Poly.of(rep) % m
+        shifted = []
+        for c in reversed(coeffs):
+            # shifted * (a + T) + c: coefficient k is a * shifted[k] + shifted[k - 1],
+            # with c in place of shifted[-1]
+            lower = [Poly.of(c)] + shifted
+            shifted = [(a * hi + lo) % m for hi, lo in zip(shifted + [Poly()], lower)]
+        return [self.valuation(c) for c in shifted]
+
     def difference_profile(self) -> list[Fraction]:
         """Multiset of v(a - b) over the other roots b of m, via the local
-        polygon of m(a + T)/T."""
-        if self.m.degree == 1:
-            return []
-        pts = []
-        for j in range(self.m.degree):
-            coeff = hasse_derivative(self.m, j + 1)
-            v = self.valuation(coeff)
-            if not v.infinite:
-                pts.append((j, v.r))
-        return NewtonPolygon(pts).root_valuations()
+        polygon of m(a + T); the one root T = 0 is b = a."""
+        return [v.r for v in root_values(self.taylor_values(self.m.coeffs))[1:]]
 
     def best_rational_approximation(self) -> Value:
         """Largest v(a - c) over rational c; infinite when a lies in Q_p."""
@@ -338,21 +344,7 @@ class ValuationExtension:
         Uses the polygon of other_poly(a + T); entries can be infinite when a
         root of other_poly equals a.
         """
-        shifted_digits = []
-        for j in range(other_poly.degree + 1):
-            coeff = other_poly if j == 0 else hasse_derivative(other_poly, j)
-            shifted_digits.append(self.valuation(coeff))
-        infinite = 0
-        pts = []
-        for j, v in enumerate(shifted_digits):
-            if v.infinite:
-                continue
-            pts.append((j, v.r))
-        low = min(j for j, _ in pts)
-        infinite = low  # T^low divides the shifted polynomial exactly
-        out = [INFINITY] * infinite
-        out.extend(Value(v) for v in NewtonPolygon(pts).root_valuations())
-        return out
+        return root_values(self.taylor_values(Poly.of(other_poly).coeffs))
 
     def __repr__(self):
         if self.rational_root is not None:
@@ -425,15 +417,9 @@ def root_difference_valuations(m1: Poly, m2: Poly, p: int) -> list:
     m1 = Poly.of(m1)
     m2 = Poly.of(m2)
     res = difference_resultant(m1, m2)
-    order = 0
-    while res[order] == 0:
-        order += 1
+    out = root_values([padic_valuation(c, p) for c in res.coeffs])
     if m1 == m2:
-        order -= m1.degree  # remove the diagonal pairs a == a
-        if order < 0:
-            raise ValueError("inputs must be squarefree")
-    out = [INFINITY] * order
-    out.extend(Value(v) for v in NewtonPolygon.of_poly(res, p).root_valuations())
+        out = out[m1.degree:]  # remove the diagonal pairs a == a, listed first
     out.sort()
     return out
 
@@ -454,9 +440,6 @@ class AlgebraicNumber:
         """v(g(self)); composes g with the representative inside Q[Y]/(m)."""
         composed = Poly.of(g).compose(self.rep) % self.ext.m
         return self.ext.valuation(composed)
-
-    def value(self) -> Value:
-        return self.ext.valuation(self.rep)
 
     def minimal_polynomial(self) -> Poly:
         """Monic minimal polynomial of the represented element over Q."""
@@ -488,14 +471,7 @@ def delta_via_roots(center: AlgebraicNumber, delta: Value, f: Poly) -> Value:
         raise ValueError("oracle expects a monic polynomial")
     mc = center.minimal_polynomial()
     res = difference_resultant(mc, f)
-    order = 0
-    while res[order] == 0:
-        order += 1
-    best = delta if order > 0 else None  # shared roots contribute min(delta, inf)
-    for lam in NewtonPolygon.of_poly(res, p=center.ext.p).root_valuations():
-        cand = delta if Value(lam) >= delta else Value(lam)
-        if best is None or cand > best:
-            best = cand
-    if best is None:
+    diffs = root_values([padic_valuation(c, center.ext.p) for c in res.coeffs])
+    if not diffs:
         raise ValueError("no root differences available")
-    return best
+    return max(delta if v >= delta else v for v in diffs)

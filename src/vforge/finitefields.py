@@ -20,6 +20,13 @@ from __future__ import annotations
 import random
 
 MAX_TOWER_DEGREE = 8
+# Rounds of equal-degree splitting before giving up; each round splits with
+# probability at least 1/2, so a real input exhausts it with odds 2^-64.
+MAX_SPLIT_ROUNDS = 64
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of the algorithms failed; never bad input."""
 
 
 class FieldSizeError(ValueError):
@@ -413,7 +420,7 @@ def _equal_degree_split(f: FqPoly, d: int, rng) -> list[FqPoly]:
         return [f]
     q = field.order
     n = f.degree
-    while True:
+    for _ in range(MAX_SPLIT_ROUNDS):
         a = FqPoly(field, [field.element([rng.randrange(field.p) for _ in range(field.degree)]) for _ in range(n)])
         if a.degree < 1:
             continue
@@ -435,6 +442,7 @@ def _equal_degree_split(f: FqPoly, d: int, rng) -> list[FqPoly]:
         g = b.gcd(f)
         if 0 < g.degree < n:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
+    raise InvariantError(f"equal-degree splitting found no factor in {MAX_SPLIT_ROUNDS} rounds")
 
 
 def _factor_squarefree(f: FqPoly, rng) -> list[FqPoly]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .finitefields import FFElement, FieldExtension, FiniteField, FqPoly, ff_is_irreducible
+from .finitefields import FFElement, FieldExtension, FiniteField, FqPoly, InvariantError, ff_is_irreducible
 from .polynomials import (
     Poly,
     PolyParseError,
@@ -65,10 +65,6 @@ class ChainError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant of the algorithms failed; never bad input."""
 
 
 class ChainParseError(ValueError):

@@ -6,6 +6,11 @@ counted with horizontal length, give the p-adic valuations of the nonzero
 roots of f; the order of vanishing at 0 is dropped before building the
 hull so the slope lengths always sum to deg f minus that order.
 
+``root_values`` is the one place that turns per-coefficient values, of a
+polynomial over Q or over a valued number field such as the Taylor
+coefficients of f(a + T), into the root values with multiplicity: the
+roots at 0 first, as infinity, then the polygon's values.
+
 The same hull is reused by the chain machinery for polygons of key
 expansions, so the constructor also accepts an arbitrary point cloud.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polynomials import Poly, padic_valuation
+from .values import INFINITY, Value
 
 
 def lower_hull(points):
@@ -74,3 +80,18 @@ class NewtonPolygon:
 def root_valuations(f: Poly, p: int) -> list[Fraction]:
     """Multiset of v_p over the nonzero roots of f, via the Newton polygon."""
     return NewtonPolygon.of_poly(f, p).root_valuations()
+
+
+def root_values(values) -> list[Value]:
+    """Values of the roots of a polynomial, one per root with multiplicity,
+    from the values of its coefficients (index = exponent, infinity for a
+    zero coefficient; not all infinite).
+
+    INFINITY once per root at 0 (the leading run of infinite values), then
+    the values of the nonzero roots from the lower polygon, ascending.
+    """
+    order = 0
+    while values[order].infinite:
+        order += 1
+    pts = [(j, v.r) for j, v in enumerate(values) if not v.infinite]
+    return [INFINITY] * order + [Value._exact(v) for v in NewtonPolygon(pts).root_valuations()]

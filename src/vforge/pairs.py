@@ -2,7 +2,9 @@
 
 A pair is an algebraic center a (carried with one chosen extension of v_p
 to its field) together with a value delta.  The pair values a polynomial
-through its Taylor expansion at a: the minimum of v(f^[j](a)) + j*delta.
+through its Taylor expansion at a: the minimum of v(f^[j](a)) + j*delta,
+with the values v(f^[j](a)) read off one Taylor shift f(a + T) computed
+by ``ValuationExtension.taylor_values``.
 Two pairs with conjugate centers define the same valuation exactly when
 the deltas agree and v(a - b) >= delta; the center of smallest field
 degree among all pairs of a valuation is a minimal pair.
@@ -19,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from .extensions import (
     AlgebraicNumber,
@@ -28,7 +29,7 @@ from .extensions import (
     root_difference_valuations,
 )
 from .maclane import Chain
-from .newton import NewtonPolygon
+from .newton import NewtonPolygon, root_values
 from .polynomials import (
     Poly,
     composed_value_poly,
@@ -60,48 +61,21 @@ class FieldPoly:
             cc.pop()
         self.coeffs = cc
 
-    @classmethod
-    def from_rational(cls, ext, f: Poly) -> "FieldPoly":
-        return cls(ext, [Poly((c,)) for c in Poly.of(f).coeffs])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def hasse(self, b: int) -> "FieldPoly":
-        return FieldPoly(
-            self.ext,
-            [self.coeffs[n] * comb(n, b) for n in range(b, len(self.coeffs))],
-        )
-
-    def eval_at(self, rep: Poly) -> Poly:
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = (acc * rep + c) % self.ext.m
-        return acc
-
 
 def pair_eval(pair: PairOfDefinition, f) -> tuple[Value, list[int]]:
     """Value of f under the pair valuation, with the achieving index set.
 
-    f may have rational coefficients or coefficients in the center's field.
-    Taylor coefficients at the center come from divided derivatives; the
-    index set S lists every j (from 0) attaining the minimum.
+    f is a Poly over Q or a FieldPoly over the center's field.  The values
+    v(f^[j](a)) of the Taylor coefficients at the center a come from one
+    shift f(a + T) (``ValuationExtension.taylor_values``); the index set S
+    lists every j (from 0) attaining the minimum of v(f^[j](a)) + j*delta.
     """
-    ext = pair.center.ext
-    if isinstance(f, FieldPoly):
-        fp = f
-    else:
-        fp = FieldPoly.from_rational(ext, Poly.of(f))
-    if fp.degree < 0:
+    coeffs = f.coeffs if isinstance(f, FieldPoly) else Poly.of(f).coeffs
+    if not coeffs:
         raise ValueError("pair evaluation of the zero polynomial")
-    rep = pair.center.rep
     best = None
     achieved: list[int] = []
-    for j in range(fp.degree + 1):
-        coeff = fp if j == 0 else fp.hasse(j)
-        aj = coeff.eval_at(rep)
-        vj = ext.valuation(aj)
+    for j, vj in enumerate(pair.center.ext.taylor_values(coeffs, pair.center.rep)):
         term = vj + pair.delta.scale(j)
         if best is None or term < best:
             best = term
@@ -214,8 +188,10 @@ def _monic_small_coeff(chain: Chain) -> list[Poly]:
     return out
 
 
-def _random_monic(rng: random.Random, degree: int, spread: int) -> Poly:
-    cc = [Fraction(rng.randint(-spread, spread)) for _ in range(degree)] + [Fraction(1)]
+def _random_poly(rng: random.Random, degree: int, spread: int, monic=True) -> Poly:
+    """Seeded coefficients in [-spread, spread]; a non-monic leading one in [1, spread]."""
+    cc = [Fraction(rng.randint(-spread, spread)) for _ in range(degree)]
+    cc.append(Fraction(1) if monic else Fraction(rng.randint(1, spread)))
     return Poly(cc)
 
 
@@ -244,7 +220,7 @@ def common_extension_check(
     family = _key_products(chain) + _monic_small_coeff(chain)
     for deg in range(1, dw):
         for _ in range(samples):
-            family.append(_random_monic(rng, deg, spread=chain.p**3))
+            family.append(_random_poly(rng, deg, spread=chain.p**3))
     for g in family:
         lhs = chain.eval(g)
         rhs = pair.center.value_of(g)
@@ -257,7 +233,7 @@ def common_extension_check(
             )
     for _ in range(samples):
         deg = rng.randint(1, 2 * dw)
-        g = _random_monic(rng, deg, spread=chain.p**3)
+        g = _random_poly(rng, deg, spread=chain.p**3)
         lhs = chain.eval(g)
         rhs, _ = pair_eval(pair, g)
         if lhs != rhs:
@@ -544,13 +520,10 @@ def verify_root_lemmas(chain: Chain, j: int, sample_centers=None, exts=None) -> 
         )
     )
 
-    values_poly = composed_value_poly(qnext, qj)
-    vals = NewtonPolygon.of_poly(values_poly, chain.p).root_valuations()
-    order = 0
-    while values_poly[order] == 0:
-        order += 1
+    roots = root_values([padic_valuation(c, chain.p) for c in composed_value_poly(qnext, qj).coeffs])
+    vals = [v.r for v in roots if not v.infinite]
     total = sum(vals, Fraction(0))
-    ok = order == 0 and total == s * beta_j.r and len(vals) == s
+    ok = len(vals) == len(roots) == s and total == s * beta_j.r
     report.add(
         CheckOutcome(
             "root_value_sum",
@@ -601,13 +574,10 @@ def verify_root_lemmas(chain: Chain, j: int, sample_centers=None, exts=None) -> 
 
     centers = sample_centers if sample_centers is not None else range(-chain.p, chain.p + 1)
     for c in centers:
-        shifted = qj.shift(Fraction(c))
-        dist_poly = NewtonPolygon.of_poly(shifted, chain.p) if not shifted.is_zero() else None
-        dists = dist_poly.root_valuations() if dist_poly else []
-        if shifted[0] == 0:
+        dists = root_values([padic_valuation(a, chain.p) for a in qj.shift(Fraction(c)).coeffs])
+        if dists[0].infinite:
             continue  # c is a root of the level-j key
-        furthest = max(dists, default=Fraction(0))
-        if Value(furthest) < eps_j:
+        if max(dists) < eps_j:
             vq = padic_valuation(qj(Fraction(c)), chain.p)
             report.add(
                 CheckOutcome(

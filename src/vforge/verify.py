@@ -37,6 +37,7 @@ from .pairs import (
     CheckOutcome,
     FieldPoly,
     PairOfDefinition,
+    _random_poly,
     enumerate_common_extensions,
     pair_eval,
     pairs_equivalent,
@@ -114,12 +115,6 @@ class VerificationReport:
             lines.append(line)
         lines.append("result: " + ("all checks passed" if self.ok else "FAILURES PRESENT"))
         return "\n".join(lines) + "\n"
-
-
-def _random_poly(rng: random.Random, degree: int, spread: int, monic=True) -> Poly:
-    cc = [Fraction(rng.randint(-spread, spread)) for _ in range(degree)]
-    cc.append(Fraction(1) if monic else Fraction(rng.randint(1, spread)))
-    return Poly(cc)
 
 
 def _check_epsilon_distance(report, chain, exts, rng, samples):

@@ -119,3 +119,30 @@ def test_roots_sorted_and_complete():
     assert [r.coeffs for r in roots] == [(1,), (4,)]
     for r in roots:
         assert f(r).is_zero()
+
+
+def test_equal_degree_split_has_a_budget():
+    # an RNG that always draws 0 makes every round draw the zero polynomial;
+    # the stub gives up on its own after ten budgets of 64 rounds, so an
+    # unbounded loop fails here instead of hanging
+    from vforge import InvariantError, finitefields
+    from vforge.maclane import InvariantError as reexported
+
+    assert reexported is InvariantError
+    F5 = FiniteField(5)
+    f = FqPoly.from_ints(F5, [2, 2, 1])  # (y - 1)(y - 2)
+    draws_per_round = f.degree * F5.degree
+
+    class ZeroRng:
+        calls = 0
+
+        def randrange(self, _stop):
+            self.calls += 1
+            if self.calls > 10 * 64 * draws_per_round:
+                raise RuntimeError("the split loop ran past ten budgets")
+            return 0
+
+    rng = ZeroRng()
+    with pytest.raises(InvariantError, match="no factor in 64 rounds"):
+        finitefields._equal_degree_split(f, 1, rng)
+    assert rng.calls == finitefields.MAX_SPLIT_ROUNDS * draws_per_round

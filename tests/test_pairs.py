@@ -1,23 +1,30 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from vforge import (
+    INFINITY,
     AlgebraicNumber,
     Chain,
     PairOfDefinition,
     Poly,
     Value,
     common_extension_check,
+    delta_via_roots,
+    difference_resultant,
     enumerate_common_extensions,
     extend_to_number_field,
+    hasse_derivative,
     is_minimal_pair,
     pair_eval,
     pairs_equivalent,
+    root_difference_valuations,
     verify_root_lemmas,
 )
-from vforge.pairs import CheckOutcome, FieldPoly
+from vforge.newton import NewtonPolygon
+from vforge.pairs import CheckOutcome, FieldPoly, _random_poly
 
 P = Poly.parse
 
@@ -299,3 +306,94 @@ def test_verify_builds_each_extension_and_runs_each_check_once(corpus, monkeypat
         assert sorted(str(m) for m, _ in builds) == sorted(str(k) for k in keys), name
         last_count = next(n for m, n in builds if m == chain.last_key)
         assert checks == [True] * last_count, name
+
+
+# -- one Taylor shift at the center, against the per-j reference -----------------------
+#
+# The reference rebuilds each divided derivative f^[j], evaluates it at the
+# center by Horner mod m and values the result; root multisets count the
+# leading zero coefficients and read the rest off the polygon.
+
+
+def _per_j_values(ext, f, rep):
+    if isinstance(f, FieldPoly):
+        derivs = [[c * comb(n, j) for n, c in enumerate(f.coeffs)][j:] for j in range(len(f.coeffs))]
+    else:
+        derivs = [f.coeffs] + [hasse_derivative(f, j).coeffs for j in range(1, f.degree + 1)]
+    out = []
+    for coeffs in derivs:
+        acc = Poly()
+        for c in reversed(coeffs):
+            acc = (acc * rep + Poly.of(c)) % ext.m
+        out.append(ext.valuation(acc))
+    return out
+
+
+def _per_j_pair_eval(pair, f):
+    terms = [v + pair.delta.scale(j) for j, v in enumerate(_per_j_values(pair.center.ext, f, pair.center.rep))]
+    best = min(terms)
+    return best, [j for j, t in enumerate(terms) if t == best]
+
+
+def _zeros_plus_polygon(values):
+    low = min(j for j, v in enumerate(values) if not v.infinite)
+    pts = [(j, v.r) for j, v in enumerate(values) if not v.infinite]
+    return [INFINITY] * low + [Value(v) for v in NewtonPolygon(pts).root_valuations()]
+
+
+def _per_j_difference_profile(ext):
+    if ext.m.degree == 1:
+        return []
+    values = _per_j_values(ext, ext.m, Poly((0, 1)))[1:]
+    return NewtonPolygon([(j, v.r) for j, v in enumerate(values) if not v.infinite]).root_valuations()
+
+
+def _resultant_roots(res, p):
+    order = 0
+    while res[order] == 0:
+        order += 1
+    return [INFINITY] * order + [Value(v) for v in NewtonPolygon.of_poly(res, p).root_valuations()]
+
+
+def _per_j_root_differences(m1, m2, p):
+    out = _resultant_roots(difference_resultant(m1, m2), p)
+    return sorted(out[m1.degree:] if m1 == m2 else out)
+
+
+def _per_j_delta(center, delta, f):
+    best = None
+    for v in _resultant_roots(difference_resultant(center.minimal_polynomial(), f), center.ext.p):
+        cand = delta if v >= delta else v
+        if best is None or cand > best:
+            best = cand
+    return best
+
+
+def test_taylor_shift_matches_per_j_reference(corpus):
+    rng = random.Random(71)
+    for name, chain in sorted(corpus.items()):
+        m, p = chain.last_key, chain.p
+        delta = chain.epsilon(m)
+        for ext in extend_to_number_field(m, p):
+            center = AlgebraicNumber(ext)
+            pair = PairOfDefinition(center, delta)
+            polys = [P("X"), P("X + 3"), m] + [
+                _random_poly(rng, rng.randint(1, 2 * m.degree + 1), p**3) for _ in range(3)
+            ]
+            field_polys = [
+                FieldPoly(ext, [-center.rep, Poly((1,))]),
+                FieldPoly(ext, [center.rep, Poly((1,))]),
+                FieldPoly(ext, [_random_poly(rng, m.degree - 1, p**2, monic=False) for _ in range(3)]),
+            ]
+            other = PairOfDefinition(AlgebraicNumber(ext, _random_poly(rng, m.degree - 1, p, monic=False)), delta)
+            for f in polys + field_polys:
+                assert pair_eval(pair, f) == _per_j_pair_eval(pair, f), (name, str(f))
+                assert pair_eval(other, f) == _per_j_pair_eval(other, f), (name, str(f))
+            assert ext.difference_profile() == _per_j_difference_profile(ext), name
+            for g in polys + [level.key for level in chain.levels]:
+                expected = _zeros_plus_polygon(_per_j_values(ext, g, Poly((0, 1))))
+                assert ext.root_distances_to(g) == expected, (name, str(g))
+            for g in polys[2:]:
+                assert root_difference_valuations(m, g, p) == _per_j_root_differences(m, g, p), (name, str(g))
+                assert delta_via_roots(center, delta, g) == _per_j_delta(center, delta, g), (name, str(g))
+        assert root_difference_valuations(m, m, p) == _per_j_root_differences(m, m, p), name
