@@ -15,7 +15,8 @@ a usage error (including a degree bound above 16, ``--samples`` outside
 the violated invariant named), 4 reducible minimal polynomial (with a
 factor), 5 internal error (one line on stderr, never a traceback).
 ``--seed`` (or the VFORGE_SEED environment variable) fixes all sampling;
-identical configuration yields byte-identical reports.
+identical configuration yields byte-identical reports.  A VFORGE_SEED that
+is not an integer is a usage error of ``verify``; other commands ignore it.
 """
 
 from __future__ import annotations
@@ -164,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact valuation chains on Q[X] over a p-adic base: "
         "evaluate, test keys, extend to number fields, verify.",
     )
-    default_seed = int(os.environ.get("VFORGE_SEED", "0"))
+    # argparse applies type=int to a string default, so a bad VFORGE_SEED
+    # is a usage error of verify alone
+    default_seed = os.environ.get("VFORGE_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, chain=True, poly=False):
@@ -228,8 +231,6 @@ def main(argv=None) -> int:
         return _fail(f"invalid chain: {exc.code}: {exc}", EXIT_INVALID_CHAIN)
     except ReducibleError as exc:
         return _fail(f"reducible: {exc} ", EXIT_REDUCIBLE)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), EXIT_PARSE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except Exception as exc:  # noqa: BLE001 - InvariantError or a bug: no traceback, never exit 1

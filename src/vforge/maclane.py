@@ -7,6 +7,14 @@ The chain defines a valuation on Q[X] by iterated expansion: a polynomial
 is written in powers of Q_k, each digit is valued by the prefix, and the
 minimum of digit value + j * b_k is taken.
 
+Chains grow by two moves.  ``augment`` appends a key of larger degree that
+passes the key test, and its level's residue field is the previous one
+extended by the key's residual polynomial.  ``refine`` replaces the last key
+by one of the same degree and a larger value; above level 0 the new key
+must take the last assigned value (ChainError code ``refine.key``), which
+makes it equivalent to the last key over the prefix, so the level keeps the
+last level's residue field.  Both moves end in the same growth check.
+
 All level values except possibly the last are rational.  A final value
 with a nonzero infinitesimal part makes the chain value-transcendental;
 such a chain accepts no further augmentation.
@@ -184,18 +192,9 @@ class Chain:
             level.rel_denom = e
             level.denom = prev_denom * e
             level.numer = int(beta.r * level.denom)
-            if e == 1:
-                a, b = 0, 1
-            else:
-                g, a, b = _xgcd(level.numer, e)
-                if g < 0:
-                    g, a, b = -g, -a, -b
-                if g != 1:
-                    raise InvariantError("numerator and relative index must be coprime")
-                a %= e
-                b = (1 - a * level.numer) // e
-            level.numer_inv = a
-            level.denom_inv = b
+            # numer / e is a reduced fraction, so numer is invertible mod e
+            level.numer_inv = pow(level.numer, -1, e)
+            level.denom_inv = (1 - level.numer_inv * level.numer) // e
         return level
 
     # -- construction of longer chains ------------------------------------
@@ -234,55 +233,57 @@ class Chain:
                 "augment.value",
                 f"assigned value {beta} is not above current value {current}",
             )
-        return self._augment_unchecked(key, beta)
-
-    def _augment_unchecked(self, key, beta):
-        last = self.levels[-1]
+        # is_key found this residual irreducible
         rho = self._residual(len(self.levels) - 1, key)
-        if rho.degree < 1 or not ff_is_irreducible(rho):
-            raise ChainError(
-                "augment.key_test", f"residual polynomial {rho.to_text()} is not irreducible"
-            )
         ext = FieldExtension(last.res_field, rho)
-        level = self._build_level(
-            key,
-            beta,
-            prev_denom=last.denom,
-            res_field=ext.field,
-            ext=ext,
-            res_degree=rho.degree,
-        )
-        new = self._clone_with(self.levels + (level,))
-        eps_old = self.epsilon(last.key)
-        eps_new = new.epsilon(key)
-        if not (beta > last.beta and eps_new > eps_old):
-            raise ChainError(
-                "augment.value",
-                f"level data must strictly grow: beta {last.beta} -> {beta}, "
-                f"eps {eps_old} -> {eps_new}",
-            )
-        return new
+        level = self._build_level(key, beta, last.denom, ext.field, ext, rho.degree)
+        return self._stacked(level)
 
     def refine(self, key: Poly, beta: Value) -> "Chain":
         """Replace the last level by an equal-degree key with a larger value.
 
         This is the refinement move of the approximation search; the public
-        augment only accepts strictly larger degrees.
+        augment only accepts strictly larger degrees.  Above level 0 the key
+        must take the last assigned value under this chain (ChainError code
+        ``refine.key`` otherwise).  Such a key is equivalent to the last key
+        over the prefix: it has the same residual polynomial, so the new
+        level keeps the last level's residue field.  A level-0 key only needs
+        an integer center.
         """
         key = Poly.of(key)
         beta = Value.of(beta)
         last = self.levels[-1]
         if key.degree != last.degree:
             raise ChainError("refine.degree", "refinement keeps the key degree")
-        if not beta > self.eval(key):
-            raise ChainError("refine.value", f"{beta} not above current value of {key}")
+        current = self.eval(key)
         if len(self.levels) == 1:
-            # the prime is already checked: build the level, not a new chain
             _check_center(key)
-            level = self._build_level(key, beta, prev_denom=1, res_field=last.res_field)
-            return self._clone_with((level,))
-        prefix = self._clone_with(self.levels[:-1])
-        return prefix._augment_unchecked(key, beta)
+        elif current != last.beta:
+            raise ChainError(
+                "refine.key", f"{key} takes {current}, not the last assigned value {last.beta}"
+            )
+        if not beta > current:
+            raise ChainError("refine.value", f"{beta} not above current value of {key}")
+        level = self._build_level(
+            key, beta, last.prev_denom, last.res_field, last.ext, last.res_degree
+        )
+        return self._clone_with(self.levels[:-1])._stacked(level)
+
+    def _stacked(self, level: _Level) -> "Chain":
+        """This chain with level on top; beta and epsilon must strictly grow
+        over the current last level, if there is one."""
+        new = self._clone_with(self.levels + (level,))
+        if self.levels:
+            last = self.levels[-1]
+            eps_old = self.epsilon(last.key)
+            eps_new = new.epsilon(level.key)
+            if not (level.beta > last.beta and eps_new > eps_old):
+                raise ChainError(
+                    "augment.value",
+                    f"level data must strictly grow: beta {last.beta} -> {level.beta}, "
+                    f"eps {eps_old} -> {eps_new}",
+                )
+        return new
 
     # -- evaluation ---------------------------------------------------------
 
@@ -427,43 +428,28 @@ class Chain:
         level = self.levels[i]
         k = level.res_field
         e = level.rel_denom
-        if level.tau or i == 0:
-            terms = self._terms(f, level.key, i - 1)
-            if not terms:
-                raise ValueError("graded reduction of zero")
-            vmin, achieving = _term_minimum(terms, level)
-            if level.tau:
-                # unique minimal term; the residual degenerates to a bare monomial
-                return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, vmin
-            i0 = (level.numer_inv * vmin) % e if e > 1 else 0
-            j0 = (vmin - i0 * level.numer) // e
-            coeffs = {}
-            for j, c, n in terms:
-                if j in achieving:
-                    coeffs[(j - i0) // e] = self._residue_scalar(Fraction(c, f.den), n)
-            fbar = FqPoly.from_ints(k, [coeffs.get(m, 0) for m in range(max(coeffs) + 1)])
-            return fbar, i0, j0, vmin
-        digits = q_expansion(f, level.key)
-        reduced = {}
-        for j, digit in enumerate(digits):
-            if digit.is_zero():
-                continue
-            c1, i1, j1, vc = self._graded_reduce(i - 1, digit)
-            reduced[j] = (c1, i1, j1, vc * e + j * level.numer)
-        if not reduced:
+        terms = self._terms(f, level.key, i - 1)
+        if not terms:
             raise ValueError("graded reduction of zero")
-        vmin = min(t[3] for t in reduced.values())
-        i0 = (level.numer_inv * vmin) % e if e > 1 else 0
+        vmin, achieving = _term_minimum(terms, level)
+        if level.tau:
+            # unique minimal term; the residual degenerates to a bare monomial
+            return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, vmin
+        i0 = (level.numer_inv * vmin) % e
         j0 = (vmin - i0 * level.numer) // e
         coeffs = {}
-        for j, (c1, i1, j1, vnum) in reduced.items():
-            if vnum != vmin:
+        for j, c, n in terms:
+            if j not in achieving:
                 continue
             m = (j - i0) // e
-            cbar, texp = self._graded_map(i, c1, i1, j1)
-            if texp != j0 - m * level.numer:
-                raise InvariantError("graded bookkeeping out of step")
-            coeffs[m] = cbar
+            if i == 0:
+                coeffs[m] = k.from_int(self._residue_scalar(Fraction(c, f.den), n))
+            else:
+                c1, i1, j1, _ = self._graded_reduce(i - 1, c)
+                cbar, texp = self._graded_map(i, c1, i1, j1)
+                if texp != j0 - m * level.numer:
+                    raise InvariantError("graded bookkeeping out of step")
+                coeffs[m] = cbar
         cc = [coeffs.get(m, k.zero) for m in range(max(coeffs) + 1)]
         return FqPoly(k, cc), i0, j0, vmin
 
@@ -671,14 +657,3 @@ def _term_minimum(terms, level: _Level):
             achieving.append(j)
     return best, achieving
 
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    return old_r, old_s, old_t

@@ -326,26 +326,11 @@ class PairClass:
 
 @dataclass
 class CommonExtensionReport:
-    prime: int
-    chain_text: str
-    delta: str
     classes: list[PairClass] = field(default_factory=list)
     class_count: int = 0
     root_bound: int = 0
     checks: list[CheckOutcome] = field(default_factory=list)
     ok: bool = True
-
-    def as_dict(self):
-        return {
-            "prime": self.prime,
-            "chain": self.chain_text,
-            "delta": self.delta,
-            "classes": [c.as_dict() for c in self.classes],
-            "class_count": self.class_count,
-            "root_bound": self.root_bound,
-            "checks": [c.as_dict() for c in self.checks],
-            "pass": self.ok,
-        }
 
 
 def _second_quadratic_root(m: Poly) -> Poly:
@@ -371,9 +356,7 @@ def enumerate_common_extensions(
     rng = rng or random.Random(0)
     m = chain.last_key
     delta = chain.epsilon(m)
-    report = CommonExtensionReport(
-        prime=chain.p, chain_text=chain.to_text(), delta=str(delta), root_bound=m.degree
-    )
+    report = CommonExtensionReport(root_bound=m.degree)
     if exts is None:
         exts = extend_to_number_field(m, chain.p)
     pairs = [PairOfDefinition(AlgebraicNumber(ext), delta) for ext in exts]
@@ -482,20 +465,17 @@ class RootLemmaReport:
         if not outcome.ok:
             self.ok = False
 
-    def as_dict(self):
-        return {"level": self.level, "checks": [c.as_dict() for c in self.checks], "pass": self.ok}
 
-
-def verify_root_lemmas(chain: Chain, j: int, sample_centers=None, exts=None) -> RootLemmaReport:
+def verify_root_lemmas(chain: Chain, j: int, exts=None) -> RootLemmaReport:
     """Exact identities between the roots of keys at levels j and j+1.
 
     Checks the signed resultant product identity, the value sum of the
     level-j key over the next key's roots against s * b_j, the proximity
     of every next-level root to a level-j root, and the strict value drop
-    at centers that stay away from every level-j root.  ``exts`` holds the
-    extensions of the chain's last key; they are used when level j+1 is the
-    last level, and the extensions of the level-(j+1) key are built here
-    otherwise.
+    at the integer centers -p..p that stay away from every level-j root.
+    ``exts`` holds the extensions of the chain's last key; they are used
+    when level j+1 is the last level, and the extensions of the level-(j+1)
+    key are built here otherwise.
     """
     if not 0 <= j < len(chain.levels) - 1:
         raise IndexError("need a level with a successor")
@@ -572,8 +552,7 @@ def verify_root_lemmas(chain: Chain, j: int, sample_centers=None, exts=None) -> 
             )
         )
 
-    centers = sample_centers if sample_centers is not None else range(-chain.p, chain.p + 1)
-    for c in centers:
+    for c in range(-chain.p, chain.p + 1):
         dists = root_values([padic_valuation(a, chain.p) for a in qj.shift(Fraction(c)).coeffs])
         if dists[0].infinite:
             continue  # c is a root of the level-j key

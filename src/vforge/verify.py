@@ -38,6 +38,7 @@ from .pairs import (
     FieldPoly,
     PairOfDefinition,
     _random_poly,
+    _second_quadratic_root,
     enumerate_common_extensions,
     pair_eval,
     pairs_equivalent,
@@ -157,7 +158,7 @@ def _check_pair_equivalence(report, chain, exts):
     delta = chain.epsilon(m)
     ext = exts[0]
     gen = AlgebraicNumber(ext)
-    other = AlgebraicNumber(ext, Poly((-m[1], -1)))
+    other = AlgebraicNumber(ext, _second_quadratic_root(m))
     p1 = PairOfDefinition(gen, delta)
     p2 = PairOfDefinition(other, delta)
     dist = ext.valuation((gen.rep - other.rep) % m)

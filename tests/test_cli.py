@@ -339,3 +339,20 @@ def test_prime_ceiling():
         Chain.parse("p = 1000000000000000003\nQ0: X @ 0\n")
     assert err.value.code == "chain.prime" and "ceiling" in str(err.value)
     assert Chain.parse(f"p = {MAX_PRIME}\nQ0: X @ 0\n").p == MAX_PRIME
+
+
+def test_bad_seed_environment_is_a_usage_error_of_verify_alone(chain_files, capsys, monkeypatch):
+    # VFORGE_SEED is read when the parser is built; a bad value must not
+    # crash the commands that take no seed, nor exit 1 from verify
+    monkeypatch.setenv("VFORGE_SEED", "abc")
+    code, out, err = run(capsys, ["classify", "--chain", chain_files["c2"]])
+    assert (code, out.strip(), err) == (0, "residue-transcendental", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--chain", chain_files["c2"], "--samples", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--seed" in err and "'abc'" in err and "Traceback" not in err
+    # an explicit --seed wins over the environment
+    code, out, _ = run(capsys, ["verify", "--chain", chain_files["c2"], "--samples", "2",
+                                "--seed", "7", "--format", "json"])
+    assert code == 0 and json.loads(out)["seed"] == 7

@@ -316,6 +316,63 @@ def test_one_level_refine_reuses_the_checked_prime(monkeypatch):
     assert err.value.code == "chain.center"
 
 
+def test_refine_needs_a_key_at_the_last_value():
+    chain = Chain.from_levels(3, [(P("X"), Value(0)), (P("X^2 + 1"), Value(F(1, 2)))])
+    # X^2 + X + 2 takes 0 < 1/2: not equivalent to the last key over the prefix
+    with pytest.raises(ChainError) as err:
+        chain.refine(P("X^2 + X + 2"), Value(F(1, 4)))
+    assert err.value.code == "refine.key"
+
+    refined = chain.refine(P("X^2 + 4"), Value(1))
+    rebuilt = Chain.from_levels(3, [(P("X"), Value(0)), (P("X^2 + 4"), Value(1))])
+    assert refined == rebuilt and refined.data() == rebuilt.data()
+    assert refined.levels[-1].res_field is chain.levels[-1].res_field
+    rng = random.Random(8)
+    for f in [P("X^2 + 4"), P("X^2 + 1")] + [rand_poly(rng, 6, 30) for _ in range(30)]:
+        assert refined.eval(f) == rebuilt.eval(f), f
+        assert refined.residual_polynomial(f) == rebuilt.residual_polynomial(f), f
+
+
+def test_refine_builds_no_residue_field_and_augment_tests_each_key_once(monkeypatch):
+    # Rabin's test runs once per new level, inside augment; refine reuses the
+    # last level's residue field, so it tests, reduces and builds nothing
+    import vforge.maclane as maclane
+    from test_acceptance import EXTENSION_COUNT_CASES
+    from vforge.extensions import extend_to_number_field
+
+    calls, spans = [], {"augment": [], "refine": []}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    def spanned(name, real):
+        def wrapper(*args, **kwargs):
+            start = len(calls)
+            out = real(*args, **kwargs)
+            spans[name].append(calls[start:])
+            return out
+        return wrapper
+
+    monkeypatch.setattr(maclane, "ff_is_irreducible", counted("rabin", maclane.ff_is_irreducible))
+    monkeypatch.setattr(maclane, "FieldExtension", counted("field", maclane.FieldExtension))
+    monkeypatch.setattr(Chain, "_residual", counted("residual", Chain._residual))
+    monkeypatch.setattr(Chain, "augment", spanned("augment", Chain.augment))
+    monkeypatch.setattr(Chain, "refine", spanned("refine", Chain.refine))
+
+    cases = [("X^4 + 1", 2), ("X^3 - 2", 3), ("X^4 + X + 1", 2), ("X^2 - 257", 2), ("X^5 - 2", 5)]
+    assert set(cases) <= set(EXTENSION_COUNT_CASES)
+    for mtxt, p in cases:
+        for ext in extend_to_number_field(P(mtxt), p):
+            for bound in (8, 32):
+                ext.ensure_value_above(F(bound))
+    assert spans["augment"] and spans["refine"]
+    assert all(inner.count("rabin") == 1 for inner in spans["augment"])
+    assert all(inner == [] for inner in spans["refine"])
+
+
 def test_non_integral_key_chain_values():
     chain = Chain.from_levels(3, [(P("X"), Value(-1)), (P("X^2 + 1/9"), Value(F(-1, 2)))])
     assert chain.eval(P("X^5 + 7X + 1/4")) == Value(-5)
