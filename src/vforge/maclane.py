@@ -43,7 +43,7 @@ names an invalid augmentation is rejected with the failing invariant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -103,11 +103,17 @@ def _check_center(key: Poly):
 
 @dataclass(frozen=True)
 class KeyCertificate:
-    """Outcome of the key test, recording which condition failed."""
+    """Outcome of the key test, recording which condition failed.
+
+    A passing certificate also carries the key's irreducible residual
+    polynomial, which ``augment`` builds the new residue field on; it takes
+    no part in comparison or printing.
+    """
 
     is_key: bool
     failed: str | None = None
     detail: str | None = None
+    residual: FqPoly | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.is_key
@@ -233,8 +239,7 @@ class Chain:
                 "augment.value",
                 f"assigned value {beta} is not above current value {current}",
             )
-        # is_key found this residual irreducible
-        rho = self._residual(len(self.levels) - 1, key)
+        rho = cert.residual
         ext = FieldExtension(last.res_field, rho)
         level = self._build_level(key, beta, last.denom, ext.field, ext, rho.degree)
         return self._stacked(level)
@@ -570,7 +575,7 @@ class Chain:
             return KeyCertificate(
                 False, "epsilon_shrinks", f"epsilon {eps_q} below current {eps_last}"
             )
-        return KeyCertificate(True)
+        return KeyCertificate(True, residual=rho)
 
     # -- chain file round trip ---------------------------------------------------
 

@@ -28,7 +28,7 @@ from .extensions import (
     extend_to_number_field,
     root_difference_valuations,
 )
-from .maclane import Chain
+from .maclane import Chain, InvariantError
 from .newton import NewtonPolygon, root_values
 from .polynomials import (
     Poly,
@@ -38,6 +38,11 @@ from .polynomials import (
     resultant,
 )
 from .values import Value
+
+# Rounds of _cross_difference_multiset (one difference resultant and, short
+# of separation, one improvement of each branch) before it gives up; the
+# largest count seen over the test suite is 3.
+MAX_SEPARATION_ROUNDS = 16
 
 
 @dataclass
@@ -94,6 +99,7 @@ def _cross_difference_multiset(e1: ValuationExtension, e2: ValuationExtension):
     Both extensions must belong to the same minimal polynomial.  The keys
     stand in for the p-adic factors once their assigned values clear twice
     the largest candidate difference, which is the usual separation bound.
+    Raises InvariantError when they have not after MAX_SEPARATION_ROUNDS.
     """
     p = e1.p
 
@@ -101,7 +107,7 @@ def _cross_difference_multiset(e1: ValuationExtension, e2: ValuationExtension):
         res = difference_resultant(e1.chain.last_key, e2.chain.last_key)
         return NewtonPolygon.of_poly(res, p).root_valuations()
 
-    while True:
+    for _ in range(MAX_SEPARATION_ROUNDS):
         current = multiset()
         bound = max([abs(x) for x in current] or [Fraction(0)])
         needed = 2 * bound + 1
@@ -111,6 +117,7 @@ def _cross_difference_multiset(e1: ValuationExtension, e2: ValuationExtension):
             return current
         for ext in (e1, e2):
             ext.ensure_value_above(needed)
+    raise InvariantError(f"root clusters did not separate in {MAX_SEPARATION_ROUNDS} rounds")
 
 
 def pairs_equivalent(p1: PairOfDefinition, p2: PairOfDefinition) -> bool:

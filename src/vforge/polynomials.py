@@ -9,7 +9,11 @@ only.  Sums, products, division, Taylor shifts and divided derivatives
 run on Python ints: division by any divisor G is one pseudo-division
 ``lc(G)^k * F = Q * G + R`` on the numerators (von zur Gathen-Gerhard,
 *Modern Computer Algebra*, ch. 3 and 6), which costs no growth for the
-monic integral keys of a chain.  ``coeffs``, indexing, iteration and
+monic integral keys of a chain.  The special resultants
+``difference_resultant`` and ``composed_value_poly`` run on ints too: they
+go from power sums of scaled roots back to a polynomial by Newton's
+identities (composed sums and products, Bostan-Flajolet-Salvy-Schost,
+*J. Symbolic Comput.* 41, 2006).  ``coeffs``, indexing, iteration and
 ``leading()`` give Fractions, built on demand.  Nothing in this package
 ever touches floating point.
 
@@ -29,6 +33,7 @@ import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 
+from .finitefields import InvariantError
 from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value
 
 # Largest exponent Poly.parse accepts; it bounds the size of parsed input.
@@ -492,49 +497,106 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         f, g = r, f
 
 
-def _interpolate(samples) -> Poly:
-    # Newton divided differences through (x, y) pairs with distinct x.
-    xs = [Fraction(x) for x, _ in samples]
-    coef = [Fraction(y) for _, y in samples]
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = Poly((coef[-1],))
-    for i in range(n - 2, -1, -1):
-        poly = poly * Poly((-xs[i], 1)) + Poly((coef[i],))
-    return poly
+def _scaled_monic(num) -> list:
+    """The monic int polynomial whose roots are lc * alpha over the roots
+    alpha of the int polynomial num (lc = num[-1]): lc^(n-1) * num(Y / lc)."""
+    n = len(num) - 1
+    lc = num[-1]
+    return [c * lc ** (n - 1 - i) for i, c in enumerate(num[:-1])] + [1]
+
+
+def _power_sums(num, count: int) -> list:
+    """[s_0, ..., s_(count-1)], s_k = sum of (lc * alpha)^k over the roots
+    alpha of the int polynomial num, counted with multiplicity.
+
+    The scaled roots lc * alpha are algebraic integers, so Newton's
+    identities on their monic integral polynomial give every s_k as an int.
+    """
+    g = _scaled_monic(num)
+    n = len(g) - 1
+    s = [n]
+    for k in range(1, count):
+        t = -k * g[n - k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            t -= g[n - i] * s[k - i]
+        s.append(t)
+    return s[:count]
+
+
+def _from_power_sums(P, N: int) -> list:
+    """Coefficients (index = exponent) of the monic int polynomial of degree N
+    whose roots have the power sums P[1], ..., P[N].
+
+    Newton's identities k c_k = -(c_(k-1) P_1 + ... + c_0 P_k) for the
+    coefficient c_k of X^(N-k); the division by k is exact because the
+    roots are algebraic integers.
+    """
+    c = [1]
+    for k in range(1, N + 1):
+        q, r = divmod(-sum(c[k - i] * P[i] for i in range(1, k + 1)), k)
+        if r:
+            raise InvariantError(f"power sums of algebraic integers left {r}/{k} at step {k}")
+        c.append(q)
+    return c[::-1]
+
+
+def _unscaled(h, scale: int, factor: int, den: int) -> Poly:
+    """factor / den * h(scale * X) / scale^N for the monic int h of degree N:
+    the roots of h divided by scale, times the constant factor / den."""
+    N = len(h) - 1
+    return _make([c * scale**k * factor for k, c in enumerate(h)], scale**N * den)
 
 
 def difference_resultant(m1: Poly, m2: Poly) -> Poly:
     """Res_Y(m1(Y), m2(X + Y)) as a polynomial in X.
 
-    Its roots are all differences b - a over roots a of m1 and b of m2
-    (the orientation is irrelevant for valuations).  Computed by sampling
-    X at rational points and interpolating, which keeps everything inside
-    univariate exact arithmetic.
+    This is lc(m1)^deg(m2) * lc(m2)^deg(m1) * prod (X - (b - a)) over roots
+    a of m1 and b of m2 (the orientation is irrelevant for valuations).
+    With l1, l2 the leading numerators, the power sums of l1 * l2 * (b - a)
+    are a binomial convolution of those of l2 * b and l1 * a, and Newton's
+    identities turn them back into a polynomial, all in ints.  Both inputs
+    must be nonzero.
     """
     m1 = Poly.of(m1)
     m2 = Poly.of(m2)
-    bound = m1.degree * m2.degree
-    samples = []
-    for k in range(bound + 1):
-        x = Fraction(k)
-        samples.append((x, resultant(m1, m2.shift(x))))
-    return _interpolate(samples)
+    if m1.is_zero() or m2.is_zero():
+        raise ValueError("resultant of the zero polynomial is not defined")
+    n1, n2 = m1.degree, m2.degree
+    l1, l2 = m1.num[-1], m2.num[-1]
+    N = n1 * n2
+    # u[j] = l1^j * sum (l2 b)^j and w[i] = (-l2)^i * sum (l1 a)^i
+    u = [l1**j * s for j, s in enumerate(_power_sums(m2.num, N + 1))]
+    w = [(-l2) ** i * s for i, s in enumerate(_power_sums(m1.num, N + 1))]
+    P = [sum(comb(k, j) * u[j] * w[k - j] for j in range(k + 1)) for k in range(N + 1)]
+    h = _from_power_sums(P, N)
+    return _unscaled(h, l1 * l2, l1**n2 * l2**n1, m1.den**n2 * m2.den**n1)
 
 
 def composed_value_poly(a: Poly, b: Poly) -> Poly:
     """Res_Y(a(Y), Z - b(Y)) in Z; for monic a this is prod (Z - b(root)).
 
-    Used both as the characteristic polynomial of b modulo a and as the
-    oracle for the multiset of values b takes on the roots of a.
+    In general it is lc(a)^max(deg b, 0) * prod (Z - b(alpha)) over the roots
+    alpha of a.  Used both as the characteristic polynomial of b modulo a
+    and as the oracle for the multiset of values b takes on the roots of a.
+    The power sums are traces: with g the monic int polynomial of the
+    scaled roots la * alpha and B the int polynomial with B(la * alpha) =
+    t * b(alpha), the k-th power sum of t * b(alpha) is
+    sum_j [B^k mod g]_j * s_j(g).  a must be nonzero.
     """
     a = Poly.of(a)
     b = Poly.of(b)
-    samples = []
-    for k in range(a.degree + 1):
-        z = Fraction(k)
-        shifted = Poly((z,)) - b
-        samples.append((z, Fraction(0) if shifted.is_zero() else resultant(a, shifted)))
-    return _interpolate(samples)
+    if a.is_zero():
+        raise ValueError("resultant of the zero polynomial is not defined")
+    n = a.degree
+    la = a.num[-1]
+    m = max(b.degree, 0)
+    t = b.den * la**m
+    g = _make(_scaled_monic(a.num))
+    B = _make([c * la ** (m - i) for i, c in enumerate(b.num)]) % g
+    s = _power_sums(a.num, n)
+    P = [n]
+    r = _make((1,))
+    for _ in range(n):
+        r = r * B % g
+        P.append(sum(c * s[j] for j, c in enumerate(r.num)))
+    return _unscaled(_from_power_sums(P, n), t, la**m, a.den**m)

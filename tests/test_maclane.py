@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vforge import Chain, ChainError, ChainParseError, Poly, Value, value_max, value_min
+from vforge import Chain, ChainError, ChainParseError, KeyCertificate, Poly, Value, value_max, value_min
 from vforge.finitefields import FqPoly
 from vforge.maclane import RESIDUE_TRANSCENDENTAL, VALUE_TRANSCENDENTAL
 from vforge.polynomials import hasse_derivative, padic_valuation, q_expansion
@@ -371,6 +371,36 @@ def test_refine_builds_no_residue_field_and_augment_tests_each_key_once(monkeypa
     assert spans["augment"] and spans["refine"]
     assert all(inner.count("rabin") == 1 for inner in spans["augment"])
     assert all(inner == [] for inner in spans["refine"])
+
+
+def test_augment_computes_one_residual(monkeypatch, corpus):
+    # the key test's residual serves the new residue field: one per augment
+    from vforge.extensions import extend_to_number_field
+
+    residuals, per_augment = [], []
+    real_residual, real_augment = Chain._residual, Chain.augment
+
+    def residual(*args):
+        residuals.append(1)
+        return real_residual(*args)
+
+    def augment(*args):
+        start = len(residuals)
+        out = real_augment(*args)
+        per_augment.append(len(residuals) - start)
+        return out
+
+    monkeypatch.setattr(Chain, "_residual", residual)
+    monkeypatch.setattr(Chain, "augment", augment)
+    for chain in corpus.values():
+        Chain.parse(chain.to_text())
+    for mtxt, p in [("X^4 + 1", 2), ("X^3 - 2", 3), ("X^5 - 2", 5)]:
+        extend_to_number_field(P(mtxt), p)
+    assert len(per_augment) > 10 and set(per_augment) == {1}
+    # the residual rides along without changing is_key's output
+    cert = Chain(2, P("X"), Value(F(1, 2))).is_key(P("X^2 - 2"))
+    assert cert and cert.residual.degree == 1
+    assert cert == KeyCertificate(True) and repr(cert) == repr(KeyCertificate(True))
 
 
 def test_non_integral_key_chain_values():

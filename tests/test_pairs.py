@@ -138,6 +138,24 @@ def test_cross_extension_equivalence():
     assert not pairs_equivalent(q1, q2)
 
 
+def test_separation_loop_has_a_budget(monkeypatch):
+    # an extension that never improves must end the loop with a named error
+    import vforge.pairs as pairs
+    from vforge import InvariantError
+    from vforge.extensions import ValuationExtension
+
+    exts = extend_to_number_field(P("X^2 - 17"), 2)
+    rounds = []
+    real = pairs.difference_resultant
+    monkeypatch.setattr(pairs, "difference_resultant", lambda a, b: rounds.append(1) or real(a, b))
+    monkeypatch.setattr(ValuationExtension, "ensure_value_above", lambda self, target: None)
+    p1 = PairOfDefinition(AlgebraicNumber(exts[0]), Value(F(1, 2)))
+    p2 = PairOfDefinition(AlgebraicNumber(exts[1]), Value(F(1, 2)))
+    with pytest.raises(InvariantError, match="did not separate"):
+        pairs_equivalent(p1, p2)
+    assert len(rounds) == pairs.MAX_SEPARATION_ROUNDS
+
+
 # -- restriction checks ----------------------------------------------------------------
 
 

@@ -329,3 +329,102 @@ def test_canonical_form():
     assert (Poly([0, 0]).num, Poly([0, 0]).den) == ((), 1)
     assert (P("X^2 + 1/3") * -3).num == (-1, 0, -3)
     assert all(type(c) is F for c in P("X^2 + 1/3").coeffs)
+
+
+# -- special resultants against the sampling reference ---------------------------
+
+
+def ref_interpolate(samples):
+    # Newton divided differences through (x, y) pairs with distinct x
+    xs = [F(x) for x, _ in samples]
+    coef = [F(y) for _, y in samples]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = Poly((coef[-1],))
+    for i in range(n - 2, -1, -1):
+        poly = poly * Poly((-xs[i], 1)) + Poly((coef[i],))
+    return poly
+
+
+def ref_difference_resultant(m1, m2):
+    # Res_Y(m1(Y), m2(X + Y)) sampled at X = 0..deg m1 * deg m2
+    samples = [(k, resultant(m1, m2.shift(k))) for k in range(m1.degree * m2.degree + 1)]
+    return ref_interpolate(samples)
+
+
+def ref_composed_value_poly(a, b):
+    # Res_Y(a(Y), Z - b(Y)) sampled at Z = 0..deg a
+    samples = []
+    for z in range(a.degree + 1):
+        shifted = Poly((z,)) - b
+        samples.append((z, F(0) if shifted.is_zero() else resultant(a, shifted)))
+    return ref_interpolate(samples)
+
+
+def special_resultant_inputs(rng):
+    """Seeded pairs: rational, non-monic, degree 0, equal, shared-root."""
+    for i in range(240):
+        a = rand_rational_poly(rng, 5) if i % 2 else rand_poly(rng, 5, monic=i % 3 == 0)
+        b = rand_rational_poly(rng, 4) if i % 3 else rand_poly(rng, 4, monic=i % 4 == 0)
+        if i % 7 == 0:
+            b = a
+        elif i % 7 == 1:
+            b = a * rand_poly(rng, 2)
+        elif i % 7 == 2:
+            a = Poly((F(rng.randint(1, 9), rng.randint(1, 4)),))
+        if not a.is_zero() and not b.is_zero():
+            yield a, b
+    yield P("X^2 - 2"), P("X^2 - 2")
+    yield P("3X^2 - 1/2"), P("-2X^3 + X")
+    yield Poly((5,)), Poly((F(-2, 3),))
+
+
+def test_special_resultants_match_sampling_reference():
+    inputs = list(special_resultant_inputs(random.Random(43)))
+    assert len(inputs) > 200
+    assert any(a.degree == 0 for a, _ in inputs) and any(b.degree == 0 for _, b in inputs)
+    assert any(a.den > 1 for a, _ in inputs) and any(not a.is_monic() for a, _ in inputs)
+    for a, b in inputs:
+        assert difference_resultant(a, b) == ref_difference_resultant(a, b), (a, b)
+        assert composed_value_poly(a, b) == ref_composed_value_poly(a, b), (a, b)
+
+
+def test_composed_value_poly_of_zero_on_a_constant():
+    # Res_Y(c, Z) = 1: both have Y-degree 0; one sample at Z = 0 read 0 instead
+    assert composed_value_poly(Poly((3,)), Poly()) == Poly((1,))
+    assert composed_value_poly(P("X^2 - 2"), Poly()) == P("X^2")
+
+
+@pytest.mark.parametrize("m1,m2", [("0", "X"), ("X", "0"), ("0", "0"), ("0", "3"), ("2", "0")])
+def test_special_resultants_reject_zero(m1, m2):
+    with pytest.raises(ValueError):
+        difference_resultant(P(m1), P(m2))
+    if m1 == "0":
+        with pytest.raises(ValueError):
+            composed_value_poly(P(m1), P(m2))
+
+
+def test_power_sums_round_trip_and_reject_non_integral_sums():
+    from vforge import InvariantError
+    from vforge.polynomials import _from_power_sums, _power_sums
+
+    # X^2 - 2X - 1 has roots 1 +- sqrt 2; 2X^2 - 2X - 1 has 2 * roots 1 +- sqrt 3
+    assert _power_sums((-1, -2, 1), 4) == [2, 2, 6, 14]
+    assert _power_sums((-1, -2, 2), 4) == [2, 2, 8, 20]
+    assert _from_power_sums([2, 2, 8], 2) == [-2, -2, 1]
+    with pytest.raises(InvariantError):
+        _from_power_sums([2, 1, 0], 2)  # e_2 = (1 - 0) / 2 is not an int
+
+
+def test_special_resultants_make_no_euclidean_resultant(monkeypatch):
+    import vforge.polynomials as polynomials
+
+    calls = []
+    real = polynomials.resultant
+    monkeypatch.setattr(polynomials, "resultant", lambda f, g: calls.append(1) or real(f, g))
+    for a, b in list(special_resultant_inputs(random.Random(47)))[:40]:
+        difference_resultant(a, b)
+        composed_value_poly(a, b)
+    assert calls == []
