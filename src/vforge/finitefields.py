@@ -219,7 +219,7 @@ def _fp_mul(a, b, p):
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
+                out[i + j] += x * y
     return _fp_trim(out, p)
 
 
@@ -445,26 +445,30 @@ def _equal_degree_split(f: FqPoly, d: int, rng) -> list[FqPoly]:
     raise InvariantError(f"equal-degree splitting found no factor in {MAX_SPLIT_ROUNDS} rounds")
 
 
-def _factor_squarefree(f: FqPoly, rng) -> list[FqPoly]:
-    # distinct-degree splitting, then equal-degree splitting
-    field = f.field
-    q = field.order
-    out = []
-    v = f
-    x = FqPoly.from_ints(field, [0, 1])
+def _distinct_degree(v: FqPoly):
+    """Distinct-degree parts (d, g) of a monic squarefree v, by rising d.
+
+    g is the product of the irreducible factors of v of degree d; the part
+    left when no factor of degree at most deg/2 remains is irreducible.
+    """
+    x = FqPoly.from_ints(v.field, [0, 1])
     h = x
     d = 0
     while v.degree >= 2 * (d + 1):
         d += 1
-        h = h.pow_mod(q, v)
+        h = h.pow_mod(v.field.order, v)
         g = (h - x).gcd(v)
         if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
+            yield d, g
             v = v // g
             h = h % v
     if v.degree > 0:
-        out.append(v)
-    return out
+        yield v.degree, v
+
+
+def _factor_squarefree(f: FqPoly, rng) -> list[FqPoly]:
+    # distinct-degree splitting, then equal-degree splitting
+    return [u for d, g in _distinct_degree(f) for u in _equal_degree_split(g, d, rng)]
 
 
 def ff_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
@@ -506,34 +510,17 @@ def ff_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
 
 
 def ff_is_irreducible(f: FqPoly) -> bool:
-    """Rabin's irreducibility test over F_q."""
+    """Whether f is irreducible over F_q.
+
+    The monic f is irreducible when it is squarefree and its first
+    distinct-degree part is (deg f, f); a product of distinct factors of one
+    degree d comes out as the part (d, f) with d < deg f.
+    """
     n = f.degree
     if n < 1:
         return False
-    if n == 1:
-        return True
-    field = f.field
-    q = field.order
-    x = FqPoly.from_ints(field, [0, 1])
-    h = x.pow_mod(q ** n, f)
-    if not (h - x).is_zero():
-        return False
-    primes = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.add(m)
-    for ell in primes:
-        h = x.pow_mod(q ** (n // ell), f)
-        if (h - x).gcd(f).degree != 0:
-            return False
-    return True
+    f = f.monic()
+    return f.gcd(f.derivative()).degree == 0 and next(_distinct_degree(f)) == (n, f)
 
 
 def find_irreducible(p: int, n: int) -> tuple:

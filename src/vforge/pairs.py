@@ -14,6 +14,12 @@ a given chain valuation on Q[X], enumerates the equivalence classes of
 pairs built on the roots of a chain's last key, certifies minimality,
 and verifies the exact root identities tying consecutive chain keys
 together (resultant product, value sums, and root proximity).
+
+Every key of a chain is irreducible over Q_p, so v_p extends in exactly
+one way to the field of a key (``single_extension`` raises otherwise).
+The enumeration and the root identities work with that one extension;
+comparing centers carried by two different extensions of one field is
+left to ``pairs_equivalent``.
 """
 
 from __future__ import annotations
@@ -339,6 +345,22 @@ class CommonExtensionReport:
     checks: list[CheckOutcome] = field(default_factory=list)
     ok: bool = True
 
+    def add(self, outcome: CheckOutcome):
+        self.checks.append(outcome)
+        if not outcome.ok:
+            self.ok = False
+
+
+def single_extension(exts: list[ValuationExtension]) -> ValuationExtension:
+    """The one extension of v_p that ``extend_to_number_field`` found for a key.
+
+    A key polynomial of a chain is irreducible over Q_p, so v_p extends in
+    exactly one way to its field; any other count raises InvariantError.
+    """
+    if len(exts) != 1:
+        raise InvariantError(f"a key has exactly one extension of v_p, found {len(exts)}")
+    return exts[0]
+
 
 def _second_quadratic_root(m: Poly) -> Poly:
     # other root of a monic quadratic: -(trace) - Y
@@ -346,82 +368,46 @@ def _second_quadratic_root(m: Poly) -> Poly:
 
 
 def enumerate_common_extensions(
-    chain: Chain, samples: int = 100, rng: random.Random | None = None, exts=None
+    chain: Chain, samples: int = 100, rng: random.Random | None = None, ext=None
 ) -> CommonExtensionReport:
     """Classes of pairs (root of the last key, last distance invariant).
 
-    Builds one pair per extension of v_p to the field of the last key,
-    verifies that each restricts to the chain, groups pairs into
-    equivalence classes through the exact per-extension difference
-    profiles, and reports class sizes, the class count against the
-    distinct-root bound, and minimality of each class.  Each pair's
-    restriction check runs once, and the class leader's minimality is
-    read off that outcome.  ``exts`` is the result of
-    ``extend_to_number_field(chain.last_key, chain.p)`` when the caller
-    already has it; it is built here when None.
+    The last key is irreducible over Q_p, so v_p has one extension ``ext``
+    to its field and all its roots are conjugate.  One pair is built on the
+    root that extension tracks and its restriction to the chain is checked
+    once.  The balls of radius delta around the roots all have the size read
+    off the exact difference profile of that root, so they split the roots
+    into degree / size classes.  The report gives the class size and count,
+    the count against the distinct-root bound, and the minimality of the
+    pair, read off the restriction outcome.  ``ext`` is the result of
+    ``single_extension(extend_to_number_field(chain.last_key, chain.p))``
+    when the caller already has it; it is built here when None.
     """
     rng = rng or random.Random(0)
     m = chain.last_key
     delta = chain.epsilon(m)
     report = CommonExtensionReport(root_bound=m.degree)
-    if exts is None:
-        exts = extend_to_number_field(m, chain.p)
-    pairs = [PairOfDefinition(AlgebraicNumber(ext), delta) for ext in exts]
+    if ext is None:
+        ext = single_extension(extend_to_number_field(m, chain.p))
+    pair = PairOfDefinition(AlgebraicNumber(ext), delta)
+    restriction = common_extension_check(chain, pair, samples=samples, rng=rng)
+    restriction.name = f"common_extension.ext{ext.index}"
+    report.add(restriction)
 
-    restrictions = []
-    for ext, pair in zip(exts, pairs):
-        outcome = common_extension_check(chain, pair, samples=samples, rng=rng)
-        outcome.name = f"common_extension.ext{ext.index}"
-        restrictions.append(outcome)
-        report.checks.append(outcome)
-        if not outcome.ok:
-            report.ok = False
-
-    # ball sizes around each extension's roots, from exact difference profiles
-    sizes = []
-    for ext in exts:
-        profile = ext.difference_profile()
-        close = sum(1 for v in profile if Value(v) >= delta)
-        sizes.append(1 + close)
-
-    # group extensions whose clusters meet within delta
-    groups: list[list[int]] = []
-    assigned = [False] * len(exts)
-    for i in range(len(exts)):
-        if assigned[i]:
-            continue
-        group = [i]
-        assigned[i] = True
-        for j in range(i + 1, len(exts)):
-            if assigned[j]:
-                continue
-            if len(exts) > 1 and pairs_equivalent(pairs[i], pairs[j]):
-                group.append(j)
-                assigned[j] = True
-        groups.append(group)
-
-    total_classes = 0
-    for group in groups:
-        size = sizes[group[0]]
-        local = sum(exts[i].e * exts[i].f for i in group)
-        if any(sizes[i] != size for i in group) or local % size:
-            report.checks.append(
-                CheckOutcome(
-                    "class_partition",
-                    False,
-                    detail=f"ball sizes {[sizes[i] for i in group]} do not partition {local} roots",
-                )
-            )
-            report.ok = False
-            continue
-        count = local // size
-        total_classes += count
-        lead = group[0]
-        verdict = is_minimal_pair(pairs[lead], chain, restriction=restrictions[lead])
+    # the ball around a root: the root and the other roots within delta of it
+    size = 1 + sum(1 for v in ext.difference_profile() if Value(v) >= delta)
+    count, rest = divmod(m.degree, size)
+    if rest:
+        report.add(
+            CheckOutcome("class_partition", False, detail=f"ball sizes {[size]} do not partition {m.degree} roots")
+        )
+        count = 0
+    else:
+        verdict = is_minimal_pair(pair, chain, restriction=restriction)
         report.classes.append(
             PairClass(
-                extension_index=exts[lead].index,
-                representative=f"root of {m} tracked by extension {exts[lead].index}",
+                extension_index=ext.index,
+                representative=f"root of {m} tracked by extension {ext.index}",
                 size=size,
                 multiplicity=count,
                 minimal=verdict.minimal,
@@ -432,29 +418,20 @@ def enumerate_common_extensions(
             report.ok = False
         if count > 1 and m.degree == 2:
             # the conjugate root lives in the same field; check it separates
-            other = AlgebraicNumber(exts[lead], _second_quadratic_root(m))
-            sep = pairs_equivalent(PairOfDefinition(other, delta), pairs[lead])
-            report.checks.append(
-                CheckOutcome(
-                    "class_separation",
-                    not sep,
-                    detail="conjugate roots fall in distinct classes",
-                )
+            other = AlgebraicNumber(ext, _second_quadratic_root(m))
+            sep = pairs_equivalent(PairOfDefinition(other, delta), pair)
+            report.add(
+                CheckOutcome("class_separation", not sep, detail="conjugate roots fall in distinct classes")
             )
-            if sep:
-                report.ok = False
 
-    report.class_count = total_classes
-    bound_ok = total_classes <= m.degree
-    report.checks.append(
+    report.class_count = count
+    report.add(
         CheckOutcome(
             "class_count_bound",
-            bound_ok,
-            detail=f"{total_classes} classes <= {m.degree} distinct roots",
+            count <= m.degree,
+            detail=f"{count} classes <= {m.degree} distinct roots",
         )
     )
-    if not bound_ok:
-        report.ok = False
     return report
 
 
@@ -473,16 +450,16 @@ class RootLemmaReport:
             self.ok = False
 
 
-def verify_root_lemmas(chain: Chain, j: int, exts=None) -> RootLemmaReport:
+def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
     """Exact identities between the roots of keys at levels j and j+1.
 
     Checks the signed resultant product identity, the value sum of the
     level-j key over the next key's roots against s * b_j, the proximity
     of every next-level root to a level-j root, and the strict value drop
     at the integer centers -p..p that stay away from every level-j root.
-    ``exts`` holds the extensions of the chain's last key; they are used
-    when level j+1 is the last level, and the extensions of the level-(j+1)
-    key are built here otherwise.
+    ``ext`` is the one extension of v_p to the field of the chain's last
+    key; it is used when level j+1 is the last level, and the extension for
+    the level-(j+1) key is built here otherwise.
     """
     if not 0 <= j < len(chain.levels) - 1:
         raise IndexError("need a level with a successor")
@@ -538,26 +515,24 @@ def verify_root_lemmas(chain: Chain, j: int, exts=None) -> RootLemmaReport:
         )
     )
 
-    if exts is None or qnext != chain.last_key:
-        exts = extend_to_number_field(qnext, chain.p)
-    for ext in exts:
-        dists = ext.root_distances_to(qj)
-        best = max(dists)
-        report.add(
-            CheckOutcome(
-                f"root_proximity.ext{ext.index}",
-                best >= eps_j,
-                detail=f"closest level-{j} root at distance {best}",
-            )
+    if ext is None or qnext != chain.last_key:
+        ext = single_extension(extend_to_number_field(qnext, chain.p))
+    best = max(ext.root_distances_to(qj))
+    report.add(
+        CheckOutcome(
+            f"root_proximity.ext{ext.index}",
+            best >= eps_j,
+            detail=f"closest level-{j} root at distance {best}",
         )
-        got = ext.valuation(qj)
-        report.add(
-            CheckOutcome(
-                f"root_value.ext{ext.index}",
-                got == beta_j,
-                detail=f"v(Q_{j}(root)) = {got}, expected {beta_j}",
-            )
+    )
+    got = ext.valuation(qj)
+    report.add(
+        CheckOutcome(
+            f"root_value.ext{ext.index}",
+            got == beta_j,
+            detail=f"v(Q_{j}(root)) = {got}, expected {beta_j}",
         )
+    )
 
     for c in range(-chain.p, chain.p + 1):
         dists = root_values([padic_valuation(a, chain.p) for a in qj.shift(Fraction(c)).coeffs])

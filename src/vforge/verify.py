@@ -13,15 +13,16 @@ Reports are deterministic: the sampling is driven entirely by the seed,
 and checks are emitted in name order.  The JSON document and the text
 rendering carry the same data.  ``samples`` lies in 1..``MAX_SAMPLES``.
 
-A run builds the extensions of v_p to the field of the last key once and
-hands that one list to every check that needs it: the class enumeration,
-the root lemmas of the last level, the root-distance oracle, pair
-equivalence and the linear value set.  The checks therefore share each
-extension's lazily improved approximation.  That is safe: improvement only
-raises the precision of an exact answer, and it runs under the
-extension's lock.  Each root pair's restriction check also runs once, and
-its outcome decides the pair's minimality, so a failing restriction check
-is never re-sampled into a "minimal" verdict.
+The last key of a chain is irreducible over Q_p, so v_p has exactly one
+extension to its field.  A run builds that extension once and hands it to
+every check that needs it: the class enumeration, the root lemmas of the
+last level, the root-distance oracle, pair equivalence and the linear
+value set.  The checks therefore share the extension's lazily improved
+approximation.  That is safe: improvement only raises the precision of an
+exact answer, and it runs under the extension's lock.  The root pair's
+restriction check also runs once, and its outcome decides the pair's
+minimality, so a failing restriction check is never re-sampled into a
+"minimal" verdict.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .pairs import (
     enumerate_common_extensions,
     pair_eval,
     pairs_equivalent,
+    single_extension,
     verify_root_lemmas,
 )
 from .polynomials import Poly
@@ -118,10 +120,10 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_epsilon_distance(report, chain, exts, rng, samples):
+def _check_epsilon_distance(report, chain, ext, rng, samples):
     """Growth invariant equals the largest root distance, by the oracle."""
     delta = chain.epsilon(chain.last_key)
-    center = AlgebraicNumber(exts[0])
+    center = AlgebraicNumber(ext)
     bad = None
     count = 0
     for _ in range(samples):
@@ -142,7 +144,7 @@ def _check_epsilon_distance(report, chain, exts, rng, samples):
     )
 
 
-def _check_pair_equivalence(report, chain, exts):
+def _check_pair_equivalence(report, chain, ext):
     """Both directions of the pair equivalence criterion on conjugate roots."""
     m = chain.last_key
     if m.degree != 2:
@@ -156,7 +158,6 @@ def _check_pair_equivalence(report, chain, exts):
         )
         return
     delta = chain.epsilon(m)
-    ext = exts[0]
     gen = AlgebraicNumber(ext)
     other = AlgebraicNumber(ext, _second_quadratic_root(m))
     p1 = PairOfDefinition(gen, delta)
@@ -199,10 +200,10 @@ def _check_pair_equivalence(report, chain, exts):
         )
 
 
-def _check_linear_value_set(report, chain, exts, rng, samples):
+def _check_linear_value_set(report, chain, ext, rng, samples):
     """Values of X - c: bounded by delta, with the maximum pinned at the center."""
     delta = chain.epsilon(chain.last_key)
-    pair = PairOfDefinition(AlgebraicNumber(exts[0]), delta)
+    pair = PairOfDefinition(AlgebraicNumber(ext), delta)
     over = None
     tau_seen = []
     cs = list(range(-chain.p - 2, chain.p + 3))
@@ -223,7 +224,7 @@ def _check_linear_value_set(report, chain, exts, rng, samples):
         )
     )
     if chain.classify() == VALUE_TRANSCENDENTAL:
-        vx, _ = pair_eval(pair, FieldPoly(exts[0], [-pair.center.rep, Poly((1,))]))
+        vx, _ = pair_eval(pair, FieldPoly(ext, [-pair.center.rep, Poly((1,))]))
         report.add(
             CheckOutcome(
                 "infinitesimal_maximum_unique",
@@ -243,8 +244,8 @@ def _suite_lemmas(report, chain, rng, samples):
             f"value group generator {data.group_generator if data.group_generator is not None else 'rank 2'}",
         )
     )
-    exts = extend_to_number_field(chain.last_key, chain.p)
-    enum = enumerate_common_extensions(chain, samples=samples, rng=rng, exts=exts)
+    ext = single_extension(extend_to_number_field(chain.last_key, chain.p))
+    enum = enumerate_common_extensions(chain, samples=samples, rng=rng, ext=ext)
     report.classes = enum.classes
     for outcome in enum.checks:
         outcome.name = "extension_classes." + outcome.name
@@ -258,13 +259,13 @@ def _suite_lemmas(report, chain, rng, samples):
             )
         )
     for j in range(len(chain.levels) - 1):
-        sub = verify_root_lemmas(chain, j, exts=exts)
+        sub = verify_root_lemmas(chain, j, ext=ext)
         for outcome in sub.checks:
             outcome.name = f"level{j}." + outcome.name
             report.add(outcome)
-    _check_epsilon_distance(report, chain, exts, rng, max(10, samples // 4))
-    _check_pair_equivalence(report, chain, exts)
-    _check_linear_value_set(report, chain, exts, rng, samples)
+    _check_epsilon_distance(report, chain, ext, rng, max(10, samples // 4))
+    _check_pair_equivalence(report, chain, ext)
+    _check_linear_value_set(report, chain, ext, rng, samples)
 
 
 def _suite_props(report, chain, rng, samples):

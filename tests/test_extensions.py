@@ -189,6 +189,19 @@ def test_algebraic_valuation_examples():
     assert vals == ["1", "5"]  # the root congruent to 9 mod 32 gives 5
 
 
+@pytest.mark.parametrize(
+    "mtxt,rep,minimal",
+    [
+        ("X^2 - 2", "1 + X", "X^2 - 2X - 1"),
+        ("X^4 - 2", "X^2", "X^2 - 2"),  # characteristic polynomial (X^2 - 2)^2
+        ("X^4 - 2", "X^3 + X", "X^4 - 8X^2 - 2"),
+    ],
+)
+def test_minimal_polynomial_of_a_general_element(mtxt, rep, minimal):
+    ext = extend_to_number_field(P(mtxt), 3)[0]
+    assert AlgebraicNumber(ext, P(rep)).minimal_polynomial() == P(minimal)
+
+
 def test_valuation_is_a_valuation_per_extension():
     rng = random.Random(37)
     for mtxt, p in [("X^2 - 2", 2), ("X^2 + X + 1", 2), ("X^3 - 2", 2), ("X^2 + 1", 3)]:

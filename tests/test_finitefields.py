@@ -63,6 +63,40 @@ def test_factor_refolds_and_is_deterministic():
                 assert ff_is_irreducible(u)
 
 
+def rabin_is_irreducible(f):
+    """Rabin's test: x^(q^n) = x mod f, and x^(q^(n/l)) - x is prime to f for
+    each prime l dividing n = deg f."""
+    n = f.degree
+    if n < 1:
+        return False
+    q = f.field.order
+    x = FqPoly.from_ints(f.field, [0, 1])
+    if not ((x.pow_mod(q**n, f) - x) % f).is_zero():
+        return False
+    primes = [ell for ell in range(2, n + 1) if n % ell == 0 and all(ell % k for k in range(2, ell))]
+    return all((x.pow_mod(q ** (n // ell), f) - x).gcd(f).degree == 0 for ell in primes)
+
+
+def test_irreducibility_matches_rabin():
+    rng = random.Random(41)
+    fields = [FiniteField(p) for p in (2, 3, 5, 7)]
+    fields += [FiniteField(p, find_irreducible(p, k)) for p, k in ((2, 2), (2, 3), (3, 2))]
+    for fld in fields:
+        for _ in range(60):
+            deg = rng.randint(1, 6)
+            cc = [fld.element([rng.randrange(fld.p) for _ in range(fld.degree)]) for _ in range(deg + 1)]
+            if cc[-1].is_zero():
+                cc[-1] = fld.one
+            f = FqPoly(fld, cc)
+            assert ff_is_irreducible(f) == rabin_is_irreducible(f), f
+    # products of distinct irreducibles of one degree are one distinct-degree part
+    F2, F3 = FiniteField(2), FiniteField(3)
+    for fld, a, b in ((F2, [1, 1, 0, 1], [1, 0, 1, 1]), (F3, [1, 0, 1], [2, 1, 1])):
+        f = FqPoly.from_ints(fld, a) * FqPoly.from_ints(fld, b)
+        assert rabin_is_irreducible(FqPoly.from_ints(fld, a)) and rabin_is_irreducible(FqPoly.from_ints(fld, b))
+        assert not ff_is_irreducible(f) and not rabin_is_irreducible(f)
+
+
 def test_tower_flattening_roundtrip():
     F2 = FiniteField(2)
     ext1 = FieldExtension(F2, FqPoly.from_ints(F2, [1, 1, 1]))

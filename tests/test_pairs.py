@@ -243,6 +243,22 @@ def test_enumeration_respects_bound_everywhere(corpus):
             assert cls.center_degree == chain.degree, name
 
 
+def test_a_key_with_two_extensions_is_an_invariant_error(c2, monkeypatch):
+    # X^2 - 17 splits over Q_2: two extensions, so it cannot be a key, and
+    # both the helper and the enumeration refuse it instead of reading one
+    import vforge.pairs as pairs_mod
+    from vforge import InvariantError
+    from vforge.pairs import single_extension
+
+    split = extend_to_number_field(P("X^2 - 17"), 2)
+    assert single_extension(split[:1]) is split[0]
+    with pytest.raises(InvariantError, match="found 2"):
+        single_extension(split)
+    monkeypatch.setattr(pairs_mod, "extend_to_number_field", lambda m, p: split)
+    with pytest.raises(InvariantError, match="found 2"):
+        enumerate_common_extensions(c2, samples=5)
+
+
 # -- root identities --------------------------------------------------------------------------
 
 

@@ -149,6 +149,44 @@ def test_resultant_swap_and_multiplicativity():
         assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
 
 
+def sylvester_resultant(f, g):
+    """Determinant of the Sylvester matrix of f and g, by exact elimination."""
+    m, n = f.degree, g.degree
+    a, b = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    rows = [[F(0)] * k + a + [F(0)] * (n - 1 - k) for k in range(n)]
+    rows += [[F(0)] * k + b + [F(0)] * (m - 1 - k) for k in range(m)]
+    det = F(1)
+    for col in range(m + n):
+        pivot = next((r for r in range(col, m + n) if rows[r][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, m + n):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def test_resultant_matches_sylvester_determinant_at_odd_degrees():
+    # g = q f + r with deg f, deg r and deg g odd: the first Euclidean step
+    # leaves a remainder of odd degree, which flips the sign
+    rng = random.Random(29)
+
+    def poly_of_degree(deg):
+        cc = [F(rng.randint(-9, 9)) for _ in range(deg)]
+        return Poly(cc + [F(rng.choice([-3, -2, -1, 1, 2, 3]))])
+
+    for _ in range(150):
+        f = poly_of_degree(rng.choice([3, 5]))
+        r = poly_of_degree(rng.randrange(1, f.degree, 2))
+        g = poly_of_degree(rng.choice([0, 2])) * f + r
+        assert resultant(f, g) == sylvester_resultant(f, g), (f, g)
+        assert resultant(g, f) == sylvester_resultant(g, f), (f, g)
+
+
 def test_resultant_root_product():
     # product formula against explicitly known roots: f = (X-1)(X-2)(X+3)
     f = P("X - 1") * P("X - 2") * P("X + 3")
