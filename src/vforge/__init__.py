@@ -16,7 +16,7 @@ from .extensions import (
 )
 from .finitefields import FiniteField, FieldExtension, FqPoly, ff_factor, ff_is_irreducible
 from .maclane import Chain, ChainError, ChainParseError, InvariantError, KeyCertificate
-from .newton import NewtonPolygon, root_valuations
+from .newton import NewtonPolygon
 from .pairs import (
     FieldPoly,
     PairOfDefinition,
@@ -78,7 +78,6 @@ __all__ = [
     "q_expansion",
     "resultant",
     "root_difference_valuations",
-    "root_valuations",
     "run_suite",
     "value_max",
     "value_min",

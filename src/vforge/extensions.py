@@ -15,7 +15,8 @@ expansion is the strict unique minimum, which pins the exact value.
 Improvement is guarded by a lock, so concurrent valuation queries on a
 shared extension are safe.  The values of the Taylor coefficients of
 f(a + T) come from one shift at the center (``taylor_values``), and the
-root-distance multisets read them through ``newton.root_values``.
+root-distance multisets read them through ``newton.root_values``; the
+multisets of polynomials over Q read ``newton.padic_root_values``.
 
 The minimal polynomial is first proved irreducible over Q by factoring
 it with Zassenhaus's algorithm (``rational_factor_list``).
@@ -42,7 +43,7 @@ from .finitefields import (
     ff_factor,
 )
 from .maclane import Chain, InvariantError, _term_minimum
-from .newton import NewtonPolygon, root_values
+from .newton import NewtonPolygon, _padic_points, padic_root_values, root_values
 from .polynomials import Poly, difference_resultant, padic_valuation
 from .values import INFINITY, Value
 
@@ -378,13 +379,9 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
         raise ValueError("minimal polynomial must be p-integral")
 
     roots: list[Chain] = []
-    base_points = [(j, padic_valuation(c, p).r) for j, c in enumerate(m.coeffs) if c != 0]
-    base_polygon = NewtonPolygon(base_points)
-    seeds = []
-    for slope, _length in base_polygon.slopes():
-        lam = -slope
-        seeds.append(Chain(p, Poly((0, 1)), Value(lam)))
-    queue = seeds
+    lams = [-slope for slope, _length in NewtonPolygon(_padic_points(m, p)).slopes()]
+    first = Chain(p, Poly((0, 1)), Value(lams[0]))  # proves p prime, once
+    queue = [first] + [first._reseeded(Value(lam)) for lam in lams[1:]]
     while queue:
         branch = queue.pop()
         if _is_isolated(branch, m):
@@ -416,8 +413,7 @@ def root_difference_valuations(m1: Poly, m2: Poly, p: int) -> list:
     """
     m1 = Poly.of(m1)
     m2 = Poly.of(m2)
-    res = difference_resultant(m1, m2)
-    out = root_values([padic_valuation(c, p) for c in res.coeffs])
+    out = padic_root_values(difference_resultant(m1, m2), p)
     if m1 == m2:
         out = out[m1.degree:]  # remove the diagonal pairs a == a, listed first
     out.sort()
@@ -470,8 +466,7 @@ def delta_via_roots(center: AlgebraicNumber, delta: Value, f: Poly) -> Value:
     if not f.is_monic():
         raise ValueError("oracle expects a monic polynomial")
     mc = center.minimal_polynomial()
-    res = difference_resultant(mc, f)
-    diffs = root_values([padic_valuation(c, center.ext.p) for c in res.coeffs])
+    diffs = padic_root_values(difference_resultant(mc, f), center.ext.p)
     if not diffs:
         raise ValueError("no root differences available")
     return max(delta if v >= delta else v for v in diffs)

@@ -211,6 +211,12 @@ class Chain:
         obj.levels = tuple(levels)
         return obj
 
+    def _reseeded(self, beta: Value) -> "Chain":
+        """The one-level chain (Q_0, beta) on this chain's first key; it
+        reuses the prime already checked and the prime field."""
+        first = self.levels[0]
+        return self._clone_with((self._build_level(first.key, beta, 1, first.res_field),))
+
     def augment(self, key: Poly, beta: Value) -> "Chain":
         """Append a validated level (key, beta); returns a new chain."""
         key = Poly.of(key)
@@ -428,12 +434,19 @@ class Chain:
         """Graded image of f at level i: (fbar, i0, j0, vnum).
 
         vnum is the value of f as an int numerator over the level's
-        ``denom``; at an infinitesimal level it is the Value itself.
+        ``denom``; at an infinitesimal level it is the Value itself.  Above
+        level 0 each digit is expanded once: its value is the last entry of
+        its own graded image one level down.
         """
         level = self.levels[i]
         k = level.res_field
         e = level.rel_denom
-        terms = self._terms(f, level.key, i - 1)
+        if i == 0 or level.tau:
+            terms = self._terms(f, level.key, i - 1)
+        else:
+            digits = enumerate(q_expansion(f, level.key))
+            images = [(j, self._graded_reduce(i - 1, d)) for j, d in digits if d.num]
+            terms = [(j, image, image[3]) for j, image in images]
         if not terms:
             raise ValueError("graded reduction of zero")
         vmin, achieving = _term_minimum(terms, level)
@@ -450,7 +463,7 @@ class Chain:
             if i == 0:
                 coeffs[m] = k.from_int(self._residue_scalar(Fraction(c, f.den), n))
             else:
-                c1, i1, j1, _ = self._graded_reduce(i - 1, c)
+                c1, i1, j1, _ = c
                 cbar, texp = self._graded_map(i, c1, i1, j1)
                 if texp != j0 - m * level.numer:
                     raise InvariantError("graded bookkeeping out of step")

@@ -6,10 +6,12 @@ counted with horizontal length, give the p-adic valuations of the nonzero
 roots of f; the order of vanishing at 0 is dropped before building the
 hull so the slope lengths always sum to deg f minus that order.
 
-``root_values`` is the one place that turns per-coefficient values, of a
-polynomial over Q or over a valued number field such as the Taylor
-coefficients of f(a + T), into the root values with multiplicity: the
-roots at 0 first, as infinity, then the polygon's values.
+``padic_root_values`` reads the root values of a polynomial over Q off the
+points (j, v_p(num_j)) of its int numerators: the common denominator shifts
+every point alike and moves no slope.  ``root_values`` does the same from
+per-coefficient values over a valued number field, such as the Taylor
+coefficients of f(a + T).  Both list the roots at 0 first, as infinity,
+then the polygon's values.
 
 The same hull is reused by the chain machinery for polygons of key
 expansions, so the constructor also accepts an arbitrary point cloud.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomials import Poly, padic_valuation
+from .polynomials import Poly, _p_order
 from .values import INFINITY, Value
 
 
@@ -39,24 +41,16 @@ def lower_hull(points):
 
 
 class NewtonPolygon:
-    """Lower hull vertices plus the multiset of (slope, length) faces."""
+    """Lower hull vertices plus the multiset of (slope, length) faces.
+
+    Points are (int, int or Fraction) pairs with distinct x.
+    """
 
     def __init__(self, points):
-        pts = sorted((int(x), Fraction(y)) for x, y in points)
+        pts = sorted(points)
         if not pts:
             raise ValueError("polygon needs at least one point")
         self.vertices = lower_hull(pts)
-
-    @classmethod
-    def of_poly(cls, f: Poly, p: int) -> "NewtonPolygon":
-        f = Poly.of(f)
-        if f.is_zero():
-            raise ValueError("polygon of the zero polynomial is not defined")
-        pts = []
-        for j, c in enumerate(f.coeffs):
-            if c != 0:
-                pts.append((j, padic_valuation(c, p).r))
-        return cls(pts)
 
     def slopes(self):
         """Faces as (slope, length), slopes weakly increasing along the hull."""
@@ -77,9 +71,22 @@ class NewtonPolygon:
         return f"NewtonPolygon(vertices={self.vertices})"
 
 
-def root_valuations(f: Poly, p: int) -> list[Fraction]:
-    """Multiset of v_p over the nonzero roots of f, via the Newton polygon."""
-    return NewtonPolygon.of_poly(f, p).root_valuations()
+def _root_values(pts) -> list[Value]:
+    """INFINITY once per root at 0 (per x below the first point's), then
+    the values of the nonzero roots from the polygon of pts, ascending."""
+    vals = NewtonPolygon(pts).root_valuations()
+    return [INFINITY] * pts[0][0] + [Value._exact(v) for v in vals]
+
+
+def _padic_points(f: Poly, p: int) -> list:
+    """The points (j, v_p(num_j)) over the nonzero int numerators of f."""
+    return [(j, _p_order(n, p)) for j, n in enumerate(f.num) if n]
+
+
+def padic_root_values(f: Poly, p: int) -> list[Value]:
+    """Values v_p of the roots of the nonzero f over Q, one per root with
+    multiplicity: INFINITY once per root at 0, then ascending."""
+    return _root_values(_padic_points(f, p))
 
 
 def root_values(values) -> list[Value]:
@@ -90,8 +97,4 @@ def root_values(values) -> list[Value]:
     INFINITY once per root at 0 (the leading run of infinite values), then
     the values of the nonzero roots from the lower polygon, ascending.
     """
-    order = 0
-    while values[order].infinite:
-        order += 1
-    pts = [(j, v.r) for j, v in enumerate(values) if not v.infinite]
-    return [INFINITY] * order + [Value._exact(v) for v in NewtonPolygon(pts).root_valuations()]
+    return _root_values([(j, v.r) for j, v in enumerate(values) if not v.infinite])

@@ -35,7 +35,7 @@ from .extensions import (
     root_difference_valuations,
 )
 from .maclane import Chain, InvariantError
-from .newton import NewtonPolygon, root_values
+from .newton import padic_root_values
 from .polynomials import (
     Poly,
     composed_value_poly,
@@ -110,8 +110,10 @@ def _cross_difference_multiset(e1: ValuationExtension, e2: ValuationExtension):
     p = e1.p
 
     def multiset():
+        # roots the two keys share (as when both branches still carry the
+        # same key) are infinite entries and drop out
         res = difference_resultant(e1.chain.last_key, e2.chain.last_key)
-        return NewtonPolygon.of_poly(res, p).root_valuations()
+        return [v.r for v in padic_root_values(res, p) if not v.infinite]
 
     for _ in range(MAX_SEPARATION_ROUNDS):
         current = multiset()
@@ -484,7 +486,7 @@ def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
         )
     )
 
-    roots = root_values([padic_valuation(c, chain.p) for c in composed_value_poly(qnext, qj).coeffs])
+    roots = padic_root_values(composed_value_poly(qnext, qj), chain.p)
     vals = [v.r for v in roots if not v.infinite]
     total = sum(vals, Fraction(0))
     ok = len(vals) == len(roots) == s and total == s * beta_j.r
@@ -535,7 +537,7 @@ def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
     )
 
     for c in range(-chain.p, chain.p + 1):
-        dists = root_values([padic_valuation(a, chain.p) for a in qj.shift(Fraction(c)).coeffs])
+        dists = padic_root_values(qj.shift(c), chain.p)
         if dists[0].infinite:
             continue  # c is a root of the level-j key
         if max(dists) < eps_j:

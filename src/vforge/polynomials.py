@@ -9,13 +9,13 @@ only.  Sums, products, division, Taylor shifts and divided derivatives
 run on Python ints: division by any divisor G is one pseudo-division
 ``lc(G)^k * F = Q * G + R`` on the numerators (von zur Gathen-Gerhard,
 *Modern Computer Algebra*, ch. 3 and 6), which costs no growth for the
-monic integral keys of a chain.  The special resultants
-``difference_resultant`` and ``composed_value_poly`` run on ints too: they
-go from power sums of scaled roots back to a polynomial by Newton's
-identities (composed sums and products, Bostan-Flajolet-Salvy-Schost,
-*J. Symbolic Comput.* 41, 2006).  ``coeffs``, indexing, iteration and
-``leading()`` give Fractions, built on demand.  Nothing in this package
-ever touches floating point.
+monic integral keys of a chain.  The resultants run on ints too:
+``difference_resultant`` and ``composed_value_poly`` go from power sums of
+scaled roots back to a polynomial by Newton's identities (composed sums
+and products, Bostan-Flajolet-Salvy-Schost, *J. Symbolic Comput.* 41,
+2006), and ``resultant`` is the composed value polynomial at 0, up to
+sign.  ``coeffs``, indexing, iteration and ``leading()`` give Fractions,
+built on demand.  Nothing in this package ever touches floating point.
 
 The text syntax accepted by ``Poly.parse`` covers integer and rational
 coefficients, ``^`` powers and a single variable letter (``X`` by
@@ -468,35 +468,6 @@ def q_expansion(f: Poly, q: Poly) -> list[Poly]:
     return digits or [Poly()]
 
 
-def resultant(f: Poly, g: Poly) -> Fraction:
-    """Res(f, g) = lc(f)^deg(g) * product of g over the roots of f.
-
-    Computed by the Euclidean method over Q; both inputs must be nonzero.
-    """
-    f = Poly.of(f)
-    g = Poly.of(g)
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant of the zero polynomial is not defined")
-    acc = Fraction(1)
-    while True:
-        if f.degree == 0:
-            return acc * f.leading() ** g.degree
-        if g.degree == 0:
-            return acc * g.leading() ** f.degree
-        if f.degree > g.degree:
-            if (f.degree * g.degree) % 2 == 1:
-                acc = -acc
-            f, g = g, f
-        # now 1 <= deg f <= deg g; Res(f, g) = lc(f)^(deg g - deg r) Res(f, r)
-        r = g % f
-        if r.is_zero():
-            return Fraction(0)
-        acc *= f.leading() ** (g.degree - r.degree)
-        if (f.degree * r.degree) % 2 == 1:
-            acc = -acc
-        f, g = r, f
-
-
 def _scaled_monic(num) -> list:
     """The monic int polynomial whose roots are lc * alpha over the roots
     alpha of the int polynomial num (lc = num[-1]): lc^(n-1) * num(Y / lc)."""
@@ -600,3 +571,16 @@ def composed_value_poly(a: Poly, b: Poly) -> Poly:
         r = r * B % g
         P.append(sum(c * s[j] for j, c in enumerate(r.num)))
     return _unscaled(_from_power_sums(P, n), t, la**m, a.den**m)
+
+
+def resultant(f: Poly, g: Poly) -> Fraction:
+    """Res(f, g) = lc(f)^deg(g) * product of g over the roots of f.
+
+    Read off the composed value polynomial at 0, which is
+    lc(f)^deg(g) * prod (-g(alpha)); both inputs must be nonzero.
+    """
+    f = Poly.of(f)
+    g = Poly.of(g)
+    if g.is_zero():
+        raise ValueError("resultant of the zero polynomial is not defined")
+    return (-1) ** f.degree * composed_value_poly(f, g)[0]

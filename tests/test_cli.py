@@ -61,6 +61,43 @@ def test_extend_command(capsys):
     assert data["extensions"][0]["e"] == 3 and data["extensions"][0]["f"] == 1
 
 
+def test_eval_and_epsilon_json(chain_files, capsys):
+    code, out, err = run(capsys, ["eval", "--chain", chain_files["c3"], "--poly", "X^2-2",
+                                  "--format", "json"])
+    assert (code, json.loads(out), err) == (0, {"value": "3/2 + 1t"}, "")
+    code, out, err = run(capsys, ["epsilon", "--chain", chain_files["c2"], "--poly", "X^2-2",
+                                  "--format", "json"])
+    assert (code, json.loads(out), err) == (0, {"epsilon": "3/4"}, "")
+
+
+def test_extend_linear_minimal_polynomial(capsys):
+    code, out, err = run(capsys, ["extend", "-p", "3", "--min-poly", "X - 1/3"])
+    assert (code, err) == (0, "")
+    assert out == "1 extension(s) of v_3 to Q[Y]/(Y - 1/3)\n  #0: e = 1, f = 1\n      rational root 1/3\n"
+    code, out, err = run(capsys, ["extend", "-p", "3", "--min-poly", "X - 1/3", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "count": 1,
+        "extensions": [{"index": 0, "e": 1, "f": 1, "chain": None, "rational_root": "1/3"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--min-poly", "2X^2 + 1"], "minimal polynomial must be monic"),
+        (["--min-poly", "X^2 + 1/2"], "minimal polynomial must be p-integral"),
+        (["--min-poly", "X^9 + X^4 + 1", "--degree-bound", "9"],
+         "residue field F_2^9 exceeds the degree limit 8"),
+    ],
+    ids=["not-monic", "not-p-integral", "residue-degree"],
+)
+def test_extend_limit_errors_exit_2(capsys, argv, message):
+    # the residue-degree message is FieldSizeError's (finitefields.MAX_TOWER_DEGREE)
+    code, out, err = run(capsys, ["extend", "-p", "2"] + argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_extend_reducible_exit_code(capsys):
     code, _, err = run(capsys, ["extend", "-p", "2", "--min-poly", "X^2-4"])
     assert code == 4

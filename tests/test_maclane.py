@@ -316,6 +316,37 @@ def test_one_level_refine_reuses_the_checked_prime(monkeypatch):
     assert err.value.code == "chain.center"
 
 
+def test_extension_search_proves_its_prime_once(monkeypatch):
+    # X^2 + pX + p^3 has two polygon faces, so the search starts from two
+    # seed chains; only the first proves p prime
+    import vforge.maclane as maclane
+    from vforge.extensions import extend_to_number_field
+
+    p = maclane.MAX_PRIME
+    calls = []
+    real = maclane.prime_error
+    monkeypatch.setattr(maclane, "prime_error", lambda q: calls.append(q) or real(q))
+    exts = extend_to_number_field(P(f"X^2 + {p}X + {p**3}"), p)
+    assert sorted(ext.chain.levels[0].beta for ext in exts) == [Value(1), Value(2)]
+    assert calls == [p]
+
+
+def test_residual_expands_each_digit_once(monkeypatch, corpus):
+    # level 2 expands f in Q_2 once, and each nonzero digit in Q_1 once;
+    # level 0 reads a Taylor shift and expands nothing
+    import vforge.maclane as maclane
+
+    chain = corpus["c6"]
+    rng = random.Random(12)
+    for f in [rand_poly(rng, 14, 30) for _ in range(10)]:
+        digits = [d for d in q_expansion(f, chain.last_key) if not d.is_zero()]
+        calls = []
+        monkeypatch.setattr(maclane, "q_expansion", lambda g, q: calls.append(q) or q_expansion(g, q))
+        chain.residual_polynomial(f)
+        monkeypatch.undo()
+        assert calls == [chain.last_key] + [chain.levels[1].key] * len(digits), f
+
+
 def test_refine_needs_a_key_at_the_last_value():
     chain = Chain.from_levels(3, [(P("X"), Value(0)), (P("X^2 + 1"), Value(F(1, 2)))])
     # X^2 + X + 2 takes 0 < 1/2: not equivalent to the last key over the prefix

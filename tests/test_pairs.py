@@ -18,6 +18,7 @@ from vforge import (
     extend_to_number_field,
     hasse_derivative,
     is_minimal_pair,
+    padic_valuation,
     pair_eval,
     pairs_equivalent,
     root_difference_valuations,
@@ -386,7 +387,8 @@ def _resultant_roots(res, p):
     order = 0
     while res[order] == 0:
         order += 1
-    return [INFINITY] * order + [Value(v) for v in NewtonPolygon.of_poly(res, p).root_valuations()]
+    pts = [(j, padic_valuation(c, p).r) for j, c in enumerate(res.coeffs) if c]
+    return [INFINITY] * order + [Value(v) for v in NewtonPolygon(pts).root_valuations()]
 
 
 def _per_j_root_differences(m1, m2, p):

@@ -5,16 +5,19 @@ from math import comb
 import pytest
 
 from vforge import (
+    INFINITY,
     NewtonPolygon,
     Poly,
     PolyParseError,
+    Value,
     composed_value_poly,
     difference_resultant,
     hasse_derivative,
+    padic_valuation,
     q_expansion,
     resultant,
-    root_valuations,
 )
+from vforge.newton import padic_root_values
 from vforge.polynomials import MAX_DEGREE
 
 P = Poly.parse
@@ -171,8 +174,8 @@ def sylvester_resultant(f, g):
 
 
 def test_resultant_matches_sylvester_determinant_at_odd_degrees():
-    # g = q f + r with deg f, deg r and deg g odd: the first Euclidean step
-    # leaves a remainder of odd degree, which flips the sign
+    # g = q f + r with deg f, deg r and deg g odd: Res(f, g) = -Res(g, f),
+    # and the sign (-1)^deg f of the composed value polynomial at 0 matters
     rng = random.Random(29)
 
     def poly_of_degree(deg):
@@ -205,13 +208,15 @@ def test_composed_value_poly():
 
 
 def test_newton_examples():
-    assert root_valuations(P("X^2 - 2"), 2) == [F(1, 2), F(1, 2)]
-    assert root_valuations(P("X^2 - 17"), 2) == [F(0), F(0)]
-    assert root_valuations(P("X^4 - 8X^2"), 2) == [F(3, 2), F(3, 2)]
+    assert padic_root_values(P("X^2 - 2"), 2) == [Value(F(1, 2))] * 2
+    assert padic_root_values(P("X^2 - 17"), 2) == [Value(0)] * 2
+    assert padic_root_values(P("X^4 - 8X^2"), 2) == [INFINITY] * 2 + [Value(F(3, 2))] * 2
 
 
 def test_newton_vertices_and_slopes():
-    ngon = NewtonPolygon.of_poly(P("X^6 + 2X^4 + 8X + 16"), 2)
+    # X^6 + 2X^4 + 8X + 16 at p = 2
+    ngon = NewtonPolygon([(6, 0), (4, 1), (1, 3), (0, 4)])
+    assert ngon.vertices == [(0, 4), (1, 3), (4, 1), (6, 0)]
     slopes = ngon.slopes()
     assert [length for _, length in slopes] == [1, 3, 2]
     assert all(s1 <= s2 for (s1, _), (s2, _) in zip(slopes, slopes[1:]))
@@ -225,9 +230,30 @@ def test_newton_multiset_multiplicative():
             g = rand_poly(rng, 4)
             if f.is_zero() or g.is_zero() or f[0] == 0 or g[0] == 0:
                 continue
-            lhs = sorted(root_valuations(f * g, p))
-            rhs = sorted(root_valuations(f, p) + root_valuations(g, p))
+            lhs = padic_root_values(f * g, p)
+            rhs = sorted(padic_root_values(f, p) + padic_root_values(g, p))
             assert lhs == rhs
+
+
+def test_padic_root_values_match_fraction_hull():
+    # the int numerators against per-coefficient Fraction values: p in the
+    # denominators shifts every point alike, and roots at 0 lead as infinity
+    rng = random.Random(31)
+    seen_zero_root = seen_p_denominator = False
+    for p in (2, 3, 5):
+        for _ in range(60):
+            f = rand_rational_poly(rng, 6) * P("X") ** rng.choice((0, 0, 1, 2))
+            if f.is_zero():
+                continue
+            seen_zero_root |= f[0] == 0
+            seen_p_denominator |= f.den % p == 0
+            pts = [(j, padic_valuation(c, p).r) for j, c in enumerate(f.coeffs) if c]
+            zeros = next(j for j, c in enumerate(f.coeffs) if c)
+            expected = [INFINITY] * zeros + [Value(v) for v in NewtonPolygon(pts).root_valuations()]
+            assert padic_root_values(f, p) == expected, (f, p)
+    assert seen_zero_root and seen_p_denominator
+    with pytest.raises(ValueError):
+        padic_root_values(Poly(), 2)
 
 
 def test_difference_resultant_root_set():
@@ -397,7 +423,7 @@ def ref_composed_value_poly(a, b):
     samples = []
     for z in range(a.degree + 1):
         shifted = Poly((z,)) - b
-        samples.append((z, F(0) if shifted.is_zero() else resultant(a, shifted)))
+        samples.append((z, F(0) if shifted.is_zero() else sylvester_resultant(a, shifted)))
     return ref_interpolate(samples)
 
 
@@ -427,6 +453,13 @@ def test_special_resultants_match_sampling_reference():
     for a, b in inputs:
         assert difference_resultant(a, b) == ref_difference_resultant(a, b), (a, b)
         assert composed_value_poly(a, b) == ref_composed_value_poly(a, b), (a, b)
+
+
+def test_resultant_matches_sylvester_on_special_resultant_inputs():
+    # degree 0, non-monic, rational and shared-root inputs, both orders
+    for a, b in special_resultant_inputs(random.Random(53)):
+        assert resultant(a, b) == sylvester_resultant(a, b), (a, b)
+        assert resultant(b, a) == sylvester_resultant(b, a), (a, b)
 
 
 def test_composed_value_poly_of_zero_on_a_constant():
