@@ -380,8 +380,7 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
 
     roots: list[Chain] = []
     lams = [-slope for slope, _length in NewtonPolygon(_padic_points(m, p)).slopes()]
-    first = Chain(p, Poly((0, 1)), Value(lams[0]))  # proves p prime, once
-    queue = [first] + [first._reseeded(Value(lam)) for lam in lams[1:]]
+    queue = [Chain(p, Poly((0, 1)), Value(lam)) for lam in lams]
     while queue:
         branch = queue.pop()
         if _is_isolated(branch, m):

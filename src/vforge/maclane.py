@@ -211,12 +211,6 @@ class Chain:
         obj.levels = tuple(levels)
         return obj
 
-    def _reseeded(self, beta: Value) -> "Chain":
-        """The one-level chain (Q_0, beta) on this chain's first key; it
-        reuses the prime already checked and the prime field."""
-        first = self.levels[0]
-        return self._clone_with((self._build_level(first.key, beta, 1, first.res_field),))
-
     def augment(self, key: Poly, beta: Value) -> "Chain":
         """Append a validated level (key, beta); returns a new chain."""
         key = Poly.of(key)

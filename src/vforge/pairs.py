@@ -35,7 +35,7 @@ from .extensions import (
     root_difference_valuations,
 )
 from .maclane import Chain, InvariantError
-from .newton import padic_root_values
+from .newton import NewtonPolygon, _padic_points, padic_root_values
 from .polynomials import (
     Poly,
     composed_value_poly,
@@ -110,10 +110,8 @@ def _cross_difference_multiset(e1: ValuationExtension, e2: ValuationExtension):
     p = e1.p
 
     def multiset():
-        # roots the two keys share (as when both branches still carry the
-        # same key) are infinite entries and drop out
         res = difference_resultant(e1.chain.last_key, e2.chain.last_key)
-        return [v.r for v in padic_root_values(res, p) if not v.infinite]
+        return NewtonPolygon(_padic_points(res, p)).root_valuations()
 
     for _ in range(MAX_SEPARATION_ROUNDS):
         current = multiset()
@@ -474,8 +472,9 @@ def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
     beta_j = chain.levels[j].beta
     eps_j = chain.epsilon(qj)
 
+    cvp = composed_value_poly(qnext, qj)
     lhs = resultant(qj, qnext)
-    rhs = resultant(qnext, qj)
+    rhs = (-1) ** s * cvp[0]
     sign = -1 if (n * t * t) % 2 else 1
     ok = lhs == sign * rhs
     report.add(
@@ -486,7 +485,7 @@ def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
         )
     )
 
-    roots = padic_root_values(composed_value_poly(qnext, qj), chain.p)
+    roots = padic_root_values(cvp, chain.p)
     vals = [v.r for v in roots if not v.infinite]
     total = sum(vals, Fraction(0))
     ok = len(vals) == len(roots) == s and total == s * beta_j.r

@@ -316,21 +316,6 @@ def test_one_level_refine_reuses_the_checked_prime(monkeypatch):
     assert err.value.code == "chain.center"
 
 
-def test_extension_search_proves_its_prime_once(monkeypatch):
-    # X^2 + pX + p^3 has two polygon faces, so the search starts from two
-    # seed chains; only the first proves p prime
-    import vforge.maclane as maclane
-    from vforge.extensions import extend_to_number_field
-
-    p = maclane.MAX_PRIME
-    calls = []
-    real = maclane.prime_error
-    monkeypatch.setattr(maclane, "prime_error", lambda q: calls.append(q) or real(q))
-    exts = extend_to_number_field(P(f"X^2 + {p}X + {p**3}"), p)
-    assert sorted(ext.chain.levels[0].beta for ext in exts) == [Value(1), Value(2)]
-    assert calls == [p]
-
-
 def test_residual_expands_each_digit_once(monkeypatch, corpus):
     # level 2 expands f in Q_2 once, and each nonzero digit in Q_1 once;
     # level 0 reads a Taylor shift and expands nothing
