@@ -296,7 +296,9 @@ class ValuationExtension:
 
     def valuation(self, g: Poly) -> Value:
         """v(g(a)) for the root a tracked by this extension; exact."""
-        g = Poly.of(g) % self.m
+        g = Poly.of(g)
+        if g.degree >= self.m.degree:
+            g = g % self.m
         if g.is_zero():
             return INFINITY
         if self.rational_root is not None:

@@ -21,11 +21,16 @@ such a chain accepts no further augmentation.
 
 Every value at a rational level i lies in (1 / e_0...e_i) Z, so evaluation
 carries it as an int numerator over that level denominator (``denom``): a
-term of digit numerator n costs ``n * rel_denom + j * numer``, and below
-level 0 a digit's numerator is v_p of its Taylor-shift numerator minus
-v_p of the polynomial's denominator.  A ``Value`` is built once, at the
-public boundary (``eval``, ``truncate``); only a final infinitesimal level
-adds ``j * b_k`` to its digit values as Values.
+term of digit numerator n costs ``n * rel_denom + j * numer``.  Digits
+travel as int numerator lists with a v_p offset: a polynomial enters as its
+numerator list plus v_p of its denominator, level 0 reads its digits off
+one int Taylor shift (a digit's numerator is v_p of its shift numerator
+minus the offset), and each higher level pseudo-divides the running list
+by the key's numerators in place, so no Poly is built per digit.  A
+``Value`` is built once, at the public boundary (``eval``, ``truncate``);
+only a final infinitesimal level adds ``j * b_k`` to its digit values as
+Values.  ``_graded_reduce`` is the one user of ``q_expansion`` here: above
+level 0 it needs the digits as polynomials.
 
 Alongside evaluation this module carries the graded residue machinery:
 residues of digits relative to normalizing monomials in p and earlier
@@ -52,9 +57,9 @@ from .polynomials import (
     Poly,
     PolyParseError,
     _p_order,
+    _pseudo_divide,
     _shifted_numerators,
     hasse_derivative,
-    padic_valuation,
     q_expansion,
 )
 from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value, value_max
@@ -298,30 +303,51 @@ class Chain:
         return self._level_value(len(self.levels) - 1, f)
 
     def _terms(self, f: Poly, key: Poly, i: int) -> list:
-        """(j, digit, n) for the nonzero digits of f in base key.
+        """_int_terms of f's numerators, with v_p of its denominator as offset."""
+        return self._int_terms(f.num, _p_order(f.den, self.p), key, i)
+
+    def _int_terms(self, num, off: int, key: Poly, i: int) -> list:
+        """(j, digit, n) for the nonzero digits in base key of num / D, where
+        num is a list of ints and D any denominator with v_p(D) = off.
 
         n is the digit's value under the chain prefix through the rational
         level i, as an int numerator over that level's ``denom``.  Below
-        level 0 (i = -1) the key is the level-0 key X - c, whose integer
-        center keeps the Taylor shift over f.den: each digit is an int
-        numerator over f.den and n is v_p of the constant it stands for.
+        level 0 (i = -1) the key is X - c with c an integer: each digit is
+        an int of the Taylor shift over D, and n = v_p(digit) - off.  Above,
+        each digit is the int list left by one in-place pseudo-division of
+        the running list by the key's numerators, whose leading entry l (the
+        key's denominator) adds steps * v_p(l) to the remainder's offset and
+        (steps - 1) * v_p(l) to the quotient's.
         """
+        p = self.p
         if i < 0:
-            p = self.p
-            cc, _ = _shifted_numerators(f.num, -key.num[0], 1)
-            shift = int(padic_valuation(f.den, p).r)
-            return [(j, c, _p_order(c, p) - shift) for j, c in enumerate(cc) if c]
+            cc, _ = _shifted_numerators(num, -key.num[0], 1)
+            return [(j, c, _p_order(c, p) - off) for j, c in enumerate(cc) if c]
+        g = key.num
+        m = len(g) - 1
+        vlead = _p_order(g[-1], p)
         out = []
-        for j, digit in enumerate(q_expansion(f, key)):
-            if digit.num:
-                out.append((j, digit, self._eval_level(i, digit)))
+        run = list(num)
+        j = 0
+        while len(run) > m:
+            steps = _pseudo_divide(run, g)
+            digit = run[:m]
+            while digit and not digit[-1]:
+                digit.pop()
+            if digit:
+                out.append((j, digit, self._int_value(digit, off + steps * vlead, i)))
+            run = run[m:]
+            off += (steps - 1) * vlead
+            j += 1
+        if run:
+            out.append((j, run, self._int_value(run, off, i)))
         return out
 
-    def _eval_level(self, i: int, f: Poly) -> int:
-        """Value of the nonzero f under the chain through the rational level i,
-        as an int numerator over that level's ``denom``."""
+    def _int_value(self, num, off: int, i: int) -> int:
+        """Value of the nonzero num / D, v_p(D) = off, under the chain through
+        the rational level i, as an int numerator over that level's ``denom``."""
         level = self.levels[i]
-        return _term_minimum(self._terms(f, level.key, i - 1), level)[0]
+        return _term_minimum(self._int_terms(num, off, level.key, i - 1), level)[0]
 
     def _level_value(self, i: int, f: Poly) -> Value:
         """Value of f under the chain through level i, as a Value."""

@@ -196,15 +196,15 @@ def _monic_small_coeff(chain: Chain) -> list[Poly]:
     out = []
     for deg in range(1, bound):
         for mask in range(2**deg):
-            cc = [Fraction((mask >> k) & 1) for k in range(deg)] + [Fraction(1)]
+            cc = [(mask >> k) & 1 for k in range(deg)] + [1]
             out.append(Poly(cc))
     return out
 
 
 def _random_poly(rng: random.Random, degree: int, spread: int, monic=True) -> Poly:
     """Seeded coefficients in [-spread, spread]; a non-monic leading one in [1, spread]."""
-    cc = [Fraction(rng.randint(-spread, spread)) for _ in range(degree)]
-    cc.append(Fraction(1) if monic else Fraction(rng.randint(1, spread)))
+    cc = [rng.randint(-spread, spread) for _ in range(degree)]
+    cc.append(1 if monic else rng.randint(1, spread))
     return Poly(cc)
 
 

@@ -90,6 +90,33 @@ def _shifted_numerators(num, an: int, ad: int):
     return [c * ad**k for k, c in enumerate(cc)], ad**n
 
 
+def _pseudo_divide(rem: list, g) -> int:
+    """Pseudo-divide the int list rem by the int list g in place; returns k.
+
+    With m = deg g and k = len(rem) - m >= 1 steps, rem is replaced by
+    lc(g)^k * rem = Q * g + R, held as R in rem[:m] and Q in rem[m:].  The
+    whole list is scaled once, so every step divides by lc(g) exactly; a
+    monic g scales nothing.
+    """
+    m = len(g) - 1
+    steps = len(rem) - m
+    lead = g[-1]
+    if lead != 1:
+        scale = lead**steps
+        for k in range(len(rem)):
+            rem[k] *= scale
+    for k in range(steps - 1, -1, -1):
+        c = rem[k + m]
+        if not c:
+            continue
+        if lead != 1:
+            c //= lead
+            rem[k + m] = c
+        for j in range(m):
+            rem[k + j] -= c * g[j]
+    return steps
+
+
 class Poly:
     """Immutable dense polynomial over Q."""
 
@@ -220,29 +247,20 @@ class Poly:
         k = deg F - deg G + 1, so that every step divides by lc exactly; a
         monic integral divisor has lc = 1 and costs no growth.
         """
-        divisor = Poly.of(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
+        if not isinstance(divisor, Poly):
+            divisor = Poly.of(divisor)
         g = divisor.num
+        if not g:
+            raise ZeroDivisionError("polynomial division by zero")
         m = len(g) - 1
-        steps = len(self.num) - m
-        if steps <= 0:
+        if len(self.num) <= m:
             return _make(()), self
-        lead = g[-1]
-        scale = lead**steps
-        rem = list(self.num) if scale == 1 else [a * scale for a in self.num]
-        quo = [0] * steps
-        for k in range(steps - 1, -1, -1):
-            c = rem[k + m]
-            if not c:
-                continue
-            if lead != 1:
-                c //= lead
-            quo[k] = c
-            for j in range(m):
-                rem[k + j] -= c * g[j]
-        den = scale * self.den
-        return _make([c * divisor.den for c in quo], den), _make(rem[:m], den)
+        rem = list(self.num)
+        steps = _pseudo_divide(rem, g)
+        den = self.den if g[-1] == 1 else g[-1] ** steps * self.den
+        dd = divisor.den
+        quo = rem[m:] if dd == 1 else [c * dd for c in rem[m:]]
+        return _make(quo, den), _make(rem[:m], den)
 
     def __mod__(self, divisor):
         return self.divmod(divisor)[1]

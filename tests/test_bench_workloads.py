@@ -1,0 +1,28 @@
+"""Every workload that BENCHMARK.json names passes a short traced run.
+
+A traced run of ``bench/run.py`` replays the workload's canonical pass,
+checks each output against its goldens and laws, and stops when one of the
+workload's MUST_FIRE spans never fires.  A change that alters a golden byte
+or leaves a listed layer dead so fails here, not only in the benchmark.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_benchmark_run_passes(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -553,6 +553,42 @@ def test_integer_evaluation_matches_value_reference(corpus):
             assert chain.residual_polynomial(f) == _ref_graded_reduce(chain, top, f)[0], (name, f)
 
 
+def test_extension_readers_match_value_reference(corpus):
+    # extensions._last_minimum and ValuationExtension.valuation read chain
+    # values through the same integer kernel.  Both run on every chain's
+    # last key, whose numerators lead with 9 and 3 on p3_negative and
+    # p5_fractional_key; the extensions to Q[Y]/(m) of the split m below
+    # have chains of degree below deg m, so their values go through
+    # _last_minimum and improve the chain
+    from vforge.extensions import ValuationExtension, _last_minimum, extend_to_number_field
+
+    rng = random.Random(1936)
+    chains = _cross_check_chains(corpus)
+    assert {"p5_fractional_key", "p3_negative", "p3_tau"} <= set(chains)
+    extensions = []
+    for name, chain in chains.items():
+        m, last = chain.last_key, chain.levels[-1]
+        polys = [m] + [_rand_rational_poly(rng, chain, 2 * chain.degree + 2) for _ in range(25)]
+        for g in polys:
+            best, achieving = _ref_minimum(_ref_terms(chain, g, m, len(chain.levels) - 2), last.beta)
+            numer = best if last.tau else best.r * last.denom
+            assert _last_minimum(chain, g) == (numer, achieving), (name, g)
+        extensions.append((name, ValuationExtension(m, chain.p, chain, 0), polys[1:]))
+    for mtxt, p in [("X^2 - 17", 2), ("X^2 - 257", 2), ("X^4 + 1", 3), ("X^2 - 10", 3)]:
+        for ext in extend_to_number_field(P(mtxt), p):
+            polys = [_rand_rational_poly(rng, ext.chain, 2 * ext.m.degree) for _ in range(10)]
+            extensions.append((mtxt, ext, [ext.chain.last_key] + polys))
+    improved = 0
+    for name, ext, polys in extensions:
+        start = ext.chain
+        for g in polys:
+            value = ext.valuation(g)
+            chain = ext.chain
+            assert value == _ref_level(chain, len(chain.levels) - 1, g % ext.m), (name, g)
+        improved += ext.chain != start
+    assert improved >= 4
+
+
 def test_is_key_inhomogeneous_detail_matches_value_reference(corpus):
     rng = random.Random(17)
     seen = 0
