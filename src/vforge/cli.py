@@ -26,7 +26,7 @@ import json
 import os
 import sys
 
-from .extensions import MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
+from .extensions import DEFAULT_DEGREE_BOUND, MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
 from .maclane import MAX_PRIME, Chain, ChainError, ChainParseError, prime_error
 from .polynomials import Poly, PolyParseError
 from .verify import MAX_SAMPLES, run_suite
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ext.add_argument("--min-poly", required=True, help="monic irreducible polynomial")
     p_ext.add_argument(
-        "--degree-bound", type=_degree_bound, default=8,
+        "--degree-bound", type=_degree_bound, default=DEFAULT_DEGREE_BOUND,
         help=f"largest accepted degree of the minimal polynomial (at most {MAX_DEGREE_BOUND})",
     )
     p_ext.add_argument("--format", choices=("text", "json"), default="text")

@@ -19,7 +19,8 @@ root-distance multisets read them through ``newton.root_values``; the
 multisets of polynomials over Q read ``newton.padic_root_values``.
 
 The minimal polynomial is first proved irreducible over Q by factoring
-it with Zassenhaus's algorithm (``rational_factor_list``).
+it with Zassenhaus's algorithm (``rational_factor_list``), which scales
+to Z and back with the resultant kernel's ``_scaled_monic`` and ``_unscaled``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import isqrt, lcm
+from math import isqrt
 
 from .finitefields import (
     FiniteField,
@@ -42,9 +43,12 @@ from .finitefields import (
     _fp_trim,
     ff_factor,
 )
-from .maclane import Chain, InvariantError, _term_minimum
+from .maclane import Chain, InvariantError, _term_minimum, prime_error
 from .newton import NewtonPolygon, _padic_points, padic_root_values, root_values
-from .polynomials import Poly, difference_resultant, padic_valuation
+from .polynomials import (
+    Poly, _make, _pseudo_divide, _scaled_monic, _unscaled,
+    composed_value_poly, difference_resultant, padic_valuation,
+)
 from .values import INFINITY, Value
 
 DEFAULT_DEGREE_BOUND = 8
@@ -69,7 +73,7 @@ class ReducibleError(ValueError):
 def _small_primes():
     ell = 2
     while True:
-        if all(ell % d for d in range(2, isqrt(ell) + 1)):
+        if prime_error(ell) is None:
             yield ell
         ell += 1
 
@@ -122,15 +126,10 @@ def _exact_quotient(f, g):
     """f / g over Z for a monic g, or None when g does not divide f."""
     if g[0] and f[0] % g[0]:
         return None
-    dg = len(g) - 1
     rem = list(f)
-    quo = [0] * max(0, len(f) - dg)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = rem[k + dg]
-        if c:
-            for j, y in enumerate(g):
-                rem[k + j] -= c * y
-    return None if any(rem[:dg]) else quo
+    _pseudo_divide(rem, g)  # g is monic: nothing is scaled, and a shorter f stays as the remainder
+    dg = len(g) - 1
+    return None if any(rem[:dg]) else rem[dg:]
 
 
 def _recombine(f, lifted, modulus):
@@ -183,15 +182,16 @@ def rational_factor_list(m: Poly) -> list[Poly]:
     divides f and mapped back to d^(-deg g) g(dX).
     """
     m = Poly.of(m)
-    m = m * (1 / m.leading())
-    n = m.degree
-    d = lcm(*(c.denominator for c in m.coeffs))
-    f = [int(c * d ** (n - k)) for k, c in enumerate(m.coeffs)]
-    whole = Poly(f)
+    if m.is_zero():
+        raise ValueError("zero polynomial has no leading coefficient")
+    m = _make(m.num, m.num[-1])
+    d = m.den  # the lcm of the coefficient denominators
+    f = _scaled_monic(m.num)
+    whole = _make(f)
     squarefree = whole // whole.gcd(whole.derivative())
     out = []
-    for g in _squarefree_integer_factors([int(c) for c in squarefree.coeffs]):
-        factor = Poly([Fraction(c, d ** (len(g) - 1 - k)) for k, c in enumerate(g)])
+    for g in _squarefree_integer_factors(list(squarefree.num)):
+        factor = _unscaled(g, d, 1, 1)
         rest = _exact_quotient(f, g)
         while rest is not None:
             out.append(factor)
@@ -377,7 +377,7 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
         raise ReducibleError(m, next(f for f in factors if f != m))
     if m.degree == 1:
         return [ValuationExtension(m, p, None, 0, rational_root=-m[0])]
-    if any(c.denominator % p == 0 for c in m.coeffs):
+    if m.den % p == 0:
         raise ValueError("minimal polynomial must be p-integral")
 
     roots: list[Chain] = []
@@ -440,8 +440,6 @@ class AlgebraicNumber:
 
     def minimal_polynomial(self) -> Poly:
         """Monic minimal polynomial of the represented element over Q."""
-        from .polynomials import composed_value_poly
-
         if self.rep == Poly((0, 1)):
             return self.ext.m
         if self.rep.degree <= 0:
@@ -450,7 +448,7 @@ class AlgebraicNumber:
         deriv = char.derivative()
         g = char.gcd(deriv)
         minimal, _ = char.divmod(g)
-        return minimal * (1 / minimal.leading())
+        return _make(minimal.num, minimal.num[-1])
 
     def __repr__(self):
         return f"AlgebraicNumber({self.rep} mod {self.ext.m}, ext #{self.ext.index})"

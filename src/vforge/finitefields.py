@@ -13,6 +13,9 @@ by the polynomial itself, so every run factors identically.
 
 Field sizes are deliberately capped: the tower degree limit keeps the
 residual arithmetic at desk scale.
+
+The int-list helpers, ``_convolve`` (the one schoolbook product over Z)
+and the ``_fp_*`` family, also serve ``Poly`` and the factorizer over Q.
 """
 
 from __future__ import annotations
@@ -160,14 +163,8 @@ class FiniteField:
         return cc
 
     def _mul(self, a, b):
-        d = self.degree
-        out = [0] * (2 * d - 1) if d > 1 else [0]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        cc = self._reduce(out)
-        cc += [0] * (d - len(cc))
+        cc = self._reduce(_convolve(a, b))
+        cc += [0] * (self.degree - len(cc))
         return tuple(cc)
 
     def _inv(self, a):
@@ -195,6 +192,15 @@ class FiniteField:
 # coefficient is a unit mod p; Hensel lifting runs them modulo prime powers.
 
 
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _fp_trim(v, p):
     v = [c % p for c in v]
     while v and v[-1] == 0:
@@ -213,14 +219,7 @@ def _fp_sub(a, b, p):
 
 
 def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fp_trim(out, p)
+    return _fp_trim(_convolve(a, b), p)
 
 
 def _fp_bezout(g, h, p):

@@ -35,9 +35,10 @@ from .extensions import (
     root_difference_valuations,
 )
 from .maclane import Chain, InvariantError
-from .newton import NewtonPolygon, _padic_points, padic_root_values
+from .newton import padic_root_values
 from .polynomials import (
     Poly,
+    _make,
     composed_value_poly,
     difference_resultant,
     padic_valuation,
@@ -107,14 +108,9 @@ def _cross_difference_multiset(e1: ValuationExtension, e2: ValuationExtension):
     the largest candidate difference, which is the usual separation bound.
     Raises InvariantError when they have not after MAX_SEPARATION_ROUNDS.
     """
-    p = e1.p
-
-    def multiset():
-        res = difference_resultant(e1.chain.last_key, e2.chain.last_key)
-        return NewtonPolygon(_padic_points(res, p)).root_valuations()
-
     for _ in range(MAX_SEPARATION_ROUNDS):
-        current = multiset()
+        res = difference_resultant(e1.chain.last_key, e2.chain.last_key)
+        current = [v.r for v in padic_root_values(res, e1.p) if not v.infinite]
         bound = max([abs(x) for x in current] or [Fraction(0)])
         needed = 2 * bound + 1
         if all(
@@ -175,6 +171,15 @@ class CheckOutcome:
         return out
 
 
+class _CheckList:
+    """Base of the reports: ``add`` records an outcome; a failure clears ``ok``."""
+
+    def add(self, outcome: CheckOutcome):
+        self.checks.append(outcome)
+        if not outcome.ok:
+            self.ok = False
+
+
 def _key_products(chain: Chain) -> list[Poly]:
     """All products of earlier keys with total degree below the last key's."""
     bound = chain.degree
@@ -197,7 +202,7 @@ def _monic_small_coeff(chain: Chain) -> list[Poly]:
     for deg in range(1, bound):
         for mask in range(2**deg):
             cc = [(mask >> k) & 1 for k in range(deg)] + [1]
-            out.append(Poly(cc))
+            out.append(_make(cc))
     return out
 
 
@@ -205,7 +210,7 @@ def _random_poly(rng: random.Random, degree: int, spread: int, monic=True) -> Po
     """Seeded coefficients in [-spread, spread]; a non-monic leading one in [1, spread]."""
     cc = [rng.randint(-spread, spread) for _ in range(degree)]
     cc.append(1 if monic else rng.randint(1, spread))
-    return Poly(cc)
+    return _make(cc)
 
 
 def common_extension_check(
@@ -338,17 +343,12 @@ class PairClass:
 
 
 @dataclass
-class CommonExtensionReport:
+class CommonExtensionReport(_CheckList):
     classes: list[PairClass] = field(default_factory=list)
     class_count: int = 0
     root_bound: int = 0
     checks: list[CheckOutcome] = field(default_factory=list)
     ok: bool = True
-
-    def add(self, outcome: CheckOutcome):
-        self.checks.append(outcome)
-        if not outcome.ok:
-            self.ok = False
 
 
 def single_extension(exts: list[ValuationExtension]) -> ValuationExtension:
@@ -439,15 +439,10 @@ def enumerate_common_extensions(
 
 
 @dataclass
-class RootLemmaReport:
+class RootLemmaReport(_CheckList):
     level: int
     checks: list[CheckOutcome] = field(default_factory=list)
     ok: bool = True
-
-    def add(self, outcome: CheckOutcome):
-        self.checks.append(outcome)
-        if not outcome.ok:
-            self.ok = False
 
 
 def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
@@ -505,9 +500,7 @@ def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
     )
 
     diffs = root_difference_valuations(qnext, qj, chain.p)
-    close = sum(1 for v in diffs if v >= Value(eps_j.r) if not v.infinite) + sum(
-        1 for v in diffs if v.infinite
-    )
+    close = sum(1 for v in diffs if v >= eps_j)
     report.add(
         CheckOutcome(
             "root_proximity_count",

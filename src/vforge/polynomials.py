@@ -33,7 +33,7 @@ import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .finitefields import InvariantError
+from .finitefields import InvariantError, _convolve
 from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value
 
 # Largest exponent Poly.parse accepts; it bounds the size of parsed input.
@@ -216,15 +216,7 @@ class Poly:
             n = other.numerator
             return _make([a * n for a in self.num], self.den * other.denominator)
         other = Poly.of(other)
-        a, b = self.num, other.num
-        if not a or not b:
-            return _make(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _make(out, self.den * other.den)
+        return _make(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 

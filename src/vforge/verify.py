@@ -14,10 +14,11 @@ and checks are emitted in name order.  The JSON document and the text
 rendering carry the same data.  ``samples`` lies in 1..``MAX_SAMPLES``.
 
 The last key of a chain is irreducible over Q_p, so v_p has exactly one
-extension to its field.  A run builds that extension once and hands it to
-every check that needs it: the class enumeration, the root lemmas of the
-last level, the root-distance oracle, pair equivalence and the linear
-value set.  The checks therefore share the extension's lazily improved
+extension to its field.  A run builds that extension and ``chain.data()``
+once each and hands them to every check that needs them.  The
+root-distance oracle, pair equivalence and the linear value set share one
+root pair (a, delta) on the extension; the class enumeration builds its
+own.  The checks therefore share the extension's lazily improved
 approximation.  That is safe: improvement only raises the precision of an
 exact answer, and it runs under the extension's lock.  The root pair's
 restriction check also runs once, and its outcome decides the pair's
@@ -30,7 +31,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .extensions import AlgebraicNumber, delta_via_roots, extend_to_number_field
 from .maclane import Chain, VALUE_TRANSCENDENTAL
@@ -38,6 +38,7 @@ from .pairs import (
     CheckOutcome,
     FieldPoly,
     PairOfDefinition,
+    _CheckList,
     _random_poly,
     _second_quadratic_root,
     enumerate_common_extensions,
@@ -57,7 +58,7 @@ MAX_SAMPLES = 5000
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(_CheckList):
     suite: str
     seed: int
     samples: int
@@ -66,11 +67,6 @@ class VerificationReport:
     checks: list[CheckOutcome] = field(default_factory=list)
     classes: list = field(default_factory=list)
     ok: bool = True
-
-    def add(self, outcome: CheckOutcome):
-        self.checks.append(outcome)
-        if not outcome.ok:
-            self.ok = False
 
     def finalize(self):
         self.checks.sort(key=lambda c: c.name)
@@ -120,17 +116,15 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_epsilon_distance(report, chain, ext, rng, samples):
+def _check_epsilon_distance(report, chain, pair, rng, samples):
     """Growth invariant equals the largest root distance, by the oracle."""
-    delta = chain.epsilon(chain.last_key)
-    center = AlgebraicNumber(ext)
     bad = None
     count = 0
     for _ in range(samples):
         f = _random_poly(rng, rng.randint(1, 6), spread=chain.p**3)
         count += 1
         eps = chain.epsilon(f)
-        dlt = delta_via_roots(center, delta, f)
+        dlt = delta_via_roots(pair.center, pair.delta, f)
         if eps != dlt:
             bad = (f, eps, dlt)
             break
@@ -144,7 +138,7 @@ def _check_epsilon_distance(report, chain, ext, rng, samples):
     )
 
 
-def _check_pair_equivalence(report, chain, ext):
+def _check_pair_equivalence(report, chain, p1):
     """Both directions of the pair equivalence criterion on conjugate roots."""
     m = chain.last_key
     if m.degree != 2:
@@ -157,10 +151,8 @@ def _check_pair_equivalence(report, chain, ext):
             )
         )
         return
-    delta = chain.epsilon(m)
-    gen = AlgebraicNumber(ext)
+    gen, ext, delta = p1.center, p1.center.ext, p1.delta
     other = AlgebraicNumber(ext, _second_quadratic_root(m))
-    p1 = PairOfDefinition(gen, delta)
     p2 = PairOfDefinition(other, delta)
     dist = ext.valuation((gen.rep - other.rep) % m)
     expected = dist >= delta
@@ -177,8 +169,8 @@ def _check_pair_equivalence(report, chain, ext):
         agree = True
         witness = None
         for c in range(-2 * chain.p, 2 * chain.p + 1):
-            v1, _ = pair_eval(p1, Poly((-Fraction(c), 1)))
-            v2, _ = pair_eval(p2, Poly((-Fraction(c), 1)))
+            v1, _ = pair_eval(p1, Poly((-c, 1)))
+            v2, _ = pair_eval(p2, Poly((-c, 1)))
             if v1 != v2:
                 agree = False
                 witness = f"X - {c}"
@@ -200,16 +192,15 @@ def _check_pair_equivalence(report, chain, ext):
         )
 
 
-def _check_linear_value_set(report, chain, ext, rng, samples):
+def _check_linear_value_set(report, chain, pair, rng, samples):
     """Values of X - c: bounded by delta, with the maximum pinned at the center."""
-    delta = chain.epsilon(chain.last_key)
-    pair = PairOfDefinition(AlgebraicNumber(ext), delta)
+    delta = pair.delta
     over = None
     tau_seen = []
     cs = list(range(-chain.p - 2, chain.p + 3))
     cs.extend(rng.randint(-chain.p**3, chain.p**3) for _ in range(samples // 4))
     for c in cs:
-        v, _ = pair_eval(pair, Poly((-Fraction(c), 1)))
+        v, _ = pair_eval(pair, Poly((-c, 1)))
         if v > delta:
             over = c
             break
@@ -224,7 +215,7 @@ def _check_linear_value_set(report, chain, ext, rng, samples):
         )
     )
     if chain.classify() == VALUE_TRANSCENDENTAL:
-        vx, _ = pair_eval(pair, FieldPoly(ext, [-pair.center.rep, Poly((1,))]))
+        vx, _ = pair_eval(pair, FieldPoly(pair.center.ext, [-pair.center.rep, Poly((1,))]))
         report.add(
             CheckOutcome(
                 "infinitesimal_maximum_unique",
@@ -234,8 +225,7 @@ def _check_linear_value_set(report, chain, ext, rng, samples):
         )
 
 
-def _suite_lemmas(report, chain, rng, samples):
-    data = chain.data()
+def _suite_lemmas(report, chain, data, rng, samples):
     report.add(
         CheckOutcome(
             "classification",
@@ -263,12 +253,13 @@ def _suite_lemmas(report, chain, rng, samples):
         for outcome in sub.checks:
             outcome.name = f"level{j}." + outcome.name
             report.add(outcome)
-    _check_epsilon_distance(report, chain, ext, rng, max(10, samples // 4))
-    _check_pair_equivalence(report, chain, ext)
-    _check_linear_value_set(report, chain, ext, rng, samples)
+    pair = PairOfDefinition(AlgebraicNumber(ext), data.epsilons[-1])
+    _check_epsilon_distance(report, chain, pair, rng, max(10, samples // 4))
+    _check_pair_equivalence(report, chain, pair)
+    _check_linear_value_set(report, chain, pair, rng, samples)
 
 
-def _suite_props(report, chain, rng, samples):
+def _suite_props(report, chain, data, rng, samples):
     spread = chain.p**3
     bad_mul = bad_ultra = None
     for _ in range(samples):
@@ -313,7 +304,7 @@ def _suite_props(report, chain, rng, samples):
             witness=None if bad_trunc is None else str(bad_trunc),
         )
     )
-    eps_last = chain.epsilon(chain.last_key)
+    eps_last = data.epsilons[-1]
     bad_eps = None
     if chain.degree > 1:
         for deg in range(1, chain.degree):
@@ -332,8 +323,7 @@ def _suite_props(report, chain, rng, samples):
             witness=None if bad_eps is None else str(bad_eps),
         )
     )
-    betas = [lev.beta for lev in chain.levels]
-    eps = [chain.epsilon(lev.key) for lev in chain.levels]
+    betas, eps = data.betas, data.epsilons
     report.add(
         CheckOutcome(
             "monotone_level_data",
@@ -363,8 +353,9 @@ def run_suite(chain: Chain, suite: str = "all", seed: int = 0, samples: int = 10
         chain_text=chain.to_text(),
     )
     rng = random.Random(seed)
+    data = chain.data()
     if suite in ("lemmas", "all"):
-        _suite_lemmas(report, chain, rng, samples)
+        _suite_lemmas(report, chain, data, rng, samples)
     if suite in ("props", "all"):
-        _suite_props(report, chain, rng, samples)
+        _suite_props(report, chain, data, rng, samples)
     return report.finalize()

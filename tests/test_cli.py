@@ -393,3 +393,11 @@ def test_bad_seed_environment_is_a_usage_error_of_verify_alone(chain_files, caps
     code, out, _ = run(capsys, ["verify", "--chain", chain_files["c2"], "--samples", "2",
                                 "--seed", "7", "--format", "json"])
     assert code == 0 and json.loads(out)["seed"] == 7
+
+
+def test_degree_bound_default_is_the_library_constant():
+    from vforge.cli import build_parser
+    from vforge.extensions import DEFAULT_DEGREE_BOUND
+
+    args = build_parser().parse_args(["extend", "-p", "2", "--min-poly", "X^2 - 2"])
+    assert args.degree_bound == DEFAULT_DEGREE_BOUND

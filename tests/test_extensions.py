@@ -350,3 +350,106 @@ def test_broken_improvement_invariant_raises_named_error(monkeypatch):
     monkeypatch.setattr(extensions, "_branch_children", lambda chain, m: [chain, chain])
     with pytest.raises(InvariantError):
         ext.ensure_value_above(F(1000))
+
+
+# -- the factorizer on the shared int kernels, against the Fraction reference ---------
+#
+# The references are the loops the factorizer ran before it used
+# polynomials._pseudo_divide and the resultant kernel's scaling helpers.
+
+
+def _loop_exact_quotient(f, g):
+    if g[0] and f[0] % g[0]:
+        return None
+    dg = len(g) - 1
+    rem = list(f)
+    quo = [0] * max(0, len(f) - dg)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem[k + dg]
+        if c:
+            for j, y in enumerate(g):
+                rem[k + j] -= c * y
+    return None if any(rem[:dg]) else quo
+
+
+def _fraction_factor_list(m):
+    from math import lcm
+
+    from vforge.extensions import _squarefree_integer_factors
+
+    m = m * (1 / m.leading())
+    n = m.degree
+    d = lcm(*(c.denominator for c in m.coeffs))
+    f = [int(c * d ** (n - k)) for k, c in enumerate(m.coeffs)]
+    whole = Poly(f)
+    squarefree = whole // whole.gcd(whole.derivative())
+    out = []
+    for g in _squarefree_integer_factors([int(c) for c in squarefree.coeffs]):
+        factor = Poly([F(c, d ** (len(g) - 1 - k)) for k, c in enumerate(g)])
+        rest = _loop_exact_quotient(f, g)
+        while rest is not None:
+            out.append(factor)
+            rest = _loop_exact_quotient(rest, g)
+    out.sort(key=lambda g: (g.degree, g.coeffs))
+    return out
+
+
+@pytest.mark.parametrize(
+    "f, g, quotient",
+    [
+        ([-2, 1, -2, 1], [1, 0, 1], [-2, 1]),  # (X^2 + 1)(X - 2)
+        ([3, 1, -2, 1], [1, 0, 1], None),  # remainder X + 5
+        ([0, -2, 0, 1], [0, 1], [-2, 0, 1]),  # g(0) = 0: X^3 - 2X over X
+        ([1, 2, 1], [0, 1], None),  # g(0) = 0, f(0) != 0
+        ([5], [1, 0, 1], None),  # f shorter than g
+        ([0], [-3, 1], []),  # the zero list is divisible
+        ([6, 1], [3, 0, 1], None),  # f shorter than g, constant terms divide
+    ],
+)
+def test_exact_quotient_cases(f, g, quotient):
+    from vforge.extensions import _exact_quotient
+
+    assert _exact_quotient(f, g) == quotient == _loop_exact_quotient(f, g)
+
+
+def test_exact_quotient_matches_loop_reference():
+    from vforge.extensions import _exact_quotient
+
+    rng = random.Random(83)
+    for _ in range(400):
+        g = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [1]
+        h = [rng.randint(-4, 4) for _ in range(rng.randint(0, 4))] + [rng.choice((-2, 1, 3))]
+        f = Poly(g) * Poly(h) + (Poly(rng.randint(-2, 2) for _ in range(len(g) - 1)) if rng.random() < 0.5 else 0)
+        f = list(f.num) or [0]
+        assert _exact_quotient(f, g) == _loop_exact_quotient(f, g), (f, g)
+
+
+@pytest.mark.parametrize(
+    "mtxt",
+    [
+        "-2X^3 + 1/2 X",
+        "1/9 X^2 - 4",
+        "-3X^4 + 12",
+        "2/3 X^3 - 1/6 X^2 + 5/4",
+        "-1/8 X^5 + 1/8 X",
+        "7",
+    ],
+)
+def test_rational_factor_list_matches_fraction_reference(mtxt):
+    m = P(mtxt)
+    assert rational_factor_list(m) == _fraction_factor_list(m)
+
+
+def test_rational_factor_list_seeded_against_fraction_reference():
+    rng = random.Random(89)
+    for _ in range(40):
+        m = _product(
+            Poly([F(rng.randint(-5, 5), rng.choice((1, 2, 3, 4))) for _ in range(rng.randint(1, 3))] + [1])
+            for _ in range(rng.randint(1, 3))
+        ) * F(rng.choice((-3, -1, 2, 5)), rng.choice((1, 7)))
+        assert rational_factor_list(m) == _fraction_factor_list(m), str(m)
+
+
+def test_rational_factor_list_of_zero_raises():
+    with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
+        rational_factor_list(Poly())

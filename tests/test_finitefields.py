@@ -180,3 +180,33 @@ def test_equal_degree_split_has_a_budget():
     with pytest.raises(InvariantError, match="no factor in 64 rounds"):
         finitefields._equal_degree_split(f, 1, rng)
     assert rng.calls == finitefields.MAX_SPLIT_ROUNDS * draws_per_round
+
+
+# -- products on the shared int convolution, against a plain reference -------------------
+
+
+def _reference_product(a, b, modulus, p):
+    """Convolve, then long-divide by the monic modulus, all reduced mod p."""
+    d = len(modulus) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] = (out[i + j] + a[i] * b[j]) % p
+    while len(out) > d:
+        c = out.pop()
+        for j in range(d):
+            out[len(out) - d + j] = (out[len(out) - d + j] - c * modulus[j]) % p
+    return tuple(out + [0] * (d - len(out)))
+
+
+@pytest.mark.parametrize(
+    "p, modulus",
+    [(2, (0, 1)), (5, (0, 1)), (3, find_irreducible(3, 2)), (2, find_irreducible(2, 4))],
+)
+def test_products_match_convolve_then_divide(p, modulus):
+    fld = FiniteField(p, modulus)
+    rng = random.Random(97 * p + len(modulus))
+    elems = list(fld.elements())
+    for _ in range(200):
+        a, b = rng.choice(elems), rng.choice(elems)
+        assert (a * b).coeffs == _reference_product(a.coeffs, b.coeffs, fld.modulus, p)

@@ -343,6 +343,34 @@ def test_verify_builds_each_extension_and_runs_each_check_once(corpus, monkeypat
         assert checks == [True] * last_count, name
 
 
+# -- the one root pair of a verify run reaches every check it feeds -------------------
+#
+# verify builds PairOfDefinition(a, delta) once and hands it to the
+# root-distance oracle, pair equivalence and the linear value set; a delta
+# one below the growth invariant must make at least one of them fail.
+
+ROOT_PAIR_CHECKS = (
+    "epsilon_equals_root_distance",
+    "pair_equivalence",
+    "linear_values_bounded_by_delta",
+    "infinitesimal_maximum_unique",
+)
+
+
+def test_a_root_pair_with_a_wrong_delta_fails_verify(corpus, monkeypatch):
+    import vforge.verify as verify_mod
+
+    def run_all():
+        return {name: verify_mod.run_suite(chain, "all", 0, samples=20) for name, chain in sorted(corpus.items())}
+
+    assert all(report.ok for report in run_all().values())
+    real = verify_mod.PairOfDefinition
+    monkeypatch.setattr(verify_mod, "PairOfDefinition", lambda center, delta: real(center, delta + Value(-1)))
+    for name, report in run_all().items():
+        failed = [c.name for c in report.checks if not c.ok]
+        assert not report.ok and any(n.startswith(ROOT_PAIR_CHECKS) for n in failed), (name, failed)
+
+
 # -- one Taylor shift at the center, against the per-j reference -----------------------
 #
 # The reference rebuilds each divided derivative f^[j], evaluates it at the
