@@ -14,7 +14,7 @@ from .extensions import (
     extend_to_number_field,
     root_difference_valuations,
 )
-from .finitefields import FiniteField, FieldExtension, FqPoly, ff_factor, ff_is_irreducible
+from .finitefields import FiniteField, FieldExtension, FqPoly, LimitError, ff_factor, ff_is_irreducible
 from .maclane import Chain, ChainError, ChainParseError, InvariantError, KeyCertificate
 from .newton import NewtonPolygon
 from .pairs import (
@@ -54,6 +54,7 @@ __all__ = [
     "INFINITY",
     "InvariantError",
     "KeyCertificate",
+    "LimitError",
     "NewtonPolygon",
     "PairOfDefinition",
     "Poly",

@@ -8,10 +8,10 @@ Subcommands:
   vforge extend   -p 2 --min-poly "X^2 - 17"          table of valuation extensions
   vforge verify   --chain FILE [--suite lemmas|props|all]
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input text or
-a usage error (including a degree bound above 16, ``--samples`` outside
-1..5000, or an ``extend -p`` that is not a prime of at most 2^31 - 1),
-3 invalid chain (with
+Exit codes: 0 success, 1 verification failure, 2 malformed input text, a
+usage error (a degree bound above 16, ``--samples`` outside 1..5000, an
+``extend -p`` that is not a prime of at most 2^31 - 1) or input outside the
+supported limits (``outside supported limits: ...``), 3 invalid chain (with
 the violated invariant named), 4 reducible minimal polynomial (with a
 factor), 5 internal error (one line on stderr, never a traceback).
 ``--seed`` (or the VFORGE_SEED environment variable) fixes all sampling;
@@ -27,6 +27,7 @@ import os
 import sys
 
 from .extensions import DEFAULT_DEGREE_BOUND, MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
+from .finitefields import LimitError
 from .maclane import MAX_PRIME, Chain, ChainError, ChainParseError, prime_error
 from .polynomials import Poly, PolyParseError
 from .verify import MAX_SAMPLES, run_suite
@@ -231,6 +232,8 @@ def main(argv=None) -> int:
         return _fail(f"invalid chain: {exc.code}: {exc}", EXIT_INVALID_CHAIN)
     except ReducibleError as exc:
         return _fail(f"reducible: {exc} ", EXIT_REDUCIBLE)
+    except LimitError as exc:
+        return _fail(f"outside supported limits: {exc}", EXIT_PARSE)
     except ValueError as exc:
         return _fail(str(exc), EXIT_PARSE)
     except Exception as exc:  # noqa: BLE001 - InvariantError or a bug: no traceback, never exit 1

@@ -35,6 +35,7 @@ from math import isqrt
 from .finitefields import (
     FiniteField,
     FqPoly,
+    LimitError,
     _fp_add,
     _fp_bezout,
     _fp_divmod,
@@ -367,18 +368,18 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
         raise ValueError(f"degree bound must lie in 1..{MAX_DEGREE_BOUND}, got {degree_bound}")
     m = Poly.of(m)
     if not m.is_monic():
-        raise ValueError("minimal polynomial must be monic")
+        raise LimitError("minimal polynomial must be monic")
     if m.degree < 1:
         raise ValueError("minimal polynomial must be nonconstant")
     if m.degree > degree_bound:
-        raise ValueError(f"degree {m.degree} exceeds the configured bound {degree_bound}")
+        raise LimitError(f"degree {m.degree} exceeds the configured bound {degree_bound}")
     factors = rational_factor_list(m)
     if len(factors) > 1:
         raise ReducibleError(m, next(f for f in factors if f != m))
     if m.degree == 1:
         return [ValuationExtension(m, p, None, 0, rational_root=-m[0])]
     if m.den % p == 0:
-        raise ValueError("minimal polynomial must be p-integral")
+        raise LimitError("minimal polynomial must be p-integral")
 
     roots: list[Chain] = []
     lams = [-slope for slope, _length in NewtonPolygon(_padic_points(m, p)).slopes()]
@@ -435,8 +436,7 @@ class AlgebraicNumber:
 
     def value_of(self, g: Poly) -> Value:
         """v(g(self)); composes g with the representative inside Q[Y]/(m)."""
-        composed = Poly.of(g).compose(self.rep) % self.ext.m
-        return self.ext.valuation(composed)
+        return self.ext.valuation(Poly.of(g)(self.rep))
 
     def minimal_polynomial(self) -> Poly:
         """Monic minimal polynomial of the represented element over Q."""

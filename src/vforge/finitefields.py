@@ -14,12 +14,15 @@ by the polynomial itself, so every run factors identically.
 Field sizes are deliberately capped: the tower degree limit keeps the
 residual arithmetic at desk scale.
 
-The int-list helpers, ``_convolve`` (the one schoolbook product over Z)
-and the ``_fp_*`` family, also serve ``Poly`` and the factorizer over Q.
+One routine per job serves Q[X], F_q and F_q[y] (*Modern Computer Algebra*,
+ch. 3-4): ``_convolve`` multiplies, ``_horner`` evaluates and composes,
+``_power`` squares and multiplies, ``_gcd`` runs Euclid's loop.  The int-list
+``_fp_*`` helpers (``_fp_bezout`` the one extended Euclid) serve Zassenhaus.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 MAX_TOWER_DEGREE = 8
@@ -32,7 +35,11 @@ class InvariantError(RuntimeError):
     """An internal invariant of the algorithms failed; never bad input."""
 
 
-class FieldSizeError(ValueError):
+class LimitError(ValueError):
+    """Input outside the supported limits (degree bounds, p-integrality, size)."""
+
+
+class FieldSizeError(LimitError):
     """Requested residue field exceeds the configured tower degree limit."""
 
 
@@ -71,17 +78,13 @@ class FFElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one, operator.mul)
 
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.coeffs)
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -192,13 +195,40 @@ class FiniteField:
 # coefficient is a unit mod p; Hensel lifting runs them modulo prime powers.
 
 
-def _convolve(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+def _convolve(a, b, zero=0):
+    out = [zero] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _horner(coeffs, x, zero):
+    """sum coeffs[k] * x^k (index = exponent) by Horner's rule, from zero."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _power(x, n, one, mul):
+    """x^n for an int n >= 0 by square-and-multiply, with the product mul."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
+
+
+def _gcd(a, b):
+    """The last nonzero remainder of Euclid's loop on a and b (unnormalized)."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a
 
 
 def _fp_trim(v, p):
@@ -306,14 +336,7 @@ class FqPoly:
     def __mul__(self, other):
         if isinstance(other, FFElement):
             return FqPoly(self.field, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return FqPoly(self.field, [])
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return FqPoly(self.field, out)
+        return FqPoly(self.field, _convolve(self.coeffs, other.coeffs, self.field.zero))
 
     def divmod(self, other):
         if other.is_zero():
@@ -343,29 +366,17 @@ class FqPoly:
         return self * self.coeffs[-1].inverse()
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return _gcd(self, other).monic()
 
     def pow_mod(self, n, modulus):
-        result = FqPoly.from_ints(self.field, [1])
-        base = self % modulus
-        while n:
-            if n & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            n >>= 1
-        return result
+        one = FqPoly.from_ints(self.field, [1])
+        return _power(self % modulus, n, one, lambda a, b: a * b % modulus)
 
     def derivative(self):
         return FqPoly(self.field, [c * k for k, c in enumerate(self.coeffs)][1:] if self.degree >= 1 else [])
 
     def __call__(self, x: FFElement) -> FFElement:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x, self.field.zero)
 
     def __repr__(self):
         return f"FqPoly[{self.field!r}]({self.to_text()})"
@@ -584,7 +595,7 @@ class FieldExtension:
         base_mod = FqPoly(self.field, [self.field.from_int(c) for c in base.modulus])
         base_roots = ff_roots(base_mod)
         self.base_gen = base_roots[0]
-        rho_up = FqPoly(self.field, [self._embed_coeffs(c) for c in rho.coeffs])
+        rho_up = FqPoly(self.field, [self.embed(c) for c in rho.coeffs])
         gen_roots = ff_roots(rho_up)
         self.gen = gen_roots[0]
         # basis matrix: rows are base_gen^j * gen^i in absolute coordinates
@@ -595,27 +606,18 @@ class FieldExtension:
                 rows.append((self.base_gen**j * gi).coeffs)
         self._mat_inv = _invert_mod_p([list(r) for r in rows], p)
 
-    def _embed_coeffs(self, c: FFElement) -> FFElement:
-        # evaluate the base element, as a polynomial in its generator, at base_gen
-        acc = self.field.zero
-        for a in reversed(c.coeffs):
-            acc = acc * self.base_gen + self.field.from_int(a)
-        return acc
-
     def embed(self, c: FFElement) -> FFElement:
-        """Image of a base-field element in the flattened field."""
+        """Image of a base-field element in the flattened field: c, as a
+        polynomial in the base generator, evaluated at base_gen."""
         if self._flat_base is None:
             return c
         if self._flat_base:
             return self.field.from_int(c.coeffs[0])
-        return self._embed_coeffs(c)
+        return FqPoly.from_ints(self.field, c.coeffs)(self.base_gen)
 
     def reduce(self, f: FqPoly) -> FFElement:
         """Image of f (a polynomial over the base) at the chosen root of rho."""
-        acc = self.field.zero
-        for c in reversed(f.coeffs):
-            acc = acc * self.gen + self.embed(c)
-        return acc
+        return FqPoly(self.field, [self.embed(c) for c in f.coeffs])(self.gen)
 
     def lift(self, c: FFElement) -> FqPoly:
         """Write c as a polynomial of degree < deg(rho) over the base field."""

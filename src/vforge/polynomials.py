@@ -29,11 +29,12 @@ converted.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .finitefields import InvariantError, _convolve
+from .finitefields import InvariantError, _convolve, _gcd, _horner, _power
 from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value
 
 # Largest exponent Poly.parse accepts; it bounds the size of parsed input.
@@ -223,14 +224,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, _make((1,)), operator.mul)
 
     def divmod(self, divisor: "Poly"):
         """Exact Euclidean division; divisor must be nonzero.
@@ -272,13 +266,8 @@ class Poly:
         return hash((self.num, self.den))
 
     def __call__(self, x):
-        """Evaluate by Horner; x may be a Fraction or anything with ring ops."""
-        result = None
-        for c in reversed(self.coeffs):
-            result = c if result is None else result * x + c
-        if result is None:
-            return Fraction(0)
-        return result
+        """Evaluate by Horner at a rational or an element of a Q-algebra; at a Poly, compose."""
+        return _horner(self.num, x, 0) * Fraction(1, self.den)
 
     # -- structural operations ----------------------------------------------
 
@@ -288,23 +277,13 @@ class Poly:
         cc, s = _shifted_numerators(self.num, a.numerator, a.denominator)
         return _make(cc, self.den * s)
 
-    def compose(self, inner: "Poly") -> "Poly":
-        out = Poly()
-        for c in reversed(self.num):
-            out = out * inner + c
-        return out * Fraction(1, self.den)
-
     def derivative(self) -> "Poly":
         return _make([k * c for k, c in enumerate(self.num)][1:], self.den)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd over Q."""
-        a, b = self, Poly.of(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return _make(a.num, a.num[-1])
+        a = _gcd(self, Poly.of(other))
+        return _make(a.num, a.num[-1]) if a.num else a
 
     # -- text ---------------------------------------------------------------
 

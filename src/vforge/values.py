@@ -171,22 +171,16 @@ class Value:
         return hash(self._key())
 
     def __lt__(self, other):
-        if not isinstance(other, Value):
-            other = Value.of(other)
-        if self.infinite:
-            return False
-        if other.infinite:
-            return True
-        return (self.r, self.s) < (other.r, other.s)
+        return self._key() < Value.of(other)._key()
 
     def __le__(self, other):
-        return self == Value.of(other) or self < Value.of(other)
+        return self._key() <= Value.of(other)._key()
 
     def __gt__(self, other):
-        return not self <= Value.of(other)
+        return self._key() > Value.of(other)._key()
 
     def __ge__(self, other):
-        return not self < Value.of(other)
+        return self._key() >= Value.of(other)._key()
 
     def __repr__(self):
         return f"Value({self})"

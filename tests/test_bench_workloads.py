@@ -4,6 +4,10 @@ A traced run of ``bench/run.py`` replays the workload's canonical pass,
 checks each output against its goldens and laws, and stops when one of the
 workload's MUST_FIRE spans never fires.  A change that alters a golden byte
 or leaves a listed layer dead so fails here, not only in the benchmark.
+
+The two workloads that run only by name, eval-laws and extend-refine, get a
+short untraced run: its minimum passes check every output (extend-refine's
+against the p-adic oracle), with no failed op.
 """
 
 import json
@@ -26,3 +30,15 @@ def test_traced_benchmark_run_passes(workload):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+@pytest.mark.parametrize("workload", ["eval-laws", "extend-refine"])
+def test_untraced_by_name_run_passes(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

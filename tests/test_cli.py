@@ -85,15 +85,18 @@ def test_extend_linear_minimal_polynomial(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["--min-poly", "2X^2 + 1"], "minimal polynomial must be monic"),
-        (["--min-poly", "X^2 + 1/2"], "minimal polynomial must be p-integral"),
+        (["--min-poly", "2X^2 + 1"], "outside supported limits: minimal polynomial must be monic"),
+        (["--min-poly", "X^2 + 1/2"], "outside supported limits: minimal polynomial must be p-integral"),
         (["--min-poly", "X^9 + X^4 + 1", "--degree-bound", "9"],
-         "residue field F_2^9 exceeds the degree limit 8"),
+         "outside supported limits: residue field F_2^9 exceeds the degree limit 8"),
+        (["--min-poly", "X^9 + X^4 + 1"],
+         "outside supported limits: degree 9 exceeds the configured bound 8"),
     ],
-    ids=["not-monic", "not-p-integral", "residue-degree"],
+    ids=["not-monic", "not-p-integral", "residue-degree", "degree-bound"],
 )
 def test_extend_limit_errors_exit_2(capsys, argv, message):
-    # the residue-degree message is FieldSizeError's (finitefields.MAX_TOWER_DEGREE)
+    # each is a LimitError; the residue-degree one is FieldSizeError's
+    # (finitefields.MAX_TOWER_DEGREE)
     code, out, err = run(capsys, ["extend", "-p", "2"] + argv)
     assert (code, out, err) == (2, "", message + "\n")
 

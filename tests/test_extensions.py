@@ -5,6 +5,7 @@ import pytest
 
 from vforge import (
     AlgebraicNumber,
+    LimitError,
     Poly,
     ReducibleError,
     Value,
@@ -73,6 +74,17 @@ def test_reducible_factor_is_the_smallest_other_factor(mtxt, factor):
 def test_degree_bound_rejected():
     with pytest.raises(ValueError):
         extend_to_number_field(P("X^9 + X + 2"), 2, degree_bound=8)
+
+
+@pytest.mark.parametrize("mtxt", ["2X^2 + 1", "X^2 + 1/2", "X^9 + X + 2"])
+def test_inputs_outside_the_limits_raise_limit_error(mtxt):
+    # not monic, not p-integral, degree above the bound; a bound outside
+    # 1..MAX_DEGREE_BOUND stays a plain usage error
+    with pytest.raises(LimitError):
+        extend_to_number_field(P(mtxt), 2)
+    with pytest.raises(ValueError) as err:
+        extend_to_number_field(P("X^2 - 2"), 2, degree_bound=0)
+    assert not isinstance(err.value, LimitError)
 
 
 def test_degree_bound_ceiling():
@@ -453,3 +465,30 @@ def test_rational_factor_list_seeded_against_fraction_reference():
 def test_rational_factor_list_of_zero_raises():
     with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
         rational_factor_list(Poly())
+
+
+def _compose_then_reduce(g, rep, m):
+    # the loop of the deleted Poly.compose, then one reduction mod m
+    out = Poly()
+    for c in reversed(g.coeffs):
+        out = out * rep + c
+    return out % m
+
+
+def test_value_of_on_a_conjugate_matches_compose_then_reduce():
+    rng = random.Random(43)
+    for mtxt, p in [("X^2 - 2", 2), ("X^2 + X + 1", 2), ("X^2 - 17", 2), ("X^2 + 1", 5)]:
+        m = P(mtxt)
+        conjugate = Poly((-m[1], -1))  # -tr - Y, the other root
+        for ext in extend_to_number_field(m, p):
+            other = AlgebraicNumber(ext, conjugate)
+            for _ in range(25):
+                g = rand_poly(rng, 4, p**3)
+                assert other.value_of(g) == ext.valuation(_compose_then_reduce(g, conjugate, m))
+
+
+def test_ensure_value_above_on_a_rational_root_is_a_no_op():
+    ext = extend_to_number_field(P("X - 3/4"), 2)[0]
+    assert ext.rational_root == F(3, 4) and ext.is_exact()
+    ext.ensure_value_above(F(100))
+    assert ext.valuation(P("X - 3")) == Value(-2)  # v_2(3/4 - 3) = v_2(-9/4)

@@ -1,3 +1,4 @@
+import operator
 import random
 from functools import reduce
 
@@ -8,6 +9,11 @@ from vforge.finitefields import (
     FieldSizeError,
     FiniteField,
     FqPoly,
+    LimitError,
+    _convolve,
+    _gcd,
+    _horner,
+    _power,
     ff_factor,
     ff_is_irreducible,
     ff_roots,
@@ -135,6 +141,7 @@ def test_tower_degrees_multiply():
 def test_size_cap_enforced():
     with pytest.raises(FieldSizeError):
         FiniteField(2, (1,) + (0,) * 8 + (1,))  # degree 9
+    assert issubclass(FieldSizeError, LimitError) and issubclass(LimitError, ValueError)
 
 
 def test_find_irreducible_deterministic_and_correct():
@@ -210,3 +217,112 @@ def test_products_match_convolve_then_divide(p, modulus):
     for _ in range(200):
         a, b = rng.choice(elems), rng.choice(elems)
         assert (a * b).coeffs == _reference_product(a.coeffs, b.coeffs, fld.modulus, p)
+
+
+# -- the generic routines against the loops they replaced -------------------------------
+#
+# Each reference is the loop that FFElement.__pow__, FqPoly.pow_mod,
+# FqPoly.__call__, FqPoly.__mul__, FqPoly.gcd and FieldExtension.embed /
+# reduce ran before they shared _power, _horner, _convolve and _gcd.
+
+
+def _loop_power(x, n, one):
+    result, base = one, x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def _loop_pow_mod(f, n, modulus):
+    result, base = FqPoly.from_ints(f.field, [1]), f % modulus
+    while n:
+        if n & 1:
+            result = (result * base) % modulus
+        base = (base * base) % modulus
+        n >>= 1
+    return result
+
+
+def _loop_horner(f, x):
+    acc = f.field.zero
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _loop_product(f, g):
+    if f.is_zero() or g.is_zero():
+        return FqPoly(f.field, [])
+    out = [f.field.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        if not a.is_zero():
+            for j, b in enumerate(g.coeffs):
+                out[i + j] = out[i + j] + a * b
+    return FqPoly(f.field, out)
+
+
+def _loop_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _loop_embed(ext, c):
+    acc = ext.field.zero
+    for a in reversed(c.coeffs):
+        acc = acc * ext.base_gen + ext.field.from_int(a)
+    return acc
+
+
+def _loop_reduce(ext, f):
+    acc = ext.field.zero
+    for c in reversed(f.coeffs):
+        acc = acc * ext.gen + _loop_embed(ext, c)
+    return acc
+
+
+def _random_fq_poly(rng, fld, max_deg=6):
+    deg = rng.randint(-1, max_deg)
+    return FqPoly(fld, [fld.element([rng.randrange(fld.p) for _ in range(fld.degree)]) for _ in range(deg + 1)])
+
+
+FIELDS = [(2, (0, 1)), (5, (0, 1)), (3, find_irreducible(3, 2)), (2, find_irreducible(2, 4))]
+
+
+@pytest.mark.parametrize("p, modulus", FIELDS, ids=["F2", "F5", "F3^2", "F2^4"])
+def test_generic_routines_match_the_loops_they_replaced(p, modulus):
+    fld = FiniteField(p, modulus)
+    rng = random.Random(53 * p + len(modulus))
+    elems = list(fld.elements())
+    for x in elems:
+        assert bool(x) == (not x.is_zero()) == any(x.coeffs)
+        for n in (0, 1, 2, 7, rng.randrange(3 * fld.order)):
+            assert x**n == _power(x, n, fld.one, operator.mul) == _loop_power(x, n, fld.one)
+    for _ in range(60):
+        f, g = _random_fq_poly(rng, fld), _random_fq_poly(rng, fld)
+        x = rng.choice(elems)
+        assert f(x) == _horner(f.coeffs, x, fld.zero) == _loop_horner(f, x)
+        assert f * g == FqPoly(fld, _convolve(f.coeffs, g.coeffs, fld.zero)) == _loop_product(f, g)
+        assert f.gcd(g) == _gcd(f, g).monic() == _loop_gcd(f, g)
+        modulus_poly = FqPoly(fld, _random_fq_poly(rng, fld, 4).coeffs + (fld.one,))
+        n = rng.randrange(fld.order**3)
+        assert f.pow_mod(n, modulus_poly) == _loop_pow_mod(f, n, modulus_poly)
+
+
+def test_tower_maps_match_the_horner_loops():
+    rng = random.Random(59)
+    for base in (FiniteField(2, find_irreducible(2, 2)), FiniteField(3, find_irreducible(3, 2))):
+        # the first irreducible y^2 + y + b over the base: a tower of degree 4
+        rho = next(r for b in base.elements() if ff_is_irreducible(r := FqPoly(base, [b, base.one, base.one])))
+        ext = FieldExtension(base, rho)
+        assert ext.field.degree == 4
+        for c in base.elements():
+            assert ext.embed(c) == _loop_embed(ext, c)
+        for _ in range(40):
+            f = _random_fq_poly(rng, base, 3)
+            assert ext.reduce(f) == _loop_reduce(ext, f)
+            if f.degree < rho.degree:
+                assert ext.lift(ext.reduce(f)) == f

@@ -128,6 +128,16 @@ def test_equivalence_with_rational_center(sqrt2_pair):
     assert not pairs_equivalent(me, near)
 
 
+def test_equivalence_with_the_first_center_rational(sqrt2_pair):
+    # the rational center first: v(a - r) is read on the other center's field
+    ext = sqrt2_pair.center.ext
+    for r, delta, expected in [(0, F(1, 2), True), (0, F(3, 4), False), (1, F(1, 4), False)]:
+        rational = PairOfDefinition(AlgebraicNumber(extend_to_number_field(Poly((-r, 1)), 2)[0]), Value(delta))
+        me = PairOfDefinition(AlgebraicNumber(ext), Value(delta))
+        # v(sqrt 2 - 0) = 1/2 and v(sqrt 2 - 1) = 0
+        assert pairs_equivalent(rational, me) == pairs_equivalent(me, rational) == expected
+
+
 def test_cross_extension_equivalence():
     exts = extend_to_number_field(P("X^2 - 17"), 2)
     p1 = PairOfDefinition(AlgebraicNumber(exts[0]), Value(F(1, 2)))
@@ -220,6 +230,12 @@ def test_minimality_search_without_chain(sqrt2_pair):
     loose = PairOfDefinition(AlgebraicNumber(split), Value(7))
     verdict = is_minimal_pair(loose)
     assert not verdict.minimal
+
+
+def test_minimality_without_chain_on_a_rational_center():
+    rational = AlgebraicNumber(extend_to_number_field(P("X - 5"), 3)[0])
+    verdict = is_minimal_pair(PairOfDefinition(rational, Value(2)))
+    assert (verdict.minimal, verdict.center_degree, verdict.certificate) == (True, 1, "rational center")
 
 
 # -- enumeration ---------------------------------------------------------------------------

@@ -499,3 +499,61 @@ def test_special_resultants_make_no_euclidean_resultant(monkeypatch):
         difference_resultant(a, b)
         composed_value_poly(a, b)
     assert calls == []
+
+
+# -- power, evaluation, composition and gcd against the loops they replaced ----
+#
+# Poly.__pow__, __call__ and gcd ran these loops before they shared
+# finitefields._power, _horner and _gcd; Poly.compose is gone, because
+# __call__ at a Poly composes.
+
+
+def _loop_power(f, n):
+    result, base = Poly((1,)), f
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+def _loop_evaluate(f, x):
+    result = None
+    for c in reversed(f.coeffs):
+        result = c if result is None else result * x + c
+    return F(0) if result is None else result
+
+
+def _loop_compose(f, inner):
+    out = Poly()
+    for c in reversed(f.num):
+        out = out * inner + c
+    return out * F(1, f.den)
+
+
+def _loop_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, a % b
+    return a if a.is_zero() else a * (1 / a.leading())
+
+
+def test_generic_routines_match_the_poly_loops():
+    import operator
+
+    from vforge.finitefields import _gcd, _horner, _power
+
+    rng = random.Random(61)
+    for _ in range(120):
+        f, g = rand_rational_poly(rng, 5), rand_rational_poly(rng, 3)
+        n = rng.randint(0, 6)
+        assert f**n == _power(f, n, Poly((1,)), operator.mul) == _loop_power(f, n)
+        x = F(rng.randint(-9, 9), rng.randint(1, 6))
+        assert f(x) == _loop_evaluate(f, x) == _horner(f.num, x, 0) / f.den
+        assert type(f(x)) is F and type(f(rng.randint(-9, 9))) is F
+        assert f(g) == _loop_compose(f, g)
+        common = rand_rational_poly(rng, 2)
+        a, b = f * common, g * common
+        # _gcd leaves the normalisation to Poly.gcd; gcd(h, 0) is h made monic
+        assert a.gcd(b) == _loop_gcd(a, b) == _loop_gcd(_gcd(a, b), Poly())
+    assert not hasattr(Poly, "compose")

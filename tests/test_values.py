@@ -82,3 +82,23 @@ def test_parse_errors_quote_a_bounded_prefix():
     with pytest.raises(TextParseError) as err:
         Value.parse("1/0")
     assert err.value.reason == "zero denominator in value '1/0'"
+
+
+def _reference_less(a, b):
+    # the order before it was one _key() comparison: infinity on top, then (r, s)
+    if a.infinite:
+        return False
+    if b.infinite:
+        return True
+    return (a.r, a.s) < (b.r, b.s)
+
+
+def test_order_methods_match_the_case_reference():
+    rng = random.Random(17)
+    vals = [Value(F(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice([0, 0, F(rng.randint(-3, 3), 2)]))
+            for _ in range(30)] + [INFINITY]
+    for a in vals:
+        for b in vals + [F(1, 2), 0, -1]:
+            bv = Value.of(b)
+            lt, eq = _reference_less(a, bv), a == bv
+            assert (a < b, a <= b, a > b, a >= b) == (lt, lt or eq, not (lt or eq), not lt)
