@@ -54,23 +54,12 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _cmd_eval(args) -> int:
+def _cmd_value(args) -> int:
+    # eval and epsilon: the chain method the subcommand names, looked up per call
     chain = _load_chain(args.chain)
-    poly = Poly.parse(args.poly, var="X")
-    value = chain.eval(poly)
+    value = getattr(chain, args.command)(Poly.parse(args.poly, var="X"))
     if args.format == "json":
-        print(json.dumps({"value": str(value)}))
-    else:
-        print(value)
-    return EXIT_OK
-
-
-def _cmd_epsilon(args) -> int:
-    chain = _load_chain(args.chain)
-    poly = Poly.parse(args.poly, var="X")
-    value = chain.epsilon(poly)
-    if args.format == "json":
-        print(json.dumps({"epsilon": str(value)}))
+        print(json.dumps({"value" if args.command == "eval" else "epsilon": str(value)}))
     else:
         print(value)
     return EXIT_OK
@@ -180,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="value of a polynomial under the chain")
     common(p_eval, poly=True)
-    p_eval.set_defaults(func=_cmd_eval)
+    p_eval.set_defaults(func=_cmd_value)
 
     p_eps = sub.add_parser("epsilon", help="growth invariant of a polynomial")
     common(p_eps, poly=True)
-    p_eps.set_defaults(func=_cmd_epsilon)
+    p_eps.set_defaults(func=_cmd_value)
 
     p_cls = sub.add_parser("classify", help="residue- or value-transcendental")
     common(p_cls)

@@ -476,11 +476,6 @@ def _distinct_degree(v: FqPoly):
         yield v.degree, v
 
 
-def _factor_squarefree(f: FqPoly, rng) -> list[FqPoly]:
-    # distinct-degree splitting, then equal-degree splitting
-    return [u for d, g in _distinct_degree(f) for u in _equal_degree_split(g, d, rng)]
-
-
 def ff_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """Complete factorization of f into monic irreducibles with multiplicities.
 
@@ -503,16 +498,15 @@ def ff_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
             continue
         s = g // g.gcd(gp)
         rest = g
-        for u in _factor_squarefree(s, rng):
-            m = 0
-            while True:
+        # distinct-degree parts of the squarefree part, split by equal degree
+        for d, h in _distinct_degree(s):
+            for u in _equal_degree_split(h, d, rng):
+                m = 0
                 quo, rem = rest.divmod(u)
-                if rem.is_zero():
-                    rest = quo
-                    m += 1
-                else:
-                    break
-            found[u] = found.get(u, 0) + m * outer
+                while rem.is_zero():
+                    rest, m = quo, m + 1
+                    quo, rem = rest.divmod(u)
+                found[u] = found.get(u, 0) + m * outer
         if rest.degree > 0:
             work.append((rest, outer))
     out = sorted(found.items(), key=lambda it: (it[0].degree, tuple(c.coeffs for c in it[0].coeffs)))
@@ -545,7 +539,7 @@ def find_irreducible(p: int, n: int) -> tuple:
         cand = FqPoly.from_ints(field, cc + [1])
         if ff_is_irreducible(cand):
             return tuple(cc + [1])
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
+    raise InvariantError(f"no monic irreducible of degree {n} over F_{p}")
 
 
 def ff_roots(f: FqPoly) -> list[FFElement]:
@@ -639,7 +633,7 @@ def _invert_mod_p(mat, p):
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
         if pivot is None:
-            raise ValueError("singular matrix over F_p")
+            raise InvariantError(f"singular matrix over F_{p}")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = pow(aug[col][col], -1, p)
         aug[col] = [(x * inv) % p for x in aug[col]]

@@ -35,9 +35,10 @@ level 0 it needs the digits as polynomials.
 Alongside evaluation this module carries the graded residue machinery:
 residues of digits relative to normalizing monomials in p and earlier
 keys, residual polynomials over the chain's residue field, lifting of
-residual factors back to candidate keys, and the key test built from
-value homogeneity, residual irreducibility and growth of the root
-distance invariant.
+residual factors back to candidate keys (Q_i^i0 * H(Q_i^e), one Horner),
+and the key test built from value homogeneity, residual irreducibility and
+growth of the root distance invariant.  A homogeneous monic candidate has a
+residual of the key's degree, so the test needs no degree certificate.
 
 Chain files are plain text: ``p = <prime>`` on the first line, then one
 ``Q<i>: <poly> @ <value>`` line per level, with values written ``r`` or
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .finitefields import FFElement, FieldExtension, FiniteField, FqPoly, InvariantError, ff_is_irreducible
+from .finitefields import FFElement, FieldExtension, FiniteField, FqPoly, InvariantError, _horner, ff_is_irreducible
 from .polynomials import (
     Poly,
     PolyParseError,
@@ -467,8 +468,6 @@ class Chain:
             digits = enumerate(q_expansion(f, level.key))
             images = [(j, self._graded_reduce(i - 1, d)) for j, d in digits if d.num]
             terms = [(j, image, image[3]) for j, image in images]
-        if not terms:
-            raise ValueError("graded reduction of zero")
         vmin, achieving = _term_minimum(terms, level)
         if level.tau:
             # unique minimal term; the residual degenerates to a bare monomial
@@ -519,21 +518,17 @@ class Chain:
         return h, i1, j1
 
     def _graded_lift(self, i: int, fbar: FqPoly, i0: int, j0: int) -> Poly:
+        # Q_i^i0 * H(Q_i^e) by one Horner; H has the lifted coefficients of fbar
         level = self.levels[i]
-        out = Poly()
-        for m in range(fbar.degree + 1):
-            c = fbar[m]
-            if c.is_zero():
-                continue
+        coeffs = []
+        for m, c in enumerate(fbar.coeffs):
             jj = j0 - m * level.numer
-            ii = i0 + m * level.rel_denom
             if i == 0:
-                coeff = Poly((Fraction(c.coeffs[0]) * Fraction(self.p) ** jj,))
+                coeffs.append(Fraction(c.coeffs[0]) * Fraction(self.p) ** jj)
             else:
-                h, i1, j1 = self._graded_map_lift(i, c, jj)
-                coeff = self._graded_lift(i - 1, h, i1, j1)
-            out = out + coeff * level.key**ii
-        return out
+                coeffs.append(self._graded_lift(i - 1, *self._graded_map_lift(i, c, jj)) if c else 0)
+        lift = _horner(coeffs, level.key**level.rel_denom, Poly())
+        return lift * level.key**i0 if i0 else lift
 
     def _residual(self, i: int, f: Poly) -> FqPoly:
         fbar, _, _, _ = self._graded_reduce(i, f)
@@ -570,10 +565,16 @@ class Chain:
     def is_key(self, q: Poly) -> KeyCertificate:
         """Test whether q can augment this chain, with a failure certificate.
 
-        Conditions: the expansion of q in the last key is value homogeneous
-        with nonzero constant digit, the residual polynomial is irreducible,
-        and the root distance invariant does not shrink (it then grows
-        strictly for any admissible assigned value).
+        The codes, in test order: ``divisible_by_last_key`` (the last key phi
+        divides q), ``inhomogeneous`` (an expansion term in phi misses the
+        minimum), ``reducible_residual`` and ``epsilon_shrinks`` (the root
+        distance invariant, which must grow, shrinks).  No other code can
+        arise.  At an infinitesimal last level term j carries the t-part
+        j * s with s != 0, so one index alone attains the minimum, while a
+        monic q of degree >= deg phi with a nonzero constant digit has two
+        digits: the scan returns ``inhomogeneous``.  A homogeneous q has the
+        top digit 1 at j = n = deg q / deg phi; j = 0 attains the minimum, so
+        i0 = 0 and e divides n, and the residual has degree n / e.
         """
         q = Poly.of(q)
         last = self.levels[-1]
@@ -593,13 +594,7 @@ class Chain:
             values = {j: str(_term_value(last, j, n)) for j, _, n in terms}
             shown = ", ".join(values.get(j, "-") for j in range(terms[-1][0] + 1))
             return KeyCertificate(False, "inhomogeneous", f"expansion term values {{{shown}}}")
-        if last.tau:
-            return KeyCertificate(False, "inhomogeneous", "infinitesimal level admits no keys")
         rho = self.residual_polynomial(q)
-        if rho.degree * last.rel_denom * last.degree != q.degree:
-            return KeyCertificate(
-                False, "residual_degree", f"residual {rho.to_text()} has degree {rho.degree}"
-            )
         if not ff_is_irreducible(rho):
             return KeyCertificate(False, "reducible_residual", f"residual {rho.to_text()} factors")
         eps_q = self.epsilon(q)

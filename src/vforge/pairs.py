@@ -391,7 +391,8 @@ def enumerate_common_extensions(
         ext = single_extension(extend_to_number_field(m, chain.p))
     pair = PairOfDefinition(AlgebraicNumber(ext), delta)
     restriction = common_extension_check(chain, pair, samples=samples, rng=rng)
-    restriction.name = f"common_extension.ext{ext.index}"
+    # keep the failing branch: common_extension.ext0, common_extension.ext0.low_degree, ...
+    restriction.name = restriction.name.replace("common_extension", f"common_extension.ext{ext.index}", 1)
     report.add(restriction)
 
     # the ball around a root: the root and the other roots within delta of it

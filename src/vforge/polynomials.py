@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .finitefields import InvariantError, _convolve, _gcd, _horner, _power
-from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value
+from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value, _rational
 
 # Largest exponent Poly.parse accepts; it bounds the size of parsed input.
 MAX_DEGREE = 1024
@@ -124,7 +124,7 @@ class Poly:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cc = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cc = [_rational(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cc))
         canonical = _make([c.numerator * (den // c.denominator) for c in cc], den)
         self.num, self.den = canonical.num, canonical.den
@@ -413,10 +413,8 @@ def _p_order(n: int, p: int) -> int:
 
 
 def padic_valuation(x, p: int) -> Value:
-    """v_p of an int or a rational, as a Value; v_p(0) = infinity."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    if not x:
+    """v_p of an int or a Fraction, as a Value; v_p(0) = infinity."""
+    if not _rational(x):
         return INFINITY
     return Value._exact(Fraction(_p_order(x.numerator, p) - _p_order(x.denominator, p)))
 
@@ -436,8 +434,8 @@ def hasse_derivative(f: Poly, b: int) -> Poly:
 def q_expansion(f: Poly, q: Poly) -> list[Poly]:
     """Digits of f in base q: f = sum digits[j] * q**j with deg digits[j] < deg q.
 
-    q must be monic of positive degree.  For a linear q = X - c the digits
-    are the coefficients of f(X + c), as constant polynomials.
+    q must be monic of positive degree; each digit is one remainder of the
+    division loop.
     """
     q = Poly.of(q)
     if not q.is_monic():
@@ -445,11 +443,6 @@ def q_expansion(f: Poly, q: Poly) -> list[Poly]:
     if q.degree < 1:
         raise ValueError("expansion base must have positive degree")
     f = Poly.of(f)
-    if q.degree == 1:
-        # the Taylor shift's numerators over one denominator are the digits
-        cc, s = _shifted_numerators(f.num, -q.num[0], q.den)
-        den = f.den * s
-        return [_make((c,), den) for c in cc] or [_make(())]
     digits = []
     while not f.is_zero():
         f, r = f.divmod(q)

@@ -47,6 +47,14 @@ class TextParseError(ValueError):
         self.column = column
 
 
+def _rational(x):
+    """x itself when it is an int or a Fraction; anything else, a float
+    among them, raises TypeError, so no inexact number enters silently."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {x!r}")
+    return x
+
+
 def _quoted(text: str) -> str:
     """text quoted for an error message, cut to MAX_QUOTED_LENGTH characters."""
     if len(text) <= MAX_QUOTED_LENGTH:
@@ -65,8 +73,8 @@ class Value:
             self.s = None
             self.infinite = True
         else:
-            self.r = Fraction(r)
-            self.s = Fraction(s)
+            self.r = Fraction(_rational(r))
+            self.s = Fraction(_rational(s))
             self.infinite = False
 
     @classmethod
@@ -81,7 +89,7 @@ class Value:
         """Coerce an int, Fraction or Value to a Value."""
         if isinstance(x, Value):
             return x
-        return cls(Fraction(x))
+        return cls(x)
 
     @classmethod
     def parse(cls, text: str) -> "Value":
@@ -141,9 +149,8 @@ class Value:
         return Value._exact(-self.r, -self.s)
 
     def scale(self, c) -> "Value":
-        """Multiply by a rational scalar c; scaling infinity by 0 is undefined."""
-        if not isinstance(c, int):
-            c = Fraction(c)
+        """Multiply by an int or Fraction c; scaling infinity by 0 is undefined."""
+        c = _rational(c)
         if self.infinite:
             if c == 0:
                 raise ArithmeticError("0 * infinity is undefined")
@@ -161,7 +168,7 @@ class Value:
         if not isinstance(other, Value):
             try:
                 other = Value.of(other)
-            except (TypeError, ValueError):
+            except TypeError:
                 return NotImplemented
         if self.infinite or other.infinite:
             return self.infinite == other.infinite

@@ -283,6 +283,19 @@ def test_internal_error_exit_code(capsys, monkeypatch, error):
     assert err.startswith("internal error: ") and len(err.strip().splitlines()) == 1
 
 
+def test_singular_tower_basis_is_an_internal_error(corpus, tmp_path, capsys, monkeypatch):
+    # c7's third level flattens F_4[y]/(rho) into F_16; with every root read
+    # as 1 the basis matrix is singular, a failed invariant and not bad input
+    import vforge.finitefields as ff
+
+    path = tmp_path / "c7.vchain"
+    path.write_text(corpus["c7"].to_text())
+    monkeypatch.setattr(ff, "ff_roots", lambda f: [f.field.one])
+    code, out, err = run(capsys, ["eval", "--chain", str(path), "--poly", "X"])
+    assert code == 5 and out == ""
+    assert err == "internal error: InvariantError: singular matrix over F_2\n"
+
+
 def test_unreadable_chain_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, ["eval", "--chain", str(tmp_path), "--poly", "X"])
     assert code == 2

@@ -189,6 +189,19 @@ def test_equal_degree_split_has_a_budget():
     assert rng.calls == finitefields.MAX_SPLIT_ROUNDS * draws_per_round
 
 
+def test_failed_linear_algebra_and_search_are_invariant_errors(monkeypatch):
+    # neither is bad input: a singular tower basis or a missing irreducible
+    # means an algorithm failed, which the CLI reports with exit code 5
+    from vforge import InvariantError, finitefields
+
+    with pytest.raises(InvariantError, match="singular matrix over F_2"):
+        finitefields._invert_mod_p([[1, 1], [1, 1]], 2)
+    assert finitefields._invert_mod_p([[1, 1], [0, 1]], 2) == [[1, 1], [0, 1]]
+    monkeypatch.setattr(finitefields, "ff_is_irreducible", lambda f: False)
+    with pytest.raises(InvariantError, match="no monic irreducible of degree 2 over F_3"):
+        find_irreducible(3, 2)
+
+
 # -- products on the shared int convolution, against a plain reference -------------------
 
 

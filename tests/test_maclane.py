@@ -608,6 +608,50 @@ def test_is_key_inhomogeneous_detail_matches_value_reference(corpus):
     assert seen > 50
 
 
+def _key_candidates(rng, chain):
+    # random monic polynomials of degree n * deg(phi), phi^n plus a constant,
+    # and above a rational last level the lifts of random monic residuals
+    # with a nonzero constant, which are homogeneous by construction
+    last = chain.levels[-1]
+    out = []
+    for n in (1, 2):
+        out += [q for q in (_rand_rational_poly(rng, chain, n * last.degree, monic=True) for _ in range(15))
+                if q.degree == n * last.degree]
+        out.append(last.key**n + F(rng.randint(1, chain.p**2), rng.choice((1, chain.p))))
+    if not last.tau:
+        k = chain.residue_field
+        for _ in range(8):
+            cc = [k.element([rng.randrange(k.p) for _ in range(k.degree)]) for _ in range(rng.randint(1, 2))]
+            if not cc[0].is_zero():
+                out.append(chain.key_from_residual(FqPoly(k, cc + [k.one])))
+    return out
+
+
+def test_is_key_only_reaches_its_four_codes(corpus):
+    # a homogeneous monic candidate has a residual of degree deg q / (e deg phi),
+    # so no residual-degree failure exists; at an infinitesimal last level
+    # the scan rejects every candidate with a nonzero constant digit
+    rng = random.Random(596)
+    homogeneous = 0
+    for name, chain in _cross_check_chains(corpus).items():
+        last = chain.levels[-1]
+        for q in _key_candidates(rng, chain):
+            cert = chain.is_key(q)
+            assert cert.failed in (None, "divisible_by_last_key", "inhomogeneous", "reducible_residual",
+                                   "epsilon_shrinks"), (name, q, cert)
+            terms = _ref_terms(chain, q, last.key, len(chain.levels) - 2)
+            if name == "p3_tau":
+                expected = _ref_inhomogeneous_detail(chain, q)
+                assert expected is not None, (name, q)
+                assert (cert.failed, cert.detail) == ("inhomogeneous", expected), (name, q)
+            elif terms[0][0] == 0 and len(_ref_minimum(terms, last.beta)[1]) == len(terms):
+                homogeneous += 1
+                rho = chain.residual_polynomial(q)
+                assert rho.degree * last.rel_denom * last.degree == q.degree, (name, q)
+                assert cert.failed not in ("divisible_by_last_key", "inhomogeneous"), (name, q)
+    assert homogeneous > 80
+
+
 def test_corpus_reports_match_recorded_digests(corpus):
     # the verify-corpus benchmark records the sha256 of every corpus report;
     # seed 0 of each chain is checked here, so tier-1 catches a changed byte

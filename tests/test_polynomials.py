@@ -61,6 +61,19 @@ def test_print_parse_roundtrip():
         assert P(f.to_text("X")) == f
 
 
+def test_inexact_coefficients_and_arguments_are_rejected():
+    # Poly([0.1, 1]) once printed X + 3602879701896397/36028797018963968
+    for bad in (0.1, 0.5, "1/2"):
+        with pytest.raises(TypeError):
+            Poly([bad, 1])
+        with pytest.raises(TypeError):
+            padic_valuation(bad, 2)
+    with pytest.raises(TypeError):
+        Poly.of(0.5)
+    assert Poly([F(1, 10), 1]).to_text() == "X + 1/10"
+    assert padic_valuation(F(1, 2), 2) == Value(-1)
+
+
 def test_zero_polynomial_degree_sentinel():
     assert Poly().degree == -1
     assert Poly((0, 0)).degree == -1

@@ -23,6 +23,25 @@ def test_componentwise_arithmetic():
     assert value_min(Value(1, 0), Value(0, 1)) == Value(0, 1)
 
 
+def test_inexact_numbers_are_rejected():
+    # Value(0.1) once held the binary fraction 3602879701896397/36028797018963968
+    from decimal import Decimal
+
+    for bad in (0.1, 0.5, Decimal("0.5"), "1/2"):
+        with pytest.raises(TypeError):
+            Value(bad)
+        with pytest.raises(TypeError):
+            Value.of(bad)
+        with pytest.raises(TypeError):
+            Value(1, bad)
+        with pytest.raises(TypeError):
+            Value(1).scale(bad)
+        with pytest.raises(TypeError):
+            Value(1) + bad
+    assert Value(1).scale(F(1, 2)) == Value.of(F(1, 2)) == Value(F(1, 2))
+    assert Value(1) != 1.0
+
+
 def test_scaling_infinity_by_zero_rejected():
     with pytest.raises(ArithmeticError):
         INFINITY.scale(0)

@@ -66,6 +66,37 @@ def _pair_eval_doubles_delta(monkeypatch):
     )
 
 
+def _shift_delta_via_roots(monkeypatch):
+    # the root-distance oracle one too high
+    real = verify_mod.delta_via_roots
+    monkeypatch.setattr(
+        verify_mod,
+        "delta_via_roots",
+        lambda center, delta, f: (lambda v: v if v.infinite else v + 1)(real(center, delta, f)),
+    )
+
+
+def _negate_pairs_equivalent(monkeypatch):
+    # every equivalence verdict reversed, in verify and in the class enumeration
+    real = pairs_mod.pairs_equivalent
+    for module in (verify_mod, pairs_mod):
+        monkeypatch.setattr(module, "pairs_equivalent", lambda p1, p2: not real(p1, p2))
+
+
+def _shift_padic_root_values(monkeypatch):
+    # every finite root value one too high
+    real = pairs_mod.padic_root_values
+    monkeypatch.setattr(
+        pairs_mod, "padic_root_values", lambda f, p: [v if v.infinite else v + 1 for v in real(f, p)]
+    )
+
+
+def _negate_epsilon(monkeypatch):
+    # every growth invariant negated, so the level invariants fall
+    real = Chain.epsilon
+    monkeypatch.setattr(Chain, "epsilon", lambda self, f: -real(self, f))
+
+
 def _degree_one_high(monkeypatch):
     # d(w) read one too high
     monkeypatch.setattr(Chain, "degree", property(lambda self: self.levels[-1].degree + 1))
@@ -75,14 +106,6 @@ def _named(name):
     return lambda check: check.name == name
 
 
-def _restriction(detail_text):
-    # the restriction outcome is renamed per extension; its detail names the
-    # branch that failed ("center gives" for low_degree, "pair gives" for pair_value)
-    return lambda check: (
-        check.name.startswith("extension_classes.common_extension.ext") and detail_text in check.detail
-    )
-
-
 # (family, suite, corpus chain, fault, predicate picking the family's outcome)
 MUTATIONS = [
     ("valuation.multiplicative", "props", "c2", _shift_eval, _named("valuation.multiplicative")),
@@ -90,9 +113,16 @@ MUTATIONS = [
     ("truncation.complete", "props", "c6", _shift_truncate, _named("truncation.complete")),
     ("key_definitional_property", "props", "c2", _first_derivative_epsilon, _named("key_definitional_property")),
     ("linear_values_bounded_by_delta", "lemmas", "c2", _shift_taylor_values, _named("linear_values_bounded_by_delta")),
-    ("common_extension.low_degree", "lemmas", "c2", _value_of_drops_constant, _restriction("center gives")),
-    ("common_extension.pair_value", "lemmas", "c2", _pair_eval_doubles_delta, _restriction("pair gives")),
+    ("common_extension.low_degree", "lemmas", "c2", _value_of_drops_constant,
+     _named("extension_classes.common_extension.ext0.low_degree")),
+    ("common_extension.pair_value", "lemmas", "c2", _pair_eval_doubles_delta,
+     _named("extension_classes.common_extension.ext0.pair_value")),
     ("minimal_pair", "lemmas", "p3_cubic", _degree_one_high, _named("minimal_pair.ext0")),
+    ("epsilon_equals_root_distance", "lemmas", "c2", _shift_delta_via_roots, _named("epsilon_equals_root_distance")),
+    ("pair_equivalence.criterion", "lemmas", "c4", _negate_pairs_equivalent, _named("pair_equivalence.criterion")),
+    ("class_separation", "lemmas", "c4", _negate_pairs_equivalent, _named("extension_classes.class_separation")),
+    ("level0.root_value_sum", "lemmas", "c2", _shift_padic_root_values, _named("level0.root_value_sum")),
+    ("monotone_level_data", "props", "c2", _negate_epsilon, _named("monotone_level_data")),
 ]
 
 EXCLUDED = {
@@ -130,7 +160,7 @@ def test_the_family_passes_without_the_fault(corpus):
     # the same predicates pick a passing outcome from the unfaulted run
     for family, suite, chain_name, _fault, picks in MUTATIONS:
         if family.startswith("common_extension."):
-            continue  # a passing restriction carries neither failure detail
+            continue  # a passing restriction is common_extension.ext0, with no branch in its name
         report = verify_mod.run_suite(corpus[chain_name], suite)
         outcomes = [c for c in report.checks if picks(c)]
         assert outcomes and all(c.ok for c in outcomes), family
