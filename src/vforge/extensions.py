@@ -13,8 +13,8 @@ degree below the current key degree the chain value is already exact;
 otherwise the chain is improved until the constant digit of the
 expansion is the strict unique minimum, which pins the exact value.
 Improvement is guarded by a lock, so concurrent valuation queries on a
-shared extension are safe.  The values of the Taylor coefficients of
-f(a + T) come from one shift at the center (``taylor_values``), and the
+shared extension are safe.  ``taylor_values`` values the divided
+derivatives f^[j] at a center a, composed with a and never shifted, and the
 root-distance multisets read them through ``newton.root_values``; the
 multisets of polynomials over Q read ``newton.padic_root_values``.
 
@@ -42,13 +42,14 @@ from .finitefields import (
     _fp_mul,
     _fp_sub,
     _fp_trim,
+    _horner,
     ff_factor,
 )
 from .maclane import Chain, InvariantError, _term_minimum, prime_error
 from .newton import NewtonPolygon, _padic_points, padic_root_values, root_values
 from .polynomials import (
     Poly, _make, _pseudo_divide, _scaled_monic, _unscaled,
-    composed_value_poly, difference_resultant, padic_valuation,
+    composed_value_poly, difference_resultant, hasse_derivative, padic_valuation,
 )
 from .values import INFINITY, Value
 
@@ -314,27 +315,22 @@ class ValuationExtension:
                     return Value(Fraction(v0, chain.levels[-1].denom))
                 self._improve()
 
-    def taylor_values(self, coeffs, rep: Poly | None = None) -> list[Value]:
-        """[v(f^[j](a)) for j = 0..deg f]: the values of the coefficients of
-        f(a + T), for f = sum coeffs[k] X^k and a = rep(Y) (Y by default).
-
-        The coefficients are rationals or elements of Q[Y]/(m).  f(a + T) is
-        computed once, by Horner's rule in (Q[Y]/(m))[T].
-        """
-        m = self.m
-        a = Poly((0, 1)) % m if rep is None else Poly.of(rep) % m
-        shifted = []
-        for c in reversed(coeffs):
-            # shifted * (a + T) + c: coefficient k is a * shifted[k] + shifted[k - 1],
-            # with c in place of shifted[-1]
-            lower = [Poly.of(c)] + shifted
-            shifted = [(a * hi + lo) % m for hi, lo in zip(shifted + [Poly()], lower)]
-        return [self.valuation(c) for c in shifted]
+    def taylor_values(self, parts: list[Poly], rep: Poly = Poly((0, 1))) -> list[Value]:
+        """[v(f^[j](a)) for j = 0..deg f], for f = sum_l Y^l * parts[l] with parts
+        over Q and a = rep(Y): f^[j](a) = sum_l Y^l * (H_j parts[l])(a), with H_j
+        the j-th divided derivative, reduced mod m once, by ``valuation``."""
+        top = max(g.degree for g in parts)
+        if top < 0:
+            raise ValueError("Taylor values of the zero polynomial")
+        return [
+            self.valuation(_horner([hasse_derivative(g, j)(rep) for g in parts], Poly((0, 1)), Poly()))
+            for j in range(top + 1)
+        ]
 
     def difference_profile(self) -> list[Fraction]:
         """Multiset of v(a - b) over the other roots b of m, via the local
-        polygon of m(a + T); the one root T = 0 is b = a."""
-        return [v.r for v in root_values(self.taylor_values(self.m.coeffs))[1:]]
+        polygon of the Taylor values of m at a; the one root at 0 is b = a."""
+        return [v.r for v in root_values(self.taylor_values([self.m]))[1:]]
 
     def best_rational_approximation(self) -> Value:
         """Largest v(a - c) over rational c; infinite when a lies in Q_p."""
@@ -345,10 +341,10 @@ class ValuationExtension:
     def root_distances_to(self, other_poly: Poly) -> list:
         """Multiset of v(a - b) over roots b of other_poly, exact Values.
 
-        Uses the polygon of other_poly(a + T); entries can be infinite when a
-        root of other_poly equals a.
+        Uses the polygon of the Taylor values of other_poly at a; entries can
+        be infinite when a root of other_poly equals a.
         """
-        return root_values(self.taylor_values(Poly.of(other_poly).coeffs))
+        return root_values(self.taylor_values([Poly.of(other_poly)]))
 
     def __repr__(self):
         if self.rational_root is not None:

@@ -9,8 +9,8 @@ hull so the slope lengths always sum to deg f minus that order.
 ``padic_root_values`` reads the root values of a polynomial over Q off the
 points (j, v_p(num_j)) of its int numerators: the common denominator shifts
 every point alike and moves no slope.  ``root_values`` does the same from
-per-coefficient values over a valued number field, such as the Taylor
-coefficients of f(a + T).  Both list the roots at 0 first, as infinity,
+per-coefficient values over a valued number field, such as the values
+v(f^[j](a)) of the divided derivatives at a center.  Both list the roots at 0 first, as infinity,
 then the polygon's values.
 
 The same hull is reused by the chain machinery for polygons of key

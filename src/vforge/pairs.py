@@ -3,7 +3,7 @@
 A pair is an algebraic center a (carried with one chosen extension of v_p
 to its field) together with a value delta.  The pair values a polynomial
 through its Taylor expansion at a: the minimum of v(f^[j](a)) + j*delta,
-with the values v(f^[j](a)) read off one Taylor shift f(a + T) computed
+with f^[j] the j-th divided derivative of f, composed with a and valued
 by ``ValuationExtension.taylor_values``.
 Two pairs with conjugate centers define the same valuation exactly when
 the deltas agree and v(a - b) >= delta; the center of smallest field
@@ -77,17 +77,20 @@ class FieldPoly:
 def pair_eval(pair: PairOfDefinition, f) -> tuple[Value, list[int]]:
     """Value of f under the pair valuation, with the achieving index set.
 
-    f is a Poly over Q or a FieldPoly over the center's field.  The values
-    v(f^[j](a)) of the Taylor coefficients at the center a come from one
-    shift f(a + T) (``ValuationExtension.taylor_values``); the index set S
-    lists every j (from 0) attaining the minimum of v(f^[j](a)) + j*delta.
+    f is a Poly over Q or a FieldPoly over the center's field (else ValueError),
+    split by powers of Y into parts over Q.  ``ValuationExtension.taylor_values``
+    gives the values v(f^[j](a)) of its divided derivatives at the center a;
+    S lists every j (from 0) attaining the minimum of v(f^[j](a)) + j*delta.
     """
-    coeffs = f.coeffs if isinstance(f, FieldPoly) else Poly.of(f).coeffs
-    if not coeffs:
-        raise ValueError("pair evaluation of the zero polynomial")
+    if not isinstance(f, FieldPoly):
+        parts = [Poly.of(f)]
+    elif f.ext.m != pair.center.ext.m:
+        raise ValueError(f"FieldPoly over the field of {f.ext.m}, center in the field of {pair.center.ext.m}")
+    else:
+        parts = [Poly([c[l] for c in f.coeffs]) for l in range(f.ext.m.degree)]
     best = None
     achieved: list[int] = []
-    for j, vj in enumerate(pair.center.ext.taylor_values(coeffs, pair.center.rep)):
+    for j, vj in enumerate(pair.center.ext.taylor_values(parts, pair.center.rep)):
         term = vj + pair.delta.scale(j)
         if best is None or term < best:
             best = term
@@ -135,8 +138,7 @@ def pairs_equivalent(p1: PairOfDefinition, p2: PairOfDefinition) -> bool:
         return False
     c1, c2 = p1.center, p2.center
     if c1.ext is c2.ext:
-        diff = (c1.rep - c2.rep) % c1.ext.m
-        return c1.ext.valuation(diff) >= p1.delta
+        return c1.ext.valuation(c1.rep - c2.rep) >= p1.delta
     m1 = c1.minimal_polynomial()
     m2 = c2.minimal_polynomial()
     if m1.degree == 1:

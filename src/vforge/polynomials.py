@@ -266,7 +266,9 @@ class Poly:
         return hash((self.num, self.den))
 
     def __call__(self, x):
-        """Evaluate by Horner at a rational or an element of a Q-algebra; at a Poly, compose."""
+        """Evaluate by Horner at a rational or an element of a Q-algebra; at a Poly, compose (at X, self)."""
+        if isinstance(x, Poly) and x.num == (0, 1):
+            return self
         return _horner(self.num, x, 0) * Fraction(1, self.den)
 
     # -- structural operations ----------------------------------------------
@@ -423,9 +425,9 @@ def padic_valuation(x, p: int) -> Value:
 
 
 def hasse_derivative(f: Poly, b: int) -> Poly:
-    """The b-th divided derivative: coefficient n maps to C(n, b) * c_n at n - b."""
-    if b < 1:
-        raise ValueError("derivative order must be >= 1")
+    """The b-th divided derivative, for b >= 0: coefficient n maps to C(n, b) * c_n at n - b."""
+    if b < 0:
+        raise ValueError("derivative order must be >= 0")
     f = Poly.of(f)
     num = f.num
     return _make([comb(n, b) * num[n] for n in range(b, len(num))], f.den)

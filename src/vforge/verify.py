@@ -154,7 +154,7 @@ def _check_pair_equivalence(report, chain, p1):
     gen, ext, delta = p1.center, p1.center.ext, p1.delta
     other = AlgebraicNumber(ext, _second_quadratic_root(m))
     p2 = PairOfDefinition(other, delta)
-    dist = ext.valuation((gen.rep - other.rep) % m)
+    dist = ext.valuation(gen.rep - other.rep)
     expected = dist >= delta
     got = pairs_equivalent(p1, p2)
     report.add(

@@ -481,10 +481,11 @@ def test_value_of_on_a_conjugate_matches_compose_then_reduce():
         m = P(mtxt)
         conjugate = Poly((-m[1], -1))  # -tr - Y, the other root
         for ext in extend_to_number_field(m, p):
-            other = AlgebraicNumber(ext, conjugate)
-            for _ in range(25):
-                g = rand_poly(rng, 4, p**3)
-                assert other.value_of(g) == ext.valuation(_compose_then_reduce(g, conjugate, m))
+            for rep in (conjugate, Poly((0, 1))):  # and the generator Y, where value_of composes nothing
+                center = AlgebraicNumber(ext, rep)
+                for _ in range(25):
+                    g = rand_poly(rng, 4, p**3)
+                    assert center.value_of(g) == ext.valuation(_compose_then_reduce(g, rep, m))
 
 
 def test_ensure_value_above_on_a_rational_root_is_a_no_op():

@@ -72,6 +72,21 @@ def test_pair_eval_field_coefficients(sqrt2_pair):
     x_minus_a = FieldPoly(ext, [-sqrt2_pair.center.rep, Poly((1,))])
     v, s = pair_eval(sqrt2_pair, x_minus_a)
     assert v == sqrt2_pair.delta and s == [1]
+    # X - i over Q[Y]/(Y^2 + 1) at a center in Q[Y]/(Y^2 - 2)
+    i_ext = extend_to_number_field(P("X^2 + 1"), 2)[0]
+    with pytest.raises(ValueError, match="center in"):
+        pair_eval(sqrt2_pair, FieldPoly(i_ext, [-Poly((0, 1)), Poly((1,))]))
+
+
+def test_taylor_values_of_the_zero_polynomial_raise(sqrt2_pair):
+    ext = sqrt2_pair.center.ext
+    for run in (
+        lambda: ext.root_distances_to(Poly()),
+        lambda: pair_eval(sqrt2_pair, Poly()),
+        lambda: pair_eval(sqrt2_pair, FieldPoly(ext, [P("X^2 - 2")])),  # 0 in Q[Y]/(Y^2 - 2)
+    ):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            run()
 
 
 def test_max_element_law(sqrt2_pair):
@@ -387,10 +402,12 @@ def test_a_root_pair_with_a_wrong_delta_fails_verify(corpus, monkeypatch):
         assert not report.ok and any(n.startswith(ROOT_PAIR_CHECKS) for n in failed), (name, failed)
 
 
-# -- one Taylor shift at the center, against the per-j reference -----------------------
+# -- Taylor values at the center, against two references -----------------------------
 #
-# The reference rebuilds each divided derivative f^[j], evaluates it at the
-# center by Horner mod m and values the result; root multisets count the
+# The per-j reference rebuilds each divided derivative f^[j], evaluates it at
+# the center by Horner mod m and values the result.  The shift reference
+# computes f(a + T) by Horner's rule in (Q[Y]/(m))[T], reducing every
+# coefficient mod m, and values its coefficients.  Root multisets count the
 # leading zero coefficients and read the rest off the polygon.
 
 
@@ -398,7 +415,7 @@ def _per_j_values(ext, f, rep):
     if isinstance(f, FieldPoly):
         derivs = [[c * comb(n, j) for n, c in enumerate(f.coeffs)][j:] for j in range(len(f.coeffs))]
     else:
-        derivs = [f.coeffs] + [hasse_derivative(f, j).coeffs for j in range(1, f.degree + 1)]
+        derivs = [hasse_derivative(f, j).coeffs for j in range(f.degree + 1)]
     out = []
     for coeffs in derivs:
         acc = Poly()
@@ -408,10 +425,23 @@ def _per_j_values(ext, f, rep):
     return out
 
 
-def _per_j_pair_eval(pair, f):
-    terms = [v + pair.delta.scale(j) for j, v in enumerate(_per_j_values(pair.center.ext, f, pair.center.rep))]
-    best = min(terms)
-    return best, [j for j, t in enumerate(terms) if t == best]
+def _shift_values(ext, f, rep):
+    a = Poly.of(rep) % ext.m
+    shifted = []
+    for c in reversed(f.coeffs):
+        # shifted * (a + T) + c: coefficient k is a * shifted[k] + shifted[k - 1]
+        lower = [Poly.of(c)] + shifted
+        shifted = [(a * hi + lo) % ext.m for hi, lo in zip(shifted + [Poly()], lower)]
+    return [ext.valuation(c) for c in shifted]
+
+
+def _reference_pair_evals(pair, f):
+    out = []
+    for reference in (_per_j_values, _shift_values):
+        terms = [v + pair.delta.scale(j) for j, v in enumerate(reference(pair.center.ext, f, pair.center.rep))]
+        best = min(terms)
+        out.append((best, [j for j, t in enumerate(terms) if t == best]))
+    return out
 
 
 def _zeros_plus_polygon(values):
@@ -467,12 +497,12 @@ def test_taylor_shift_matches_per_j_reference(corpus):
             ]
             other = PairOfDefinition(AlgebraicNumber(ext, _random_poly(rng, m.degree - 1, p, monic=False)), delta)
             for f in polys + field_polys:
-                assert pair_eval(pair, f) == _per_j_pair_eval(pair, f), (name, str(f))
-                assert pair_eval(other, f) == _per_j_pair_eval(other, f), (name, str(f))
+                assert [pair_eval(pair, f)] * 2 == _reference_pair_evals(pair, f), (name, str(f))
+                assert [pair_eval(other, f)] * 2 == _reference_pair_evals(other, f), (name, str(f))
             assert ext.difference_profile() == _per_j_difference_profile(ext), name
             for g in polys + [level.key for level in chain.levels]:
-                expected = _zeros_plus_polygon(_per_j_values(ext, g, Poly((0, 1))))
-                assert ext.root_distances_to(g) == expected, (name, str(g))
+                expected = [_zeros_plus_polygon(ref(ext, g, Poly((0, 1)))) for ref in (_per_j_values, _shift_values)]
+                assert [ext.root_distances_to(g)] * 2 == expected, (name, str(g))
             for g in polys[2:]:
                 assert root_difference_valuations(m, g, p) == _per_j_root_differences(m, g, p), (name, str(g))
                 assert delta_via_roots(center, delta, g) == _per_j_delta(center, delta, g), (name, str(g))

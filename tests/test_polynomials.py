@@ -87,6 +87,9 @@ def test_hasse_examples():
     assert hasse_derivative(P("X^5"), 2) == P("10X^3")
     assert hasse_derivative(P("X^2 - 2"), 1) == P("2X")
     assert hasse_derivative(P("X^2 + 1"), 3) == Poly()
+    assert hasse_derivative(P("X^2 + 1"), 0) == P("X^2 + 1")  # H_0 is the identity
+    with pytest.raises(ValueError, match="derivative order"):
+        hasse_derivative(P("X^2 + 1"), -1)
 
 
 def test_hasse_additive_and_leibniz():
@@ -99,9 +102,7 @@ def test_hasse_additive_and_leibniz():
         lhs = hasse_derivative(f * g, b)
         rhs = Poly()
         for i in range(b + 1):
-            left = f if i == 0 else hasse_derivative(f, i)
-            right = g if b - i == 0 else hasse_derivative(g, b - i)
-            rhs = rhs + left * right
+            rhs = rhs + hasse_derivative(f, i) * hasse_derivative(g, b - i)
         assert lhs == rhs
 
 
@@ -570,3 +571,40 @@ def test_generic_routines_match_the_poly_loops():
         # _gcd leaves the normalisation to Poly.gcd; gcd(h, 0) is h made monic
         assert a.gcd(b) == _loop_gcd(a, b) == _loop_gcd(_gcd(a, b), Poly())
     assert not hasattr(Poly, "compose")
+
+
+class _Counted:
+    """An element of Q[X] that counts the products it takes part in."""
+
+    def __init__(self, poly, count):
+        self.poly, self.count = poly, count
+
+    def __mul__(self, other):
+        self.count[0] += 1
+        return _Counted(self.poly * (other.poly if isinstance(other, _Counted) else other), self.count)
+
+    def __add__(self, other):
+        return _Counted(self.poly + (other.poly if isinstance(other, _Counted) else other), self.count)
+
+    __rmul__ = __mul__
+    __radd__ = __add__
+
+
+def test_horner_takes_one_product_per_coefficient_below_the_top():
+    from vforge.finitefields import _horner
+
+    rng = random.Random(67)
+    for _ in range(40):
+        f = Poly([F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(rng.randint(1, 7))] + [F(1)])
+        count = [0]
+        assert _horner(f.num, _Counted(P("X + 2"), count), 0).poly == f.shift(2) * f.den
+        assert count[0] == f.degree
+        count[0] = 0
+        assert f(_Counted(P("X + 2"), count)).poly == f.shift(2)
+        assert count[0] == f.degree + 1  # and one for the scaling by 1 / den
+    # a constant takes the one product that puts it in the ring of x
+    count = [0]
+    assert _horner((5,), _Counted(P("X + 2"), count), 0).poly == P("5") and count[0] == 1
+    for f in (P("5"), P("X^2 - 3")):
+        assert f(P("X")) is f  # composing with X is the identity
+        assert isinstance(f(P("X + 1")), Poly) and f(P("X + 1")) == f.shift(1)
