@@ -205,11 +205,9 @@ def _convolve(a, b, zero=0):
 
 
 def _horner(coeffs, x, zero):
-    """sum coeffs[k] * x^k (index = exponent) in the ring of zero * x, by Horner's rule from
-    the top coefficient: n products at degree n >= 1; a constant takes the product zero * x."""
-    if len(coeffs) < 2:
-        return zero * x + coeffs[0] if coeffs else zero
-    acc = coeffs[-1]
+    """sum coeffs[k] * x^k (index = exponent) by Horner's rule from the top coefficient:
+    n products at degree n; a constant is returned as it is, no coefficients as zero."""
+    acc = coeffs[-1] if coeffs else zero
     for c in coeffs[-2::-1]:
         acc = acc * x + c
     return acc

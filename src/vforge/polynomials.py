@@ -266,8 +266,9 @@ class Poly:
         return hash((self.num, self.den))
 
     def __call__(self, x):
-        """Evaluate by Horner at a rational or an element of a Q-algebra; at a Poly, compose (at X, self)."""
-        if isinstance(x, Poly) and x.num == (0, 1):
+        """Evaluate by Horner at a rational or an element of a Q-algebra; at a Poly, compose.
+        A constant, or any f composed with X itself, is returned as it is."""
+        if isinstance(x, Poly) and (len(self.num) < 2 or x.num == (0, 1) and x.den == 1):
             return self
         return _horner(self.num, x, 0) * Fraction(1, self.den)
 

@@ -481,7 +481,8 @@ def test_value_of_on_a_conjugate_matches_compose_then_reduce():
         m = P(mtxt)
         conjugate = Poly((-m[1], -1))  # -tr - Y, the other root
         for ext in extend_to_number_field(m, p):
-            for rep in (conjugate, Poly((0, 1))):  # and the generator Y, where value_of composes nothing
+            # the generator Y, where value_of composes nothing, and Y / 2, which it must compose
+            for rep in (conjugate, Poly((0, 1)), Poly((0, F(1, 2)))):
                 center = AlgebraicNumber(ext, rep)
                 for _ in range(25):
                     g = rand_poly(rng, 4, p**3)

@@ -495,10 +495,14 @@ def test_taylor_shift_matches_per_j_reference(corpus):
                 FieldPoly(ext, [center.rep, Poly((1,))]),
                 FieldPoly(ext, [_random_poly(rng, m.degree - 1, p**2, monic=False) for _ in range(3)]),
             ]
-            other = PairOfDefinition(AlgebraicNumber(ext, _random_poly(rng, m.degree - 1, p, monic=False)), delta)
+            # centers other than Y: a random rep, and Y / p, which has a denominator
+            others = [
+                PairOfDefinition(AlgebraicNumber(ext, rep), delta)
+                for rep in (_random_poly(rng, m.degree - 1, p, monic=False), Poly((0, F(1, p))))
+            ]
             for f in polys + field_polys:
-                assert [pair_eval(pair, f)] * 2 == _reference_pair_evals(pair, f), (name, str(f))
-                assert [pair_eval(other, f)] * 2 == _reference_pair_evals(other, f), (name, str(f))
+                for q in [pair] + others:
+                    assert [pair_eval(q, f)] * 2 == _reference_pair_evals(q, f), (name, str(q.center.rep), str(f))
             assert ext.difference_profile() == _per_j_difference_profile(ext), name
             for g in polys + [level.key for level in chain.levels]:
                 expected = [_zeros_plus_polygon(ref(ext, g, Poly((0, 1)))) for ref in (_per_j_values, _shift_values)]
