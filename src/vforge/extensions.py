@@ -58,6 +58,10 @@ DEFAULT_DEGREE_BOUND = 8
 # recombination trials (subsets of at most 8 of at most 16 modular factors).
 MAX_DEGREE_BOUND = 16
 
+# The generator Y of Q[Y]/(m) and the zero polynomial, shared by every call.
+_X = Poly((0, 1))
+_ZERO = Poly()
+
 
 class ReducibleError(ValueError):
     """The given minimal polynomial factors over Q; carries one factor."""
@@ -297,10 +301,17 @@ class ValuationExtension:
                 self._improve()
 
     def valuation(self, g: Poly) -> Value:
-        """v(g(a)) for the root a tracked by this extension; exact."""
+        """v(g(a)) for the root a tracked by this extension; exact.
+
+        g is reduced mod m by one pseudo-division of the numerators, with the
+        remainder over den(g) * lc^steps for the leading numerator lc of m.
+        """
         g = Poly.of(g)
-        if g.degree >= self.m.degree:
-            g = g % self.m
+        num, mnum = g.num, self.m.num
+        if len(num) >= len(mnum):
+            rem = list(num)
+            steps = _pseudo_divide(rem, mnum)
+            g = _make(rem[:len(mnum) - 1], g.den * mnum[-1] ** steps)
         if g.is_zero():
             return INFINITY
         if self.rational_root is not None:
@@ -312,10 +323,10 @@ class ValuationExtension:
                     return chain.eval(g)
                 v0, achieving = _last_minimum(chain, g)
                 if achieving == [0]:
-                    return Value(Fraction(v0, chain.levels[-1].denom))
+                    return Value._exact(Fraction(v0, chain.levels[-1].denom))
                 self._improve()
 
-    def taylor_values(self, parts: list[Poly], rep: Poly = Poly((0, 1))) -> list[Value]:
+    def taylor_values(self, parts: list[Poly], rep: Poly = _X) -> list[Value]:
         """[v(f^[j](a)) for j = 0..deg f], for f = sum_l Y^l * parts[l] with parts
         over Q and a = rep(Y): f^[j](a) = sum_l Y^l * (H_j parts[l])(a), with H_j
         the j-th divided derivative, reduced mod m once, by ``valuation``."""
@@ -323,7 +334,7 @@ class ValuationExtension:
         if top < 0:
             raise ValueError("Taylor values of the zero polynomial")
         return [
-            self.valuation(_horner([hasse_derivative(g, j)(rep) for g in parts], Poly((0, 1)), Poly()))
+            self.valuation(_horner([hasse_derivative(g, j)(rep) for g in parts], _X, _ZERO))
             for j in range(top + 1)
         ]
 
@@ -379,7 +390,7 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
 
     roots: list[Chain] = []
     lams = [-slope for slope, _length in NewtonPolygon(_padic_points(m, p)).slopes()]
-    queue = [Chain(p, Poly((0, 1)), Value(lam)) for lam in lams]
+    queue = [Chain(p, _X, Value(lam)) for lam in lams]
     while queue:
         branch = queue.pop()
         if _is_isolated(branch, m):
@@ -427,7 +438,7 @@ class AlgebraicNumber:
 
     def __post_init__(self):
         if self.rep is None:
-            self.rep = Poly((0, 1)) if self.ext.m.degree > 1 else Poly((self.ext.rational_root,))
+            self.rep = _X if self.ext.m.degree > 1 else Poly((self.ext.rational_root,))
         self.rep = Poly.of(self.rep) % self.ext.m
 
     def value_of(self, g: Poly) -> Value:
@@ -436,7 +447,7 @@ class AlgebraicNumber:
 
     def minimal_polynomial(self) -> Poly:
         """Monic minimal polynomial of the represented element over Q."""
-        if self.rep == Poly((0, 1)):
+        if self.rep == _X:
             return self.ext.m
         if self.rep.degree <= 0:
             return Poly((-self.rep[0], 1))

@@ -21,16 +21,21 @@ such a chain accepts no further augmentation.
 
 Every value at a rational level i lies in (1 / e_0...e_i) Z, so evaluation
 carries it as an int numerator over that level denominator (``denom``): a
-term of digit numerator n costs ``n * rel_denom + j * numer``.  Digits
-travel as int numerator lists with a v_p offset: a polynomial enters as its
+term of digit numerator n costs ``n * rel_denom + j * numer``, and
+``_int_value`` keeps only the running minimum of the terms.  Digits travel
+as int numerator lists with a v_p offset: a polynomial enters as its
 numerator list plus v_p of its denominator, level 0 reads its digits off
 one int Taylor shift (a digit's numerator is v_p of its shift numerator
 minus the offset), and each higher level pseudo-divides the running list
-by the key's numerators in place, so no Poly is built per digit.  A
-``Value`` is built once, at the public boundary (``eval``, ``truncate``);
-only a final infinitesimal level adds ``j * b_k`` to its digit values as
-Values.  ``_graded_reduce`` is the one user of ``q_expansion`` here: above
-level 0 it needs the digits as polynomials.
+by the key's numerators in place, so no Poly is built per digit.  A final
+infinitesimal level compares its terms as int pairs: the rational part
+over lcm(prev denom, den r_k) and j times the numerator of s_k, for
+b_k = r_k + s_k t.  ``eval``, ``truncate`` and ``epsilon`` each build one
+``Value``, when they return; ``epsilon`` picks the largest
+(w(f) - w(f^[b])) / b by cross-multiplying ints.  ``_int_terms`` lists the
+digits with their values for the callers that need them, and
+``_graded_reduce`` is the one user of ``q_expansion`` here: above level 0
+it needs the digits as polynomials.
 
 Alongside evaluation this module carries the graded residue machinery:
 residues of digits relative to normalizing monomials in p and earlier
@@ -51,7 +56,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .finitefields import FFElement, FieldExtension, FiniteField, FqPoly, InvariantError, _horner, ff_is_irreducible
 from .polynomials import (
@@ -63,7 +68,7 @@ from .polynomials import (
     hasse_derivative,
     q_expansion,
 )
-from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value, value_max
+from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value
 
 # Largest prime a chain accepts; it bounds the trial division that proves p
 # prime (at most 46341 divisors).
@@ -311,13 +316,17 @@ class Chain:
         """(j, digit, n) for the nonzero digits in base key of num / D, where
         num is a list of ints and D any denominator with v_p(D) = off.
 
-        n is the digit's value under the chain prefix through the rational
-        level i, as an int numerator over that level's ``denom``.  Below
-        level 0 (i = -1) the key is X - c with c an integer: each digit is
-        an int of the Taylor shift over D, and n = v_p(digit) - off.  Above,
-        each digit is the int list left by one in-place pseudo-division of
-        the running list by the key's numerators, whose leading entry l (the
-        key's denominator) adds steps * v_p(l) to the remainder's offset and
+        Only the callers that need the digits or the indices attaining the
+        minimum build this list: ``_graded_reduce``, ``is_key``, an
+        infinitesimal last level, and ``extensions._last_minimum`` and
+        ``_branch_children``; a value alone comes from ``_int_value``.  n is
+        the digit's value under the chain prefix through the rational level
+        i, as an int numerator over that level's ``denom``.  Below level 0
+        (i = -1) the key is X - c with c an integer: each digit is an int of
+        the Taylor shift over D, and n = v_p(digit) - off.  Above, each digit
+        is the int list left by one in-place pseudo-division of the running
+        list by the key's numerators, whose leading entry l (the key's
+        denominator) adds steps * v_p(l) to the remainder's offset and
         (steps - 1) * v_p(l) to the quotient's.
         """
         p = self.p
@@ -346,17 +355,59 @@ class Chain:
 
     def _int_value(self, num, off: int, i: int) -> int:
         """Value of the nonzero num / D, v_p(D) = off, under the chain through
-        the rational level i, as an int numerator over that level's ``denom``."""
+        the rational level i, as an int numerator over that level's ``denom``.
+
+        The same expansion as ``_int_terms`` one level down, keeping only the
+        running minimum of n * rel_denom + j * numer over the digits.
+        """
+        p = self.p
         level = self.levels[i]
-        return _term_minimum(self._int_terms(num, off, level.key, i - 1), level)[0]
+        e, numer = level.rel_denom, level.numer
+        g = level.key.num
+        best = None
+        if not i:
+            cc, _ = _shifted_numerators(num, -g[0], 1)
+            for j, c in enumerate(cc):
+                if c:
+                    term = (_p_order(c, p) - off) * e + j * numer
+                    if best is None or term < best:
+                        best = term
+            return best
+        m = len(g) - 1
+        vlead = _p_order(g[-1], p)
+        run = list(num)
+        j = 0
+        while len(run) > m:
+            steps = _pseudo_divide(run, g)
+            digit = run[:m]
+            while digit and not digit[-1]:
+                digit.pop()
+            if digit:
+                term = self._int_value(digit, off + steps * vlead, i - 1) * e + j * numer
+                if best is None or term < best:
+                    best = term
+            run = run[m:]
+            off += (steps - 1) * vlead
+            j += 1
+        if run:
+            term = self._int_value(run, off, i - 1) * e + j * numer
+            if best is None or term < best:
+                best = term
+        return best
+
+    def _numerators(self, i: int, f: Poly):
+        """(r, s, rd, sd): the value of the nonzero f under the chain through
+        level i is r / rd + (s / sd) t, all ints."""
+        level = self.levels[i]
+        if level.tau:
+            return _tau_minimum(self._terms(f, level.key, i - 1), level)[0]
+        return self._int_value(f.num, _p_order(f.den, self.p), i), 0, level.denom, 1
 
     def _level_value(self, i: int, f: Poly) -> Value:
         """Value of f under the chain through level i, as a Value."""
         if f.is_zero():
             return INFINITY
-        level = self.levels[i]
-        best = _term_minimum(self._terms(f, level.key, i - 1), level)[0]
-        return best if level.tau else Value._exact(Fraction(best, level.denom))
+        return _numerator_value(*self._numerators(i, f))
 
     def truncate(self, i: int, f: Poly) -> Value:
         """Value of f under the level-i truncation of the chain valuation.
@@ -376,12 +427,17 @@ class Chain:
         f = Poly.of(f)
         if f.degree < 1:
             raise ValueError("epsilon needs a nonconstant polynomial")
-        wf = self.eval(f)
-        candidates = []
+        i = len(self.levels) - 1
+        rf, sf, rd, sd = self._numerators(i, f)
+        best = None
         for b in range(1, f.degree + 1):
-            wd = self.eval(hasse_derivative(f, b))
-            candidates.append((wf - wd).scale(Fraction(1, b)))
-        return value_max(*candidates)
+            rh, sh, _, _ = self._numerators(i, hasse_derivative(f, b))
+            r, s = rf - rh, sf - sh
+            # (r, s) / b against the best so far, cross-multiplied
+            if best is None or (r * best[2], s * best[2]) > (best[0] * b, best[1] * b):
+                best = (r, s, b)
+        r, s, b = best
+        return _numerator_value(r, s, b * rd, b * sd)
 
     # -- classification and invariants ---------------------------------------
 
@@ -678,15 +734,38 @@ def _term_minimum(terms, level: _Level):
 
     At a rational level a term value is the int numerator
     n * rel_denom + j * numer over the level's ``denom``; at an
-    infinitesimal level it is a Value.
+    infinitesimal level it is a Value, and one index attains it.
     """
-    tau, e, numer = level.tau, level.rel_denom, level.numer
+    if level.tau:
+        numerators, j = _tau_minimum(terms, level)
+        return _numerator_value(*numerators), [j]
+    e, numer = level.rel_denom, level.numer
     best, achieving = None, []
     for j, _digit, n in terms:
-        term = _term_value(level, j, n) if tau else n * e + j * numer
+        term = n * e + j * numer
         if best is None or term < best:
             best, achieving = term, [j]
         elif term == best:
             achieving.append(j)
     return best, achieving
 
+
+def _tau_minimum(terms, level: _Level):
+    """((r, s, rd, sd), j): the least term at an infinitesimal level is
+    term j, of value r / rd + (s / sd) t.
+
+    Term j of digit value numerator n has value n / prev_denom + j * beta,
+    with r over rd = lcm(prev_denom, den beta.r) and s = j * numerator of
+    beta.s over sd = den beta.s; terms compare as the int pairs (r, s).
+    Their t-parts differ, so the least is unique.
+    """
+    beta_r, beta_s = level.beta.r, level.beta.s
+    rd = lcm(level.prev_denom, beta_r.denominator)
+    scale, rnumer = rd // level.prev_denom, beta_r.numerator * (rd // beta_r.denominator)
+    r, s, j = min((n * scale + j * rnumer, j * beta_s.numerator, j) for j, _digit, n in terms)
+    return (r, s, rd, beta_s.denominator), j
+
+
+def _numerator_value(r: int, s: int, rd: int, sd: int) -> Value:
+    """The Value r / rd + (s / sd) t."""
+    return Value._exact(Fraction(r, rd), Fraction(s, sd)) if s else Value._exact(Fraction(r, rd))

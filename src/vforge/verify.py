@@ -53,7 +53,7 @@ from .values import value_min
 SCHEMA_VERSION = 1
 
 # Largest accepted ``samples``: the slowest corpus chain runs the "all"
-# suite at this size in about 12 s on a 2-vCPU host (Python 3.11).
+# suite at this size in about 3 s on a 2-vCPU host (Python 3.11).
 MAX_SAMPLES = 5000
 
 

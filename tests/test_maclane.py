@@ -538,18 +538,32 @@ def _rand_rational_poly(rng, chain, max_deg, monic=False):
 
 
 def test_integer_evaluation_matches_value_reference(corpus):
+    # the seeded random chains add three-level towers, with and without an
+    # infinitesimal last level, to the corpus
+    from test_random_chains import random_chain
+
     rng = random.Random(20200727)
     chains = _cross_check_chains(corpus)
+    for k, (p, tau_last) in enumerate([(2, False), (3, False), (2, True), (3, True)]):
+        chains[f"random{k}"] = random_chain(random.Random(4000 + k), p, levels=3, tau_last=tau_last)
     assert {"p3_tau", "c3"} <= set(chains)
+    grown = [c for name, c in chains.items() if name.startswith("random")]
+    assert all(len(c.levels) == 3 for c in grown) and sum(c.levels[-1].tau for c in grown) == 2
+
+    def checked(value):
+        # a stray int division gives a float, and Fraction(1, 2) == 0.5
+        assert type(value.r) is F and type(value.s) is F, repr(value)
+        return value
+
     for name, chain in chains.items():
         top = len(chain.levels) - 1
         for f in [lev.key for lev in chain.levels] + [
             _rand_rational_poly(rng, chain, 2 * chain.degree + 2) for _ in range(25)
         ]:
-            assert chain.eval(f) == _ref_level(chain, top, f), (name, f)
+            assert checked(chain.eval(f)) == _ref_level(chain, top, f), (name, f)
             for i in range(top + 1):
-                assert chain.truncate(i, f) == _ref_level(chain, i, f), (name, i, f)
-            assert chain.epsilon(f) == _ref_epsilon(chain, f), (name, f)
+                assert checked(chain.truncate(i, f)) == _ref_level(chain, i, f), (name, i, f)
+            assert checked(chain.epsilon(f)) == _ref_epsilon(chain, f), (name, f)
             assert chain.residual_polynomial(f) == _ref_graded_reduce(chain, top, f)[0], (name, f)
 
 
