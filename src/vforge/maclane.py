@@ -13,7 +13,7 @@ extended by the key's residual polynomial.  ``refine`` replaces the last key
 by one of the same degree and a larger value; above level 0 the new key
 must take the last assigned value (ChainError code ``refine.key``), which
 makes it equivalent to the last key over the prefix, so the level keeps the
-last level's residue field.  Both moves end in the same growth check.
+last level's residue field.  Both moves end in the same check: beta grows.
 
 All level values except possibly the last are rational.  A final value
 with a nonzero infinitesimal part makes the chain value-transcendental;
@@ -41,9 +41,9 @@ Alongside evaluation this module carries the graded residue machinery:
 residues of digits relative to normalizing monomials in p and earlier
 keys, residual polynomials over the chain's residue field, lifting of
 residual factors back to candidate keys (Q_i^i0 * H(Q_i^e), one Horner),
-and the key test built from value homogeneity, residual irreducibility and
-growth of the root distance invariant.  A homogeneous monic candidate has a
-residual of the key's degree, so the test needs no degree certificate.
+and the key test built from value homogeneity and residual irreducibility.
+A homogeneous monic candidate has a residual of the key's degree and the
+last key's epsilon, so the test needs no degree or growth certificate.
 
 Chain files are plain text: ``p = <prime>`` on the first line, then one
 ``Q<i>: <poly> @ <value>`` line per level, with values written ``r`` or
@@ -114,7 +114,7 @@ def _check_center(key: Poly):
 
 @dataclass(frozen=True)
 class KeyCertificate:
-    """Outcome of the key test, recording which condition failed.
+    """Outcome of the key test, recording which of its three conditions failed.
 
     A passing certificate also carries the key's irreducible residual
     polynomial, which ``augment`` builds the new residue field on; it takes
@@ -286,20 +286,18 @@ class Chain:
         return self._clone_with(self.levels[:-1])._stacked(level)
 
     def _stacked(self, level: _Level) -> "Chain":
-        """This chain with level on top; beta and epsilon must strictly grow
-        over the current last level, if there is one."""
-        new = self._clone_with(self.levels + (level,))
-        if self.levels:
-            last = self.levels[-1]
-            eps_old = self.epsilon(last.key)
-            eps_new = new.epsilon(level.key)
-            if not (level.beta > last.beta and eps_new > eps_old):
-                raise ChainError(
-                    "augment.value",
-                    f"level data must strictly grow: beta {last.beta} -> {level.beta}, "
-                    f"eps {eps_old} -> {eps_new}",
-                )
-        return new
+        """This chain with level on top; beta must strictly grow over the
+        current last level, if there is one.  Then eps grows too: say
+        phi' @ beta' goes above (augment) or in place of (refine) the key phi.
+        The chains agree below degree deg phi', so eps_new(phi') =
+        max_b (beta' - mu(phi'^[b])) / b > eps_old(phi') as beta' > mu(phi')
+        (``*.value``), and eps_old(phi') = eps_old(phi) by ``is_key``: phi'
+        passed it, or has top term phi of value mu(phi') = beta
+        (``refine.key``).  A refined phi's eps already tops the level below.
+        """
+        if self.levels and not level.beta > self.levels[-1].beta:
+            raise ChainError("augment.value", f"beta must strictly grow: {self.levels[-1].beta} -> {level.beta}")
+        return self._clone_with(self.levels + (level,))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -623,14 +621,22 @@ class Chain:
 
         The codes, in test order: ``divisible_by_last_key`` (the last key phi
         divides q), ``inhomogeneous`` (an expansion term in phi misses the
-        minimum), ``reducible_residual`` and ``epsilon_shrinks`` (the root
-        distance invariant, which must grow, shrinks).  No other code can
-        arise.  At an infinitesimal last level term j carries the t-part
-        j * s with s != 0, so one index alone attains the minimum, while a
-        monic q of degree >= deg phi with a nonzero constant digit has two
-        digits: the scan returns ``inhomogeneous``.  A homogeneous q has the
-        top digit 1 at j = n = deg q / deg phi; j = 0 attains the minimum, so
-        i0 = 0 and e divides n, and the residual has degree n / e.
+        minimum) and ``reducible_residual``.  No other code can arise.  At an
+        infinitesimal last level term j carries the t-part j * s with s != 0,
+        so one index alone attains the minimum, while a monic q of degree
+        >= deg phi with a nonzero constant digit has two digits: the scan
+        returns ``inhomogeneous``.  A homogeneous q has the top digit 1 at
+        j = n = deg q / deg phi; j = 0 attains the minimum, so i0 = 0 and e
+        divides n, and the residual has degree n / e.
+
+        Nor can eps (``epsilon``) shrink.  Let (a, delta) be the chain's pair,
+        a a root of phi: eps(f) = max over roots b of f of min(v(a - b), delta),
+        at most delta = eps(phi).  If q's top term phi^n attains mu(q) = n beta,
+        as a passing q's does, then for t < beta near beta the chain with last
+        value t, which is v_{a,delta_t} with delta_t rising to delta, values
+        term j at least n beta - j (beta - t) >= n t, and q at n t, the sum
+        over roots b of min(v(a - b), delta_t).  As that rises up to t = beta,
+        a root b has v(a - b) >= delta, and eps(q) = eps(phi).
         """
         q = Poly.of(q)
         last = self.levels[-1]
@@ -653,12 +659,6 @@ class Chain:
         rho = self.residual_polynomial(q)
         if not ff_is_irreducible(rho):
             return KeyCertificate(False, "reducible_residual", f"residual {rho.to_text()} factors")
-        eps_q = self.epsilon(q)
-        eps_last = self.epsilon(last.key)
-        if eps_q < eps_last:
-            return KeyCertificate(
-                False, "epsilon_shrinks", f"epsilon {eps_q} below current {eps_last}"
-            )
         return KeyCertificate(True, residual=rho)
 
     # -- chain file round trip ---------------------------------------------------

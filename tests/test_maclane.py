@@ -215,6 +215,17 @@ def test_augment_error_codes():
         tau.augment(P("X^4 + 2X^3 - 4X^2 - 4X + 12"), Value(4))
     assert err.value.code == "augment.infinitesimal"
 
+    # only beta refuses this key: above its value 2 * (-1/2), -3/4 is below
+    # the last value, while epsilon would grow from -1/2 to -3/8
+    negative = Chain(2, P("X"), Value(F(-1, 2)))
+    key, beta = P("X^2 + 1/2"), Value(F(-3, 4))
+    assert negative.is_key(key) and negative.eval(key) == Value(-1)
+    grown = max((beta - negative.eval(hasse_derivative(key, b))).scale(F(1, b)) for b in (1, 2))
+    assert negative.epsilon(P("X")) == Value(F(-1, 2)) < grown == Value(F(-3, 8))
+    with pytest.raises(ChainError) as err:
+        negative.augment(key, beta)
+    assert err.value.code == "augment.value" and str(err.value) == "beta must strictly grow: -1/2 -> -3/4"
+
 
 # -- classification and data -------------------------------------------------------
 
@@ -356,7 +367,7 @@ def test_refine_builds_no_residue_field_and_augment_tests_each_key_once(monkeypa
     from test_acceptance import EXTENSION_COUNT_CASES
     from vforge.extensions import extend_to_number_field
 
-    calls, spans = [], {"augment": [], "refine": []}
+    calls, spans = [], {"augment": [], "refine": [], "is_key": []}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -375,6 +386,8 @@ def test_refine_builds_no_residue_field_and_augment_tests_each_key_once(monkeypa
     monkeypatch.setattr(maclane, "ff_is_irreducible", counted("rabin", maclane.ff_is_irreducible))
     monkeypatch.setattr(maclane, "FieldExtension", counted("field", maclane.FieldExtension))
     monkeypatch.setattr(Chain, "_residual", counted("residual", Chain._residual))
+    monkeypatch.setattr(Chain, "epsilon", counted("epsilon", Chain.epsilon))
+    monkeypatch.setattr(Chain, "is_key", spanned("is_key", Chain.is_key))
     monkeypatch.setattr(Chain, "augment", spanned("augment", Chain.augment))
     monkeypatch.setattr(Chain, "refine", spanned("refine", Chain.refine))
 
@@ -384,9 +397,11 @@ def test_refine_builds_no_residue_field_and_augment_tests_each_key_once(monkeypa
         for ext in extend_to_number_field(P(mtxt), p):
             for bound in (8, 32):
                 ext.ensure_value_above(F(bound))
-    assert spans["augment"] and spans["refine"]
+    assert spans["augment"] and spans["refine"] and spans["is_key"]
     assert all(inner.count("rabin") == 1 for inner in spans["augment"])
     assert all(inner == [] for inner in spans["refine"])
+    # the growth of epsilon is proved, not computed: no move evaluates it
+    assert all("epsilon" not in inner for moves in spans.values() for inner in moves)
 
 
 def test_augment_computes_one_residual(monkeypatch, corpus):
@@ -641,18 +656,23 @@ def _key_candidates(rng, chain):
     return out
 
 
-def test_is_key_only_reaches_its_four_codes(corpus):
+def test_is_key_only_reaches_its_three_codes(corpus):
     # a homogeneous monic candidate has a residual of degree deg q / (e deg phi),
     # so no residual-degree failure exists; at an infinitesimal last level
-    # the scan rejects every candidate with a nonzero constant digit
+    # the scan rejects every candidate with a nonzero constant digit; and a
+    # passing candidate has the last key's epsilon (is_key's docstring), so
+    # no growth failure exists either
     rng = random.Random(596)
-    homogeneous = 0
+    homogeneous = passed = 0
     for name, chain in _cross_check_chains(corpus).items():
         last = chain.levels[-1]
         for q in _key_candidates(rng, chain):
             cert = chain.is_key(q)
-            assert cert.failed in (None, "divisible_by_last_key", "inhomogeneous", "reducible_residual",
-                                   "epsilon_shrinks"), (name, q, cert)
+            assert cert.failed in (None, "divisible_by_last_key", "inhomogeneous", "reducible_residual"), (
+                name, q, cert)
+            if cert:
+                passed += 1
+                assert chain.epsilon(q) == chain.epsilon(last.key), (name, q)
             terms = _ref_terms(chain, q, last.key, len(chain.levels) - 2)
             if name == "p3_tau":
                 expected = _ref_inhomogeneous_detail(chain, q)
@@ -663,7 +683,45 @@ def test_is_key_only_reaches_its_four_codes(corpus):
                 rho = chain.residual_polynomial(q)
                 assert rho.degree * last.rel_denom * last.degree == q.degree, (name, q)
                 assert cert.failed not in ("divisible_by_last_key", "inhomogeneous"), (name, q)
-    assert homogeneous > 80
+    assert homogeneous > 80 and passed > 60, (homogeneous, passed)
+
+
+def test_epsilon_grows_at_every_augment_and_refine(monkeypatch):
+    # the reference for the growth checks that is_key and Chain._stacked no
+    # longer compute (their docstrings prove them): a move that puts phi' in
+    # place of or above phi keeps eps_old(phi') = eps_old(phi), and phi' ends
+    # with a larger epsilon than phi had and than the level below has
+    from test_random_chains import random_chain
+    from vforge.extensions import extend_to_number_field
+
+    moves = []
+
+    def recorded(real):
+        def wrapper(self, key, beta):
+            out = real(self, key, beta)
+            moves.append((self, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Chain, "augment", recorded(Chain.augment))
+    monkeypatch.setattr(Chain, "refine", recorded(Chain.refine))
+    for k in range(24):
+        random_chain(random.Random(7100 + k), (2, 3, 5)[k % 3], tau_last=k % 4 == 3, beta0_low=-3 * (k % 2))
+    for mtxt, p in [("X^4 + 1", 2), ("X^3 - 2", 3), ("X^2 - 257", 2), ("X^3 - 10", 3), ("X^4 - 2", 5)]:
+        for ext in extend_to_number_field(P(mtxt), p):
+            ext.ensure_value_above(F(12))
+    grown = {"augment": 0, "refine": 0, "negative": 0, "tau": 0}
+    for old, new in moves:
+        phi, key = old.last_key, new.last_key
+        eps = new.epsilon(key)
+        assert eps > old.epsilon(phi), (old, new)
+        if len(new.levels) > 1:
+            assert old.epsilon(key) == old.epsilon(phi), (old, new)
+            assert eps > new.epsilon(new.levels[-2].key), (old, new)
+        grown["augment" if len(new.levels) > len(old.levels) else "refine"] += 1
+        grown["negative"] += new.levels[0].beta < 0
+        grown["tau"] += new.levels[-1].tau
+    assert min(grown.values()) >= 5, grown
 
 
 def test_corpus_reports_match_recorded_digests(corpus):

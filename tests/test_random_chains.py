@@ -37,10 +37,10 @@ def random_residual(rng, field, degree):
             return rho
 
 
-def random_chain(rng, p, levels=3, tau_last=False, cross_check=False):
+def random_chain(rng, p, levels=3, tau_last=False, cross_check=False, beta0_low=0):
     center = rng.randint(-p, p)
     denom = rng.choice([1, 1, 2, 3])
-    beta0 = F(rng.randint(0, 2 * denom), denom)
+    beta0 = F(rng.randint(beta0_low * denom, 2 * denom), denom)
     chain = Chain(p, Poly((-center, 1)), Value(beta0))
     for _ in range(levels - 1):
         field = chain.residue_field
@@ -63,7 +63,8 @@ def random_chain(rng, p, levels=3, tau_last=False, cross_check=False):
             assert len(exts) == 1
             assert exts[0].e == chain.levels[-1].denom
             assert exts[0].f == field.degree * rho.degree
-        current = chain.eval(key).r
+        # the key takes n * beta_last, which lies below beta_last when negative
+        current = max(chain.eval(key).r, chain.last_value.r)
         step_denom = rng.choice([1, 1, 2])
         beta = current + F(rng.randint(1, 2), step_denom)
         chain = chain.augment(key, Value(beta))
