@@ -14,9 +14,11 @@ otherwise the chain is improved until the constant digit of the
 expansion is the strict unique minimum, which pins the exact value.
 Improvement is guarded by a lock, so concurrent valuation queries on a
 shared extension are safe.  ``taylor_values`` values the divided
-derivatives f^[j] at a center a, composed with a and never shifted, and the
-root-distance multisets read them through ``newton.root_values``; the
-multisets of polynomials over Q read ``newton.padic_root_values``.
+derivatives f^[j] at a center a, composed with a and never shifted, lazily
+and in order of j, so ``pairs.pair_eval`` can stop once no later order can
+reach its minimum; the root-distance multisets read every order through
+``newton.root_values``, and the multisets of polynomials over Q read
+``newton.padic_root_values``.
 
 The minimal polynomial is first proved irreducible over Q by factoring
 it with Zassenhaus's algorithm (``rational_factor_list``), which scales
@@ -31,6 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import isqrt
+from typing import Iterator
 
 from .finitefields import (
     FiniteField,
@@ -326,17 +329,19 @@ class ValuationExtension:
                     return Value._exact(Fraction(v0, chain.levels[-1].denom))
                 self._improve()
 
-    def taylor_values(self, parts: list[Poly], rep: Poly = _X) -> list[Value]:
-        """[v(f^[j](a)) for j = 0..deg f], for f = sum_l Y^l * parts[l] with parts
-        over Q and a = rep(Y): f^[j](a) = sum_l Y^l * (H_j parts[l])(a), with H_j
-        the j-th divided derivative, reduced mod m once, by ``valuation``."""
+    def taylor_values(self, parts: list[Poly], rep: Poly = _X) -> Iterator[Value]:
+        """v(f^[j](a)) for j = 0..deg f, lazily, for f = sum_l Y^l * parts[l] with
+        parts over Q and a = rep(Y): f^[j](a) = sum_l Y^l * (H_j parts[l])(a),
+        with H_j the j-th divided derivative, reduced mod m once, by
+        ``valuation``.  Order j is valued only when it is drawn, so a caller
+        may stop early; the zero polynomial raises ValueError at the call."""
         top = max(g.degree for g in parts)
         if top < 0:
             raise ValueError("Taylor values of the zero polynomial")
-        return [
+        return (
             self.valuation(_horner([hasse_derivative(g, j)(rep) for g in parts], _X, _ZERO))
             for j in range(top + 1)
-        ]
+        )
 
     def difference_profile(self) -> list[Fraction]:
         """Multiset of v(a - b) over the other roots b of m, via the local

@@ -10,10 +10,11 @@ minimum of digit value + j * b_k is taken.
 Chains grow by two moves.  ``augment`` appends a key of larger degree that
 passes the key test, and its level's residue field is the previous one
 extended by the key's residual polynomial.  ``refine`` replaces the last key
-by one of the same degree and a larger value; above level 0 the new key
+by one of the same degree and a larger value; at every level the new key
 must take the last assigned value (ChainError code ``refine.key``), which
 makes it equivalent to the last key over the prefix, so the level keeps the
-last level's residue field.  Both moves end in the same check: beta grows.
+last level's residue field and its value grows.  Both moves end in the same
+check: beta grows over the level below.
 
 All level values except possibly the last are rational.  A final value
 with a nonzero infinitesimal part makes the chain value-transcendental;
@@ -30,8 +31,9 @@ minus the offset), and each higher level pseudo-divides the running list
 by the key's numerators in place, so no Poly is built per digit.  A final
 infinitesimal level compares its terms as int pairs: the rational part
 over lcm(prev denom, den r_k) and j times the numerator of s_k, for
-b_k = r_k + s_k t.  ``eval``, ``truncate`` and ``epsilon`` each build one
-``Value``, when they return; ``epsilon`` picks the largest
+b_k = r_k + s_k t.  ``eval``, ``truncate`` and ``epsilon`` each return one
+``Value`` from ``_numerator_value``, which hands out a shared Value for each
+recent numerator tuple (a bounded cache); ``epsilon`` picks the largest
 (w(f) - w(f^[b])) / b by cross-multiplying ints.  ``_int_terms`` lists the
 digits with their values for the callers that need them, and
 ``_graded_reduce`` is the one user of ``q_expansion`` here: above level 0
@@ -56,6 +58,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 from .finitefields import FFElement, FieldExtension, FiniteField, FqPoly, InvariantError, _horner, ff_is_irreducible
@@ -73,6 +76,10 @@ from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value
 # Largest prime a chain accepts; it bounds the trial division that proves p
 # prime (at most 46341 divisors).
 MAX_PRIME = 2**31 - 1
+
+# Most recent (r, s, rd, sd) tuples whose Value ``_numerator_value`` keeps;
+# a chain's values repeat, so most evaluations return a shared Value.
+VALUE_CACHE_SIZE = 1024
 
 RESIDUE_TRANSCENDENTAL = "residue-transcendental"
 VALUE_TRANSCENDENTAL = "value-transcendental"
@@ -259,22 +266,24 @@ class Chain:
         """Replace the last level by an equal-degree key with a larger value.
 
         This is the refinement move of the approximation search; the public
-        augment only accepts strictly larger degrees.  Above level 0 the key
-        must take the last assigned value under this chain (ChainError code
-        ``refine.key`` otherwise).  Such a key is equivalent to the last key
-        over the prefix: it has the same residual polynomial, so the new
-        level keeps the last level's residue field.  A level-0 key only needs
-        an integer center.
+        augment only accepts strictly larger degrees.  The key must take the
+        last assigned value under this chain (ChainError code ``refine.key``
+        otherwise), so beta, which must exceed that value, grows.  Above
+        level 0 such a key is equivalent to the last key over the prefix: it
+        has the same residual polynomial, so the new level keeps the last
+        level's residue field.  At level 0 the key X - c must also have an
+        integer center (``chain.center``), and it takes beta_0 exactly when
+        v(c - c_0) >= beta_0.
         """
         key = Poly.of(key)
         beta = Value.of(beta)
         last = self.levels[-1]
         if key.degree != last.degree:
             raise ChainError("refine.degree", "refinement keeps the key degree")
-        current = self.eval(key)
         if len(self.levels) == 1:
             _check_center(key)
-        elif current != last.beta:
+        current = self.eval(key)
+        if current != last.beta:
             raise ChainError(
                 "refine.key", f"{key} takes {current}, not the last assigned value {last.beta}"
             )
@@ -293,7 +302,8 @@ class Chain:
         max_b (beta' - mu(phi'^[b])) / b > eps_old(phi') as beta' > mu(phi')
         (``*.value``), and eps_old(phi') = eps_old(phi) by ``is_key``: phi'
         passed it, or has top term phi of value mu(phi') = beta
-        (``refine.key``).  A refined phi's eps already tops the level below.
+        (``refine.key``, level 0 included).  A refined phi's eps already tops
+        the level below.
         """
         if self.levels and not level.beta > self.levels[-1].beta:
             raise ChainError("augment.value", f"beta must strictly grow: {self.levels[-1].beta} -> {level.beta}")
@@ -766,6 +776,8 @@ def _tau_minimum(terms, level: _Level):
     return (r, s, rd, beta_s.denominator), j
 
 
+@lru_cache(maxsize=VALUE_CACHE_SIZE)
 def _numerator_value(r: int, s: int, rd: int, sd: int) -> Value:
-    """The Value r / rd + (s / sd) t."""
+    """The Value r / rd + (s / sd) t, one shared object per argument tuple
+    while it stays in the cache; a Value has no mutator, so sharing is safe."""
     return Value._exact(Fraction(r, rd), Fraction(s, sd)) if s else Value._exact(Fraction(r, rd))

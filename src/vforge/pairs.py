@@ -4,7 +4,11 @@ A pair is an algebraic center a (carried with one chosen extension of v_p
 to its field) together with a value delta.  The pair values a polynomial
 through its Taylor expansion at a: the minimum of v(f^[j](a)) + j*delta,
 with f^[j] the j-th divided derivative of f, composed with a and valued
-by ``ValuationExtension.taylor_values``.
+by ``ValuationExtension.taylor_values`` one order at a time.  For delta > 0
+and a p-integral center every v(f^[j](a)) is at least the least v_p F of a
+coefficient of f, so ``pair_eval`` stops after order j once the minimum
+lies below F + (j+1)*delta, which no later order can reach (the proof is in
+its docstring).
 Two pairs with conjugate centers define the same valuation exactly when
 the deltas agree and v(a - b) >= delta; the center of smallest field
 degree among all pairs of a valuation is a minimal pair.
@@ -39,6 +43,7 @@ from .newton import padic_root_values
 from .polynomials import (
     Poly,
     _make,
+    _p_order,
     composed_value_poly,
     difference_resultant,
     padic_valuation,
@@ -74,6 +79,16 @@ class FieldPoly:
         self.coeffs = cc
 
 
+def _order_floor(center: AlgebraicNumber, parts: list[Poly], delta: Value) -> int | None:
+    """F, the least v_p of a nonzero coefficient of the parts, when
+    ``pair_eval`` may stop early: delta > 0 and the center p-integral (the
+    denominators of m and of rep prime to p).  None otherwise."""
+    p = center.ext.p
+    if not delta > 0 or center.ext.m.den % p == 0 or center.rep.den % p == 0:
+        return None
+    return min(min(_p_order(c, p) for c in g.num if c) - _p_order(g.den, p) for g in parts if g.num)
+
+
 def pair_eval(pair: PairOfDefinition, f) -> tuple[Value, list[int]]:
     """Value of f under the pair valuation, with the achieving index set.
 
@@ -81,22 +96,40 @@ def pair_eval(pair: PairOfDefinition, f) -> tuple[Value, list[int]]:
     split by powers of Y into parts over Q.  ``ValuationExtension.taylor_values``
     gives the values v(f^[j](a)) of its divided derivatives at the center a;
     S lists every j (from 0) attaining the minimum of v(f^[j](a)) + j*delta.
+
+    The scan over j stops early when delta > 0 and the center is p-integral.
+    Then v(a) >= 0 and v(center) >= 0, and f^[j](center) =
+    sum_l a^l sum_n C(n, j) c_{l,n} center^(n-j) with integer C(n, j), so
+    v(f^[j](center)) >= F for every j, F the least v_p of a coefficient
+    c_{l,n} (``_order_floor``).  Once the minimum after order j lies below
+    F + (j+1)*delta, every later term is at least F + j'*delta > minimum:
+    no skipped order reaches or ties it, so the value and S are exact.
+    Otherwise every order is valued.
     """
+    center = pair.center
     if not isinstance(f, FieldPoly):
         parts = [Poly.of(f)]
-    elif f.ext.m != pair.center.ext.m:
-        raise ValueError(f"FieldPoly over the field of {f.ext.m}, center in the field of {pair.center.ext.m}")
+    elif f.ext.m != center.ext.m:
+        raise ValueError(f"FieldPoly over the field of {f.ext.m}, center in the field of {center.ext.m}")
     else:
         parts = [Poly([c[l] for c in f.coeffs]) for l in range(f.ext.m.degree)]
+    values = center.ext.taylor_values(parts, center.rep)  # raises on the zero polynomial
+    delta = pair.delta
+    floor = _order_floor(center, parts, delta)
+    reach = None if floor is None else delta + floor  # F + (j+1)*delta after order j
     best = None
     achieved: list[int] = []
-    for j, vj in enumerate(pair.center.ext.taylor_values(parts, pair.center.rep)):
-        term = vj + pair.delta.scale(j)
+    for j, vj in enumerate(values):
+        term = vj + delta.scale(j)
         if best is None or term < best:
             best = term
             achieved = [j]
         elif term == best:
             achieved.append(j)
+        if reach is not None:
+            if best < reach:
+                break
+            reach = reach + delta
     return best, achieved
 
 
@@ -208,10 +241,29 @@ def _monic_small_coeff(chain: Chain) -> list[Poly]:
     return out
 
 
+def _randints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """count draws of ``rng.randint(low, high)``, from the same stream.
+
+    CPython's randint(a, b) is a + _randbelow(b - a + 1), and _randbelow(n)
+    draws getrandbits(n.bit_length()) until the draw is below n; this runs
+    that loop inline, without randint's argument checks per draw.
+    """
+    n = high - low + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(low + r)
+    return out
+
+
 def _random_poly(rng: random.Random, degree: int, spread: int, monic=True) -> Poly:
     """Seeded coefficients in [-spread, spread]; a non-monic leading one in [1, spread]."""
-    cc = [rng.randint(-spread, spread) for _ in range(degree)]
-    cc.append(1 if monic else rng.randint(1, spread))
+    cc = _randints(rng, -spread, spread, degree)
+    cc.extend([1] if monic else _randints(rng, 1, spread, 1))
     return _make(cc)
 
 

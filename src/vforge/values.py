@@ -165,6 +165,8 @@ class Value:
         return (0, self.r, self.s)
 
     def __eq__(self, other):
+        if self is other:  # chain values are shared objects
+            return True
         if not isinstance(other, Value):
             try:
                 other = Value.of(other)

@@ -39,6 +39,7 @@ from .pairs import (
     FieldPoly,
     PairOfDefinition,
     _CheckList,
+    _randints,
     _random_poly,
     _second_quadratic_root,
     enumerate_common_extensions,
@@ -53,7 +54,7 @@ from .values import value_min
 SCHEMA_VERSION = 1
 
 # Largest accepted ``samples``: the slowest corpus chain runs the "all"
-# suite at this size in about 3 s on a 2-vCPU host (Python 3.11).
+# suite at this size in about 2 s on a 2-vCPU host (Python 3.11).
 MAX_SAMPLES = 5000
 
 
@@ -198,7 +199,7 @@ def _check_linear_value_set(report, chain, pair, rng, samples):
     over = None
     tau_seen = []
     cs = list(range(-chain.p - 2, chain.p + 3))
-    cs.extend(rng.randint(-chain.p**3, chain.p**3) for _ in range(samples // 4))
+    cs.extend(_randints(rng, -chain.p**3, chain.p**3, samples // 4))
     for c in cs:
         v, _ = pair_eval(pair, Poly((-c, 1)))
         if v > delta:

@@ -349,6 +349,12 @@ def test_refine_needs_a_key_at_the_last_value():
     with pytest.raises(ChainError) as err:
         chain.refine(P("X^2 + X + 2"), Value(F(1, 4)))
     assert err.value.code == "refine.key"
+    # at level 0 too: X - 1 takes 0 under X @ 5, so its value would fall to 1
+    one_level = Chain(2, P("X"), Value(5))
+    with pytest.raises(ChainError) as err:
+        one_level.refine(P("X - 1"), Value(1))
+    assert err.value.code == "refine.key"
+    assert one_level.refine(P("X - 32"), Value(6)) == Chain(2, P("X - 32"), Value(6))
 
     refined = chain.refine(P("X^2 + 4"), Value(1))
     rebuilt = Chain.from_levels(3, [(P("X"), Value(0)), (P("X^2 + 4"), Value(1))])
@@ -358,6 +364,16 @@ def test_refine_needs_a_key_at_the_last_value():
     for f in [P("X^2 + 4"), P("X^2 + 1")] + [rand_poly(rng, 6, 30) for _ in range(30)]:
         assert refined.eval(f) == rebuilt.eval(f), f
         assert refined.residual_polynomial(f) == rebuilt.residual_polynomial(f), f
+
+
+def test_chain_values_are_shared_objects(c2):
+    # eval, truncate and epsilon hand out one interned Value per numerator tuple
+    from vforge.maclane import VALUE_CACHE_SIZE, _numerator_value
+
+    f = P("X^3 + 2X + 6")
+    assert c2.eval(f) is c2.eval(f) is c2.truncate(1, f)
+    assert c2.epsilon(f) is c2.epsilon(f)
+    assert _numerator_value.cache_info().maxsize == VALUE_CACHE_SIZE
 
 
 def test_refine_builds_no_residue_field_and_augment_tests_each_key_once(monkeypatch):

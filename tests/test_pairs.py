@@ -10,6 +10,7 @@ from vforge import (
     Chain,
     PairOfDefinition,
     Poly,
+    ValuationExtension,
     Value,
     common_extension_check,
     delta_via_roots,
@@ -500,6 +501,13 @@ def test_taylor_shift_matches_per_j_reference(corpus):
                 PairOfDefinition(AlgebraicNumber(ext, rep), delta)
                 for rep in (_random_poly(rng, m.degree - 1, p, monic=False), Poly((0, F(1, p))))
             ]
+            # pair_eval scans every order for delta = 0 and delta < 0; Y + 1 is
+            # an integral center other than Y
+            others += [
+                PairOfDefinition(center, Value(0)),
+                PairOfDefinition(center, Value(F(-1, 2))),
+                PairOfDefinition(AlgebraicNumber(ext, Poly((1, 1))), delta),
+            ]
             for f in polys + field_polys:
                 for q in [pair] + others:
                     assert [pair_eval(q, f)] * 2 == _reference_pair_evals(q, f), (name, str(q.center.rep), str(f))
@@ -511,3 +519,40 @@ def test_taylor_shift_matches_per_j_reference(corpus):
                 assert root_difference_valuations(m, g, p) == _per_j_root_differences(m, g, p), (name, str(g))
                 assert delta_via_roots(center, delta, g) == _per_j_delta(center, delta, g), (name, str(g))
         assert root_difference_valuations(m, m, p) == _per_j_root_differences(m, m, p), name
+
+
+def test_pair_eval_stops_before_the_last_order(corpus, monkeypatch):
+    # with delta > 0 and an integral center, no order past the first term
+    # below F + (j+1)*delta is valued
+    chain = corpus["c2"]
+    delta = chain.epsilon(chain.last_key)
+    assert delta > 0
+    ext = extend_to_number_field(chain.last_key, chain.p)[0]
+    pair = PairOfDefinition(AlgebraicNumber(ext), delta)
+    rng = random.Random(73)
+    polys = [_random_poly(rng, rng.randint(1, 2 * chain.degree), chain.p**3) for _ in range(40)]
+    calls = []
+    real = ValuationExtension.valuation
+    monkeypatch.setattr(ValuationExtension, "valuation", lambda self, g: calls.append(g) or real(self, g))
+    got = [pair_eval(pair, f) for f in polys]
+    monkeypatch.undo()
+    assert len(calls) < sum(f.degree + 1 for f in polys)
+    assert got == [_reference_pair_evals(pair, f)[0] for f in polys]
+
+
+def test_random_draws_follow_randint():
+    # the inline draw loop returns rng.randint's values and leaves the stream
+    # where randint leaves it
+    from vforge.pairs import _randints
+
+    for seed, spread in [(0, 8), (1, 27), (2, 125)]:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _randints(ours, -spread, spread, 300) == [theirs.randint(-spread, spread) for _ in range(300)]
+        assert _randints(ours, 1, spread, 50) == [theirs.randint(1, spread) for _ in range(50)]
+        assert ours.random() == theirs.random()
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for degree in range(6):
+            f = _random_poly(ours, degree, spread, monic=False)
+            cc = [theirs.randint(-spread, spread) for _ in range(degree)] + [theirs.randint(1, spread)]
+            assert f == Poly(cc)
+        assert ours.random() == theirs.random()
