@@ -16,7 +16,7 @@ from vforge import (
 )
 from vforge.extensions import MAX_DEGREE_BOUND, rational_factor_list
 from vforge.finitefields import FiniteField, FqPoly, ff_factor
-from vforge.newton import padic_root_values
+from vforge.newton import padic_root_values, root_values
 from vforge.polynomials import composed_value_poly
 
 P = Poly.parse
@@ -494,3 +494,63 @@ def test_ensure_value_above_on_a_rational_root_is_a_no_op():
     assert ext.rational_root == F(3, 4) and ext.is_exact()
     ext.ensure_value_above(F(100))
     assert ext.valuation(P("X - 3")) == Value(-2)  # v_2(3/4 - 3) = v_2(-9/4)
+
+
+# -- one field, two generators ---------------------------------------------------
+# If r(Y) generates Q[Y]/(m) with minimal polynomial m', then Q[Y]/(m') is the
+# same field: the extensions of v_p to the two fields correspond one to one
+# with equal (e, f), and v'(g(b)) = v(g(r(a))) for the root b of m' matched to
+# r(a).  The two branch searches run different trees, so this checks the
+# residue and lift code at every level, where no root-count oracle reaches.
+
+GENERATORS = [P("X + 1"), P("X^2 + X"), P("X^3 - 2X + 1"), P("2X^2 + 3X")]
+PROBES = [P("X"), P("X^2 + 1"), P("X^3 - X + 2")]
+
+
+def _deep_quartic(rng):
+    # (X^2 - p^a)^2 + p^k * perturbation: roots in two tight pairs, so the
+    # branch search often needs three levels to isolate them
+    x = P("X")
+    while True:
+        p = rng.choice((2, 3))
+        a = rng.randint(1, 3)
+        k = rng.randint(2 * a + 1, 2 * a + 4)
+        perturbation = Poly([rng.randint(-2, 2) for _ in range(3)])
+        m = (x**2 - Poly((p**a,))) ** 2 + perturbation * Poly((p**k,))
+        if not perturbation.is_zero() and len(rational_factor_list(m)) == 1:
+            return m, p
+
+
+def _generator_multiset(exts, rep, m_image):
+    # (e, f, the probes' values at r(a), the multiset of v(r(a) - b) over the
+    # other roots b of m') per extension, counted
+    out = {}
+    for ext in exts:
+        center = AlgebraicNumber(ext, rep)
+        profile = sorted(v.r for v in root_values(ext.taylor_values([m_image], center.rep))[1:])
+        row = (ext.e, ext.f, tuple(center.value_of(g) for g in PROBES), tuple(profile))
+        out[row] = out.get(row, 0) + 1
+    return out
+
+
+def test_two_generators_of_one_field_give_the_same_extensions():
+    rng = random.Random(9)
+    cases = [_deep_quartic(rng) for _ in range(8)]
+    cases += [(P("X^3 - 10"), 2), (P("X^4 + 1"), 3), (P("X^2 - 17"), 2)]
+    deep = 0
+    for m, p in cases:
+        exts = extend_to_number_field(m, p)
+        deep += max(len(ext.chain.levels) for ext in exts) >= 3
+        for r in GENERATORS:
+            m_image = AlgebraicNumber(exts[0], r).minimal_polynomial()
+            assert m_image.degree == m.degree, (m, r)
+            images = extend_to_number_field(m_image, p)
+            # the values must agree at isolation and after every improvement
+            for bound in (None, 6, 12):
+                if bound is not None:
+                    for ext in exts + images:
+                        ext.ensure_value_above(bound)
+                assert _generator_multiset(exts, r, m_image) == _generator_multiset(images, P("X"), m_image), (
+                    m, p, r, bound)
+    # enough draws reach level 2, where only this test checks the graded maps
+    assert deep >= 5
