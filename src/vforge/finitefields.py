@@ -3,8 +3,9 @@
 A field is a quotient F_p[z]/(h) with h monic irreducible over F_p; an
 element is a coefficient tuple of length deg(h) with entries in
 {0, ..., p-1}.  Relative extensions are flattened: FieldExtension embeds
-a base field into one absolute quotient by root-finding, so residue
-towers of arbitrary shape still compute inside a single modulus.
+a base field into one absolute quotient, so residue towers of arbitrary
+shape compute inside a single modulus; the shape picks only that quotient
+and the generators' images, and the maps are one path for every shape.
 
 Factorization uses squarefree splitting, distinct-degree splitting and
 Cantor-Zassenhaus equal-degree splitting (trace variant in
@@ -554,11 +555,13 @@ def ff_roots(f: FqPoly) -> list[FFElement]:
 
 
 class FieldExtension:
-    """A flattened extension base[y]/(rho) with coercion and lifting maps.
-
-    rho must be monic irreducible over the base field.  The extension is
-    realized inside one absolute quotient of F_p, with the base embedded
-    through a deterministically chosen root of its modulus.
+    """An extension base[y]/(rho), rho monic irreducible over the base, in
+    one absolute quotient ``field`` of F_p where the base generator z goes
+    to ``base_gen`` and y to ``gen``.  The shape picks only these three: the
+    base itself for rho linear (base_gen = z), F_p[z]/(rho) over a prime
+    base (base_gen = 1, gen = z), else the canonical modulus with the first
+    roots of the base modulus and of rho.  The maps are one path for every
+    shape; the first two have the identity as lifting matrix.
     """
 
     def __init__(self, base: FiniteField, rho: FqPoly):
@@ -576,38 +579,27 @@ class FieldExtension:
         if rel_deg == 1:
             # no residue growth: the "extension" is the base field itself
             self.field = base
-            self._flat_base = None
+            self.base_gen = base.element([0, 1])
             self.gen = -rho[0] * rho[1].inverse()
-            return
-        if base.degree == 1:
+        elif base.degree == 1:
             self.field = FiniteField(p, tuple(c.coeffs[0] for c in rho.coeffs))
-            self._flat_base = True
+            self.base_gen = self.field.one
             self.gen = self.field.element([0, 1])
-            return
-        self._flat_base = False
-        modulus = find_irreducible(p, abs_deg)
-        self.field = FiniteField(p, modulus)
-        base_mod = FqPoly(self.field, [self.field.from_int(c) for c in base.modulus])
-        base_roots = ff_roots(base_mod)
-        self.base_gen = base_roots[0]
-        rho_up = FqPoly(self.field, [self.embed(c) for c in rho.coeffs])
-        gen_roots = ff_roots(rho_up)
-        self.gen = gen_roots[0]
+        else:
+            self.field = FiniteField(p, find_irreducible(p, abs_deg))
+            self.base_gen = ff_roots(FqPoly.from_ints(self.field, base.modulus))[0]
+            self.gen = ff_roots(FqPoly(self.field, [self.embed(c) for c in rho.coeffs]))[0]
         # basis matrix: rows are base_gen^j * gen^i in absolute coordinates
         rows = []
         for i in range(rel_deg):
             gi = self.gen**i
             for j in range(base.degree):
-                rows.append((self.base_gen**j * gi).coeffs)
-        self._mat_inv = _invert_mod_p([list(r) for r in rows], p)
+                rows.append(list((self.base_gen**j * gi).coeffs))
+        self._mat_inv = _invert_mod_p(rows, p)
 
     def embed(self, c: FFElement) -> FFElement:
         """Image of a base-field element in the flattened field: c, as a
         polynomial in the base generator, evaluated at base_gen."""
-        if self._flat_base is None:
-            return c
-        if self._flat_base:
-            return self.field.from_int(c.coeffs[0])
         return FqPoly.from_ints(self.field, c.coeffs)(self.base_gen)
 
     def reduce(self, f: FqPoly) -> FFElement:
@@ -616,16 +608,9 @@ class FieldExtension:
 
     def lift(self, c: FFElement) -> FqPoly:
         """Write c as a polynomial of degree < deg(rho) over the base field."""
-        if self._flat_base is None:
-            return FqPoly(self.base, [c])
-        if self._flat_base:
-            return FqPoly(self.base, [self.base.element([a]) for a in c.coeffs])
-        coords = _mat_vec_mod_p(self._mat_inv, list(c.coeffs), self.base.p)
+        coords = _mat_vec_mod_p(self._mat_inv, c.coeffs, self.base.p)
         dk = self.base.degree
-        cc = []
-        for i in range(self.rho.degree):
-            cc.append(self.base.element(coords[i * dk : (i + 1) * dk]))
-        return FqPoly(self.base, cc)
+        return FqPoly(self.base, [self.base.element(coords[i : i + dk]) for i in range(0, len(coords), dk)])
 
 
 def _invert_mod_p(mat, p):
@@ -647,11 +632,4 @@ def _invert_mod_p(mat, p):
 
 def _mat_vec_mod_p(mat, vec, p):
     # vec is a row vector: returns vec . mat
-    n = len(mat)
-    out = [0] * n
-    for i, v in enumerate(vec):
-        if v:
-            row = mat[i]
-            for j in range(n):
-                out[j] = (out[j] + v * row[j]) % p
-    return out
+    return [sum(v * x for v, x in zip(vec, column)) % p for column in zip(*mat)]

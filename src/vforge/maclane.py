@@ -509,12 +509,6 @@ class Chain:
 
     # -- graded residue machinery ---------------------------------------------
 
-    def _residue_scalar(self, c: Fraction, j: int) -> int:
-        # image of c / p^j in F_p, for v_p(c) >= j
-        x = Fraction(c) * Fraction(self.p) ** (-j)
-        num, den = x.numerator, x.denominator
-        return (num * pow(den, -1, self.p)) % self.p
-
     def _graded_reduce(self, i: int, f: Poly):
         """Graded image of f at level i: (fbar, i0, j0, vnum).
 
@@ -523,11 +517,13 @@ class Chain:
         level 0 each digit is expanded once: its value is the last entry of
         its own graded image one level down.
         """
+        p = self.p
         level = self.levels[i]
         k = level.res_field
         e = level.rel_denom
         if i == 0 or level.tau:
-            terms = self._terms(f, level.key, i - 1)
+            off = _p_order(f.den, p)
+            terms = self._int_terms(f.num, off, level.key, i - 1)
         else:
             digits = enumerate(q_expansion(f, level.key))
             images = [(j, self._graded_reduce(i - 1, d)) for j, d in digits if d.num]
@@ -538,13 +534,17 @@ class Chain:
             return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, vmin
         i0 = (level.numer_inv * vmin) % e
         j0 = (vmin - i0 * level.numer) // e
+        if i == 0:
+            # digit c / f.den has v_p(c) = n + off: its residue is the unit
+            # c / p^(n + off) over the unit f.den / p^off
+            unit_inv = pow(f.den // p**off, -1, p)
         coeffs = {}
         for j, c, n in terms:
             if j not in achieving:
                 continue
             m = (j - i0) // e
             if i == 0:
-                coeffs[m] = k.from_int(self._residue_scalar(Fraction(c, f.den), n))
+                coeffs[m] = k.from_int(c // p ** (n + off) * unit_inv)
             else:
                 c1, i1, j1, _ = c
                 cbar, texp = self._graded_map(i, c1, i1, j1)
@@ -559,27 +559,16 @@ class Chain:
         prev = self.levels[i - 1]
         ext = self.levels[i].ext
         texp = i1 * prev.numer + j1 * prev.rel_denom
-        z = ext.gen
-        c = ext.reduce(h)
         power = i1 * prev.denom_inv - j1 * prev.numer_inv
-        if power:
-            c = c * z**power
-        return c, texp
+        return ext.reduce(h) * ext.gen**power, texp
 
     def _graded_map_lift(self, i: int, c: FFElement, m: int):
         # inverse of _graded_map on elements c * t^m
         prev = self.levels[i - 1]
         ext = self.levels[i].ext
-        e = prev.rel_denom
-        i1 = prev.numer_inv * m
-        if 0 <= i1 < e:
-            j1 = prev.denom_inv * m
-            h = ext.lift(c)
-        else:
-            v, i1 = divmod(i1, e)
-            j1 = prev.numer * v + prev.denom_inv * m
-            h = ext.lift(c * ext.gen**v)
-        return h, i1, j1
+        v, i1 = divmod(prev.numer_inv * m, prev.rel_denom)
+        j1 = prev.numer * v + prev.denom_inv * m
+        return ext.lift(c * ext.gen**v), i1, j1
 
     def _graded_lift(self, i: int, fbar: FqPoly, i0: int, j0: int) -> Poly:
         # Q_i^i0 * H(Q_i^e) by one Horner; H has the lifted coefficients of fbar

@@ -23,7 +23,9 @@ Every key of a chain is irreducible over Q_p, so v_p extends in exactly
 one way to the field of a key (``single_extension`` raises otherwise).
 The enumeration and the root identities work with that one extension;
 comparing centers carried by two different extensions of one field is
-left to ``pairs_equivalent``.
+left to ``pairs_equivalent``.  Extensions with equal (m, p, ``index``) are
+the same, whichever call built them; across two different ones only the
+generators Y compare, as the test measures roots of m, not centers.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .extensions import (
+    _X,
     AlgebraicNumber,
     ValuationExtension,
     extend_to_number_field,
@@ -161,17 +164,20 @@ def _cross_difference_multiset(e1: ValuationExtension, e2: ValuationExtension):
 def pairs_equivalent(p1: PairOfDefinition, p2: PairOfDefinition) -> bool:
     """Whether two pairs define the same valuation.
 
-    Same-field centers are compared pointwise through v(a - b).  Conjugate
-    centers carried by different extensions of the same minimal polynomial
-    are compared at multiset level: the verdict says whether the two root
-    clusters come within delta of each other.  Centers in unrelated fields
-    are rejected.
+    Centers on the same extension (equal m, p and ``index``, even from two
+    ``extend_to_number_field`` calls) or with one of them rational are
+    compared pointwise: equivalent exactly when v(a - b) >= delta.  The
+    generators Y of two extensions of one m are compared at multiset level:
+    whether the two root clusters come within delta of each other.  Other
+    centers on two extensions, and centers in unrelated fields, raise
+    ValueError: the multiset measures the roots of m, not the centers.
     """
     if p1.delta != p2.delta:
         return False
     c1, c2 = p1.center, p2.center
-    if c1.ext is c2.ext:
-        return c1.ext.valuation(c1.rep - c2.rep) >= p1.delta
+    e1, e2 = c1.ext, c2.ext
+    if (e1.m, e1.p, e1.index) == (e2.m, e2.p, e2.index):
+        return e1.valuation(c1.rep - c2.rep) >= p1.delta
     m1 = c1.minimal_polynomial()
     m2 = c2.minimal_polynomial()
     if m1.degree == 1:
@@ -183,6 +189,9 @@ def pairs_equivalent(p1: PairOfDefinition, p2: PairOfDefinition) -> bool:
             "centers live in unrelated fields; equivalence needs conjugate "
             "centers or one center rational"
         )
+    if c1.rep != _X or c2.rep != _X:
+        raise ValueError(f"centers on two extensions are compared only as the generator Y, "
+                         f"not {c1.rep.to_text('Y')} and {c2.rep.to_text('Y')}")
     diffs = _cross_difference_multiset(c1.ext, c2.ext)
     return bool(diffs) and Value(max(diffs)) >= p1.delta
 

@@ -13,6 +13,7 @@ from vforge.finitefields import (
     _convolve,
     _gcd,
     _horner,
+    _mat_vec_mod_p,
     _power,
     ff_factor,
     ff_is_irreducible,
@@ -339,3 +340,63 @@ def test_tower_maps_match_the_horner_loops():
             assert ext.reduce(f) == _loop_reduce(ext, f)
             if f.degree < rho.degree:
                 assert ext.lift(ext.reduce(f)) == f
+
+
+# The maps as they were written before one path served every tower shape:
+# a branch for rho linear, one for a prime base and one for the general case.
+
+
+def _ref_embed(ext, c):
+    if ext.rho.degree == 1:
+        return c
+    if ext.base.degree == 1:
+        return ext.field.from_int(c.coeffs[0])
+    return FqPoly.from_ints(ext.field, c.coeffs)(ext.base_gen)
+
+
+def _ref_lift(ext, c):
+    if ext.rho.degree == 1:
+        return FqPoly(ext.base, [c])
+    if ext.base.degree == 1:
+        return FqPoly(ext.base, [ext.base.element([a]) for a in c.coeffs])
+    coords = _mat_vec_mod_p(ext._mat_inv, list(c.coeffs), ext.base.p)
+    dk = ext.base.degree
+    cc = []
+    for i in range(ext.rho.degree):
+        cc.append(ext.base.element(coords[i * dk : (i + 1) * dk]))
+    return FqPoly(ext.base, cc)
+
+
+def _first_quadratic(base):
+    # the first irreducible y^2 + y + b over the base
+    return next(r for b in base.elements() if ff_is_irreducible(r := FqPoly(base, [b, base.one, base.one])))
+
+
+_F2, _F5 = FiniteField(2), FiniteField(5)
+_F4, _F9 = FiniteField(2, find_irreducible(2, 2)), FiniteField(3, find_irreducible(3, 2))
+TOWER_SHAPES = {
+    "F2-linear": (_F2, FqPoly.from_ints(_F2, [1, 1])),
+    "F9-linear": (_F9, FqPoly(_F9, [_F9.element([1, 2]), _F9.one])),
+    "F5-prime-base-quadratic": (_F5, FqPoly.from_ints(_F5, find_irreducible(5, 2))),
+    "F2-prime-base-cubic": (_F2, FqPoly.from_ints(_F2, find_irreducible(2, 3))),
+    "F4-general": (_F4, _first_quadratic(_F4)),
+    "F9-general": (_F9, _first_quadratic(_F9)),
+}
+
+
+@pytest.mark.parametrize("shape", TOWER_SHAPES)
+def test_tower_maps_match_the_three_branch_reference(shape):
+    base, rho = TOWER_SHAPES[shape]
+    ext = FieldExtension(base, rho)
+    assert ext.field.degree == base.degree * rho.degree
+    for c in base.elements():
+        assert ext.embed(c) == _ref_embed(ext, c)
+    for c in ext.field.elements():
+        lifted = ext.lift(c)
+        assert lifted == _ref_lift(ext, c)
+        assert lifted.degree < rho.degree and ext.reduce(lifted) == c
+    rng = random.Random(61)
+    for _ in range(40):
+        f = _random_fq_poly(rng, base, rho.degree - 1)
+        assert ext.reduce(f) == _loop_reduce(ext, f)
+        assert ext.lift(ext.reduce(f)) == f

@@ -598,6 +598,21 @@ def test_integer_evaluation_matches_value_reference(corpus):
             assert chain.residual_polynomial(f) == _ref_graded_reduce(chain, top, f)[0], (name, f)
 
 
+def test_graded_reduce_matches_value_reference_on_unit_denominators(corpus):
+    # denominators p^k * u with u > 1 prime to p: every level-0 residue
+    # divides by the unit u mod p, at level 0 and in the digits above it
+    rng = random.Random(2311)
+    for name, chain in _cross_check_chains(corpus).items():
+        p = chain.p
+        for _ in range(20):
+            den = p ** rng.randint(0, 2) * rng.choice((7, 11, 13))
+            deg = rng.randint(0, 2 * chain.degree + 1)
+            f = Poly([F(rng.randint(-p**3, p**3), den) for _ in range(deg)] + [F(1, den)])
+            assert f.den == den  # the leading numerator 1 keeps the unit in the denominator
+            for i in range(len(chain.levels)):
+                assert chain._graded_reduce(i, f)[:3] == _ref_graded_reduce(chain, i, f)[:3], (name, i, f)
+
+
 def test_extension_readers_match_value_reference(corpus):
     # extensions._last_minimum and ValuationExtension.valuation read chain
     # values through the same integer kernel.  Both run on every chain's

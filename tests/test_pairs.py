@@ -165,6 +165,34 @@ def test_cross_extension_equivalence():
     assert not pairs_equivalent(q1, q2)
 
 
+@pytest.mark.parametrize("mtxt, p, index", [("X^3 - 2", 3, 0), ("X^2 - 17", 2, 0)])
+def test_one_extension_built_twice_is_the_same_extension(mtxt, p, index):
+    # two extend_to_number_field calls carry the same root: the pointwise
+    # test applies, and a pair is equivalent to its own copy at every delta
+    first = extend_to_number_field(P(mtxt), p)[index]
+    second = extend_to_number_field(P(mtxt), p)[index]
+    assert first is not second
+    for delta in (Value(1), Value(5)):
+        assert pairs_equivalent(PairOfDefinition(AlgebraicNumber(first), delta),
+                                PairOfDefinition(AlgebraicNumber(second), delta))
+    # and the shifted center a + 1 is not: v((a + 1) - a) = 0 < 1
+    shifted = PairOfDefinition(AlgebraicNumber(second, P("X + 1")), Value(1))
+    assert not pairs_equivalent(PairOfDefinition(AlgebraicNumber(first), Value(1)), shifted)
+
+
+def test_non_generator_centers_on_two_extensions_raise():
+    # Y on extension 0 and -Y on extension 1 of X^2 - 17 are the same 2-adic
+    # number, but the multiset test measures the generators, not the centers
+    exts = extend_to_number_field(P("X^2 - 17"), 2)
+    a = PairOfDefinition(AlgebraicNumber(exts[0]), Value(2))
+    b = PairOfDefinition(AlgebraicNumber(exts[1], P("0 - X")), Value(2))
+    for f in (P("X - 1"), P("X^2 - 17"), P("X + 7"), P("X^3 + 5")):
+        assert pair_eval(a, f)[0] == pair_eval(b, f)[0]
+    for p1, p2 in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="only as the generator Y"):
+            pairs_equivalent(p1, p2)
+
+
 def test_separation_loop_has_a_budget(monkeypatch):
     # an extension that never improves must end the loop with a named error
     import vforge.pairs as pairs
