@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -524,12 +525,11 @@ def _deep_quartic(rng):
 def _generator_multiset(exts, rep, m_image):
     # (e, f, the probes' values at r(a), the multiset of v(r(a) - b) over the
     # other roots b of m') per extension, counted
-    out = {}
+    out = Counter()
     for ext in exts:
         center = AlgebraicNumber(ext, rep)
         profile = sorted(v.r for v in root_values(ext.taylor_values([m_image], center.rep))[1:])
-        row = (ext.e, ext.f, tuple(center.value_of(g) for g in PROBES), tuple(profile))
-        out[row] = out.get(row, 0) + 1
+        out[ext.e, ext.f, tuple(center.value_of(g) for g in PROBES), tuple(profile)] += 1
     return out
 
 
