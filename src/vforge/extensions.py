@@ -48,7 +48,7 @@ from .finitefields import (
     _horner,
     ff_factor,
 )
-from .maclane import Chain, InvariantError, _term_minimum, prime_error
+from .maclane import Chain, InvariantError, _numerator_value, _term_minimum, prime_error
 from .newton import NewtonPolygon, _padic_points, padic_root_values, root_values
 from .polynomials import (
     Poly, _make, _pseudo_divide, _scaled_monic, _unscaled,
@@ -326,7 +326,7 @@ class ValuationExtension:
                     return chain.eval(g)
                 v0, achieving = _last_minimum(chain, g)
                 if achieving == [0]:
-                    return Value._exact(Fraction(v0, chain.levels[-1].denom))
+                    return _numerator_value(v0, 0, chain.levels[-1].denom, 1)
                 self._improve()
 
     def taylor_values(self, parts: list[Poly], rep: Poly = _X) -> Iterator[Value]:

@@ -486,6 +486,8 @@ def ff_factor(f: FqPoly) -> list[tuple[FqPoly, int]]:
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
+    if f.degree == 1:
+        return [(f.monic(), 1)]
     field = f.field
     rng = _seeded_rng(field, f)
     work = [(f.monic(), 1)]

@@ -26,14 +26,18 @@ term of digit numerator n costs ``n * rel_denom + j * numer``, and
 ``_int_value`` keeps only the running minimum of the terms.  Digits travel
 as int numerator lists with a v_p offset: a polynomial enters as its
 numerator list plus v_p of its denominator, level 0 reads its digits off
-one int Taylor shift (a digit's numerator is v_p of its shift numerator
-minus the offset), and each higher level pseudo-divides the running list
-by the key's numerators in place, so no Poly is built per digit.  A final
+one int Taylor shift, or off the list itself when the center is 0 (a
+digit's numerator is v_p of its shift numerator minus the offset, and the
+leaf adds numer per digit to a running base), and each higher level
+pseudo-divides the running list by the key's numerators in place and
+peels each digit off its front, with v_p of the key's leading numerator
+(``vlead``) stored on the level, so no Poly is built per digit.  A final
 infinitesimal level compares its terms as int pairs: the rational part
 over lcm(prev denom, den r_k) and j times the numerator of s_k, for
 b_k = r_k + s_k t.  ``eval``, ``truncate`` and ``epsilon`` each return one
-``Value`` from ``_numerator_value``, which hands out a shared Value for each
-recent numerator tuple (a bounded cache); ``epsilon`` picks the largest
+``Value`` from ``_numerator_value``, which reduces the numerators by gcd,
+builds the Value from ints with no Fraction, and hands out a shared Value
+for each recent numerator tuple (a bounded cache); ``epsilon`` picks the largest
 (w(f) - w(f^[b])) / b by cross-multiplying ints.  ``_int_terms`` lists the
 digits with their values for the callers that need them, and
 ``_graded_reduce`` is the one user of ``q_expansion`` here: above level 0
@@ -59,7 +63,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .finitefields import FFElement, FieldExtension, FiniteField, FqPoly, InvariantError, _horner, ff_is_irreducible
 from .polynomials import (
@@ -160,6 +164,7 @@ class _Level:
         "prev_denom",
         "rel_denom",
         "numer",
+        "vlead",
         "numer_inv",
         "denom_inv",
         "res_field",
@@ -207,15 +212,16 @@ class Chain:
         level.res_field = res_field
         level.ext = ext
         level.res_degree = res_degree
+        level.vlead = _p_order(key.num[-1], self.p)
         if level.tau:
             level.denom = level.rel_denom = level.numer = None
             level.numer_inv = level.denom_inv = None
         else:
-            scaled = beta.r * prev_denom
-            e = scaled.denominator
+            rn, rd = beta._rn, beta._rd
+            e = rd // gcd(rn * prev_denom, rd)
             level.rel_denom = e
             level.denom = prev_denom * e
-            level.numer = int(beta.r * level.denom)
+            level.numer = rn * level.denom // rd
             # numer / e is a reduced fraction, so numer is invertible mod e
             level.numer_inv = pow(level.numer, -1, e)
             level.denom_inv = (1 - level.numer_inv * level.numer) // e
@@ -374,15 +380,17 @@ class Chain:
         g = level.key.num
         best = None
         if not i:
-            cc, _ = _shifted_numerators(num, -g[0], 1)
-            for j, c in enumerate(cc):
+            # term j is v_p(c_j) * e + base, base = j * numer - off * e
+            base = -off * e
+            for c in _shifted_numerators(num, -g[0], 1)[0] if g[0] else num:
                 if c:
-                    term = (_p_order(c, p) - off) * e + j * numer
+                    term = _p_order(c, p) * e + base
                     if best is None or term < best:
                         best = term
+                base += numer
             return best
         m = len(g) - 1
-        vlead = _p_order(g[-1], p)
+        vlead = level.vlead
         run = list(num)
         j = 0
         while len(run) > m:
@@ -394,7 +402,7 @@ class Chain:
                 term = self._int_value(digit, off + steps * vlead, i - 1) * e + j * numer
                 if best is None or term < best:
                     best = term
-            run = run[m:]
+            del run[:m]
             off += (steps - 1) * vlead
             j += 1
         if run:
@@ -559,8 +567,7 @@ class Chain:
         prev = self.levels[i - 1]
         ext = self.levels[i].ext
         texp = i1 * prev.numer + j1 * prev.rel_denom
-        power = i1 * prev.denom_inv - j1 * prev.numer_inv
-        return ext.reduce(h) * ext.gen**power, texp
+        return _times_gen_power(ext, ext.reduce(h), i1 * prev.denom_inv - j1 * prev.numer_inv), texp
 
     def _graded_map_lift(self, i: int, c: FFElement, m: int):
         # inverse of _graded_map on elements c * t^m
@@ -568,7 +575,7 @@ class Chain:
         ext = self.levels[i].ext
         v, i1 = divmod(prev.numer_inv * m, prev.rel_denom)
         j1 = prev.numer * v + prev.denom_inv * m
-        return ext.lift(c * ext.gen**v), i1, j1
+        return ext.lift(_times_gen_power(ext, c, v)), i1, j1
 
     def _graded_lift(self, i: int, fbar: FqPoly, i0: int, j0: int) -> Poly:
         # Q_i^i0 * H(Q_i^e) by one Horner; H has the lifted coefficients of fbar
@@ -724,8 +731,8 @@ def _value_file_text(v: Value) -> str:
 def _term_value(level: _Level, j: int, n: int) -> Value:
     """Value of term j, whose digit has value numerator n, at level."""
     if level.tau:
-        return Value._exact(Fraction(n, level.prev_denom)) + level.beta.scale(j)
-    return Value._exact(Fraction(n * level.rel_denom + j * level.numer, level.denom))
+        return _numerator_value(n, 0, level.prev_denom, 1) + level.beta.scale(j)
+    return _numerator_value(n * level.rel_denom + j * level.numer, 0, level.denom, 1)
 
 
 def _term_minimum(terms, level: _Level):
@@ -758,15 +765,25 @@ def _tau_minimum(terms, level: _Level):
     beta.s over sd = den beta.s; terms compare as the int pairs (r, s).
     Their t-parts differ, so the least is unique.
     """
-    beta_r, beta_s = level.beta.r, level.beta.s
-    rd = lcm(level.prev_denom, beta_r.denominator)
-    scale, rnumer = rd // level.prev_denom, beta_r.numerator * (rd // beta_r.denominator)
-    r, s, j = min((n * scale + j * rnumer, j * beta_s.numerator, j) for j, _digit, n in terms)
-    return (r, s, rd, beta_s.denominator), j
+    beta = level.beta
+    rd = lcm(level.prev_denom, beta._rd)
+    scale, rnumer = rd // level.prev_denom, beta._rn * (rd // beta._rd)
+    r, s, j = min((n * scale + j * rnumer, j * beta._sn, j) for j, _digit, n in terms)
+    return (r, s, rd, beta._sd), j
 
 
 @lru_cache(maxsize=VALUE_CACHE_SIZE)
 def _numerator_value(r: int, s: int, rd: int, sd: int) -> Value:
-    """The Value r / rd + (s / sd) t, one shared object per argument tuple
-    while it stays in the cache; a Value has no mutator, so sharing is safe."""
-    return Value._exact(Fraction(r, rd), Fraction(s, sd)) if s else Value._exact(Fraction(r, rd))
+    """The Value r / rd + (s / sd) t, rd, sd > 0, one shared object per
+    argument tuple while it stays in the cache; a Value has no mutator, so
+    sharing is safe."""
+    g, h = gcd(r, rd), gcd(s, sd)
+    return Value._ints(r // g, rd // g, s // h, sd // h)
+
+
+def _times_gen_power(ext: FieldExtension, c: FFElement, power: int) -> FFElement:
+    """c * gen^power in ext's field, the exponent taken mod |F*| = p^k - 1 (gen
+    is a root of an irreducible residual with nonzero constant term), so no
+    inverse is taken and a zero exponent multiplies nothing."""
+    power %= ext.field.order - 1
+    return c * ext.gen**power if power else c

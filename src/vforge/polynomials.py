@@ -408,6 +408,8 @@ class Poly:
 
 def _p_order(n: int, p: int) -> int:
     """The exponent of p in the nonzero int n."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -419,7 +421,7 @@ def padic_valuation(x, p: int) -> Value:
     """v_p of an int or a Fraction, as a Value; v_p(0) = infinity."""
     if not _rational(x):
         return INFINITY
-    return Value._exact(Fraction(_p_order(x.numerator, p) - _p_order(x.denominator, p)))
+    return Value._ints(_p_order(x.numerator, p) - _p_order(x.denominator, p), 1)
 
 
 # -- operations used throughout the chain machinery ---------------------------

@@ -1,8 +1,10 @@
 """Elements of the ordered group Q + Q*t, plus infinity.
 
 Here t denotes a fixed positive infinitesimal: 0 < t < q for every
-positive rational q.  A finite element is stored as a pair (r, s) of
-Fractions meaning r + s*t, and the order is lexicographic on (r, s).
+positive rational q.  A finite element r + s*t is stored as the reduced
+int numerators and positive denominators of r and s, so sums, comparisons
+and scaling run on ints (one gcd per part); the ``r`` and ``s`` properties
+build the Fractions when read.  The order is lexicographic on (r, s).
 Infinity compares above everything and absorbs addition.
 
 These elements carry all values produced by valuation chains: rational
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 
 _ZERO = Fraction(0)
 
@@ -65,30 +69,37 @@ def _quoted(text: str) -> str:
 class Value:
     """An element r + s*t of Q + Q*t, or infinity."""
 
-    __slots__ = ("r", "s", "infinite")
+    __slots__ = ("_rn", "_rd", "_sn", "_sd", "infinite")
 
     def __init__(self, r=0, s=0, infinite=False):
         if infinite:
-            self.r = None
-            self.s = None
+            self._rn = self._rd = self._sn = self._sd = None
             self.infinite = True
         else:
-            self.r = Fraction(_rational(r))
-            self.s = Fraction(_rational(s))
+            r, s = _rational(r), _rational(s)
+            self._rn, self._rd = r.numerator, r.denominator
+            self._sn, self._sd = s.numerator, s.denominator
             self.infinite = False
+
+    @classmethod
+    def _ints(cls, rn: int, rd: int, sn: int = 0, sd: int = 1) -> "Value":
+        """The finite value rn/rd + (sn/sd) t from reduced ints, rd, sd > 0."""
+        obj = object.__new__(cls)
+        obj._rn, obj._rd, obj._sn, obj._sd, obj.infinite = rn, rd, sn, sd, False
+        return obj
 
     @classmethod
     def _exact(cls, r: Fraction, s: Fraction = _ZERO) -> "Value":
         """A finite value from r and s that are already Fractions."""
-        obj = object.__new__(cls)
-        obj.r, obj.s, obj.infinite = r, s, False
-        return obj
+        return cls._ints(r.numerator, r.denominator, s.numerator, s.denominator)
 
     @classmethod
     def of(cls, x) -> "Value":
         """Coerce an int, Fraction or Value to a Value."""
         if isinstance(x, Value):
             return x
+        if isinstance(x, int):
+            return cls._ints(int(x), 1)
         return cls(x)
 
     @classmethod
@@ -122,16 +133,29 @@ class Value:
         return cls(r, s)
 
     @property
+    def r(self) -> Fraction | None:
+        """The rational part, a Fraction; None for infinity."""
+        return None if self.infinite else Fraction(self._rn, self._rd)
+
+    @property
+    def s(self) -> Fraction | None:
+        """The coefficient of t, a Fraction; None for infinity."""
+        return None if self.infinite else Fraction(self._sn, self._sd)
+
+    @property
     def is_rational(self) -> bool:
         """True when the value lies in Q, i.e. has no infinitesimal part."""
-        return not self.infinite and self.s == 0
+        return not self.infinite and not self._sn
 
     def __add__(self, other):
         if not isinstance(other, Value):
             other = Value.of(other)
         if self.infinite or other.infinite:
             return INFINITY
-        return Value._exact(self.r + other.r, self.s + other.s if other.s else self.s)
+        return Value._ints(
+            *_sum(self._rn, self._rd, other._rn, other._rd),
+            *_sum(self._sn, self._sd, other._sn, other._sd),
+        )
 
     __radd__ = __add__
 
@@ -141,12 +165,15 @@ class Value:
             raise ArithmeticError("cannot subtract infinity")
         if self.infinite:
             return INFINITY
-        return Value._exact(self.r - other.r, self.s - other.s)
+        return Value._ints(
+            *_sum(self._rn, self._rd, -other._rn, other._rd),
+            *_sum(self._sn, self._sd, -other._sn, other._sd),
+        )
 
     def __neg__(self):
         if self.infinite:
             raise ArithmeticError("cannot negate infinity")
-        return Value._exact(-self.r, -self.s)
+        return Value._ints(-self._rn, self._rd, -self._sn, self._sd)
 
     def scale(self, c) -> "Value":
         """Multiply by an int or Fraction c; scaling infinity by 0 is undefined."""
@@ -157,12 +184,17 @@ class Value:
             if c < 0:
                 raise ArithmeticError("cannot scale infinity by a negative")
             return INFINITY
-        return Value._exact(self.r * c, self.s * c if self.s else self.s)
+        cn, cd = c.numerator, c.denominator
+        return Value._ints(*_product(self._rn, self._rd, cn, cd), *_product(self._sn, self._sd, cn, cd))
 
-    def _key(self):
-        if self.infinite:
-            return (1,)
-        return (0, self.r, self.s)
+    def _cmp(self, other: "Value") -> int:
+        """-1, 0 or 1 as self is below, equal to or above other."""
+        if self.infinite or other.infinite:
+            return self.infinite - other.infinite
+        a, b = self._rn * other._rd, other._rn * self._rd
+        if a == b:
+            a, b = self._sn * other._sd, other._sn * self._sd
+        return (a > b) - (a < b)
 
     def __eq__(self, other):
         if self is other:  # chain values are shared objects
@@ -174,22 +206,28 @@ class Value:
                 return NotImplemented
         if self.infinite or other.infinite:
             return self.infinite == other.infinite
-        return self.r == other.r and self.s == other.s
+        return (
+            self._rn == other._rn and self._rd == other._rd
+            and self._sn == other._sn and self._sd == other._sd
+        )
 
     def __hash__(self):
-        return hash(self._key())
+        # equal to the hash of an equal int or Fraction, as == demands
+        if self.infinite:
+            return 314159  # a constant
+        return hash((self._rn, self._rd, self._sn, self._sd)) if self._sn else hash(self.r)
 
     def __lt__(self, other):
-        return self._key() < Value.of(other)._key()
+        return self._cmp(Value.of(other)) < 0
 
     def __le__(self, other):
-        return self._key() <= Value.of(other)._key()
+        return self._cmp(Value.of(other)) <= 0
 
     def __gt__(self, other):
-        return self._key() > Value.of(other)._key()
+        return self._cmp(Value.of(other)) > 0
 
     def __ge__(self, other):
-        return self._key() >= Value.of(other)._key()
+        return self._cmp(Value.of(other)) >= 0
 
     def __repr__(self):
         return f"Value({self})"
@@ -197,21 +235,43 @@ class Value:
     def __str__(self):
         if self.infinite:
             return "inf"
-        if self.s == 0:
+        if not self._sn:
             return str(self.r)
-        sign = "+" if self.s > 0 else "-"
+        sign = "+" if self._sn > 0 else "-"
         return f"{self.r} {sign} {abs(self.s)}t"
 
 
+def _sum(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd reduced, from reduced parts with positive denominators."""
+    if not bn:
+        return an, ad
+    if ad == bd:
+        n, d = an + bn, ad
+    else:
+        n, d = an * bd + bn * ad, ad * bd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _product(an: int, ad: int, cn: int, cd: int) -> tuple[int, int]:
+    """(an/ad) * (cn/cd) reduced, from reduced parts with positive denominators."""
+    n, d = an * cn, ad * cd
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 INFINITY = Value(infinite=True)
+_ORDER = cmp_to_key(Value._cmp)
 
 
 def value_min(*vals) -> Value:
-    return min((Value.of(v) for v in vals), key=Value._key, default=INFINITY)
+    """The least of vals, the first one on ties; infinity when there are none."""
+    return min((Value.of(v) for v in vals), key=_ORDER, default=INFINITY)
 
 
 def value_max(*vals) -> Value:
+    """The greatest of vals, the first one on ties."""
     vv = [Value.of(v) for v in vals]
     if not vv:
         raise ValueError("value_max of empty sequence")
-    return max(vv, key=Value._key)
+    return max(vv, key=_ORDER)

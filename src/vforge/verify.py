@@ -54,7 +54,7 @@ from .values import value_min
 SCHEMA_VERSION = 1
 
 # Largest accepted ``samples``: the slowest corpus chain runs the "all"
-# suite at this size in about 2 s on a 2-vCPU host (Python 3.11).
+# suite at this size in about 1.5 s on a 2-vCPU host (Python 3.11).
 MAX_SAMPLES = 5000
 
 

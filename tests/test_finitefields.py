@@ -400,3 +400,19 @@ def test_tower_maps_match_the_three_branch_reference(shape):
         f = _random_fq_poly(rng, base, rho.degree - 1)
         assert ext.reduce(f) == _loop_reduce(ext, f)
         assert ext.lift(ext.reduce(f)) == f
+
+
+def test_degree_one_factorization_is_the_monic_input():
+    # a linear f is irreducible: ff_factor returns it, made monic, at once
+    rng = random.Random(481)
+    fields = [FiniteField(2), FiniteField(5), FiniteField(3, (2, 2, 1)), FiniteField(2, (1, 1, 0, 1))]
+    for field in fields:
+        for _ in range(40):
+            lead = field.element([rng.randrange(field.p) for _ in range(field.degree)])
+            if lead.is_zero():
+                lead = field.one
+            const = field.element([rng.randrange(field.p) for _ in range(field.degree)])
+            f = FqPoly(field, [const, lead])
+            (g, mult), = ff_factor(f)
+            assert mult == 1 and g == f.monic() and g.coeffs[-1] == field.one
+            assert g * lead == f

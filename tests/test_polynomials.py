@@ -610,3 +610,23 @@ def test_horner_takes_one_product_per_coefficient_below_the_top():
         assert isinstance(f(P("X + 1")), Poly) and f(P("X + 1")) == f.shift(1)
     # X / 2 has the numerators of X: it is no identity
     assert P("X^2")(Poly([0, F(1, 2)])) == Poly([0, 0, F(1, 4)])
+
+
+def test_p_order_matches_the_division_loop():
+    from vforge.polynomials import _p_order
+
+    def loop(n, p):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    rng = random.Random(409)
+    for p in (2, 3, 5):
+        cases = [1, -1, p, -p, p**300, -(p**300) * 7]
+        for _ in range(200):
+            n = rng.choice([1, -1]) * rng.randint(1, 2 ** rng.choice([8, 64, 700])) * p ** rng.randint(0, 120)
+            cases.append(n)
+        for n in cases:
+            assert _p_order(n, p) == loop(n, p), (n, p)
