@@ -4,7 +4,20 @@ Everything computes in exact rational arithmetic: chain values live in
 Q + Q*t for a formal positive infinitesimal t, a polynomial is a tuple of
 int numerators over one common denominator, and residue data lives in
 explicit small finite fields.
+
+``import vforge`` runs ``values``, ``polynomials``, ``finitefields``,
+``newton``, ``maclane`` and ``extensions``.  ``pairs`` and ``verify`` are
+in ``sys.modules`` and bound as ``vforge.pairs`` and ``vforge.verify`` from
+the start, but the code of each runs at the first read of a name it lacks,
+on the module or through the names exported here (``run_suite``,
+``pair_eval``, ...); among the CLI commands only ``verify`` makes that read.
+Several threads may make it at once: one runs the code, the others wait.
 """
+
+import importlib.util
+import sys
+import threading
+import types
 
 from .extensions import (
     AlgebraicNumber,
@@ -17,16 +30,6 @@ from .extensions import (
 from .finitefields import FiniteField, FieldExtension, FqPoly, LimitError, ff_factor, ff_is_irreducible
 from .maclane import Chain, ChainError, ChainParseError, InvariantError, KeyCertificate
 from .newton import NewtonPolygon
-from .pairs import (
-    FieldPoly,
-    PairOfDefinition,
-    common_extension_check,
-    enumerate_common_extensions,
-    is_minimal_pair,
-    pair_eval,
-    pairs_equivalent,
-    verify_root_lemmas,
-)
 from .polynomials import (
     Poly,
     PolyParseError,
@@ -38,7 +41,51 @@ from .polynomials import (
     resultant,
 )
 from .values import INFINITY, Value, value_max, value_min
-from .verify import VerificationReport, run_suite
+
+# re-entrant: loading verify reads the names of pairs, which loads pairs
+_LOADING = threading.RLock()
+
+
+class _Deferred(types.ModuleType):
+    """A submodule whose code runs on the first read of a name it lacks."""
+
+    def __getattr__(self, name):
+        with _LOADING:
+            if type(self) is _Deferred:
+                self.__spec__.loader.exec_module(self)
+                # only now: a plain module with half its names would raise
+                self.__class__ = types.ModuleType
+        return getattr(self, name)
+
+
+def _defer(name: str) -> types.ModuleType:
+    module = importlib.util.module_from_spec(importlib.util.find_spec(f"{__name__}.{name}"))
+    module.__class__ = _Deferred
+    sys.modules[module.__name__] = module
+    return module
+
+
+pairs = _defer("pairs")
+verify = _defer("verify")
+
+# the exported names that the deferred modules own
+_OWNER = dict.fromkeys(
+    ("FieldPoly", "PairOfDefinition", "common_extension_check", "enumerate_common_extensions",
+     "is_minimal_pair", "pair_eval", "pairs_equivalent", "verify_root_lemmas"),
+    pairs,
+) | dict.fromkeys(("VerificationReport", "run_suite"), verify)
+
+
+def __getattr__(name):
+    # read from the owner each time, so a name replaced there is seen here too
+    if name in _OWNER:
+        return getattr(_OWNER[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -22,15 +22,13 @@ is not an integer is a usage error of ``verify``; other commands ignore it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .extensions import DEFAULT_DEGREE_BOUND, MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
 from .finitefields import LimitError
-from .maclane import MAX_PRIME, Chain, ChainError, ChainParseError, prime_error
+from .maclane import MAX_PRIME, MAX_SAMPLES, Chain, ChainError, ChainParseError, prime_error
 from .polynomials import Poly, PolyParseError
-from .verify import MAX_SAMPLES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -54,12 +52,25 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _print_json(data, indent=None):
+    import json  # only --format json loads it
+
+    print(json.dumps(data, indent=indent))
+
+
+def run_suite(*args, **kwargs):
+    """``verify.run_suite``; the verify command alone loads that module."""
+    from .verify import run_suite
+
+    return run_suite(*args, **kwargs)
+
+
 def _cmd_value(args) -> int:
     # eval and epsilon: the chain method the subcommand names, looked up per call
     chain = _load_chain(args.chain)
     value = getattr(chain, args.command)(Poly.parse(args.poly, var="X"))
     if args.format == "json":
-        print(json.dumps({"value" if args.command == "eval" else "epsilon": str(value)}))
+        _print_json({"value" if args.command == "eval" else "epsilon": str(value)})
     else:
         print(value)
     return EXIT_OK
@@ -70,20 +81,18 @@ def _cmd_classify(args) -> int:
     kind = chain.classify()
     if args.format == "json":
         data = chain.data()
-        print(
-            json.dumps(
-                {
-                    "classification": kind,
-                    "degree": data.degree,
-                    "value_group_generator": str(data.group_generator)
-                    if data.group_generator is not None
-                    else None,
-                    "ramification": data.ramification,
-                    "residue_degrees": data.residue_degrees,
-                    "epsilons": [str(e) for e in data.epsilons],
-                },
-                indent=2,
-            )
+        _print_json(
+            {
+                "classification": kind,
+                "degree": data.degree,
+                "value_group_generator": str(data.group_generator)
+                if data.group_generator is not None
+                else None,
+                "ramification": data.ramification,
+                "residue_degrees": data.residue_degrees,
+                "epsilons": [str(e) for e in data.epsilons],
+            },
+            indent=2,
         )
     else:
         print(kind)
@@ -104,7 +113,7 @@ def _cmd_extend(args) -> int:
             }
             for e in exts
         ]
-        print(json.dumps({"count": len(rows), "extensions": rows}, indent=2))
+        _print_json({"count": len(rows), "extensions": rows}, indent=2)
     else:
         print(f"{len(exts)} extension(s) of v_{args.prime} to Q[Y]/({poly.to_text('Y')})")
         for e in exts:

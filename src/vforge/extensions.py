@@ -28,12 +28,11 @@ to Z and back with the resultant kernel's ``_scaled_monic`` and ``_unscaled``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import isqrt
-from typing import Iterator
 
 from .finitefields import (
     FiniteField,
@@ -434,17 +433,23 @@ def root_difference_valuations(m1: Poly, m2: Poly, p: int) -> list:
     return out
 
 
-@dataclass
 class AlgebraicNumber:
-    """An element of Q[Y]/(m) together with its chosen valuation extension."""
+    """An element of Q[Y]/(m) together with its chosen valuation extension.
 
-    ext: ValuationExtension
-    rep: Poly = None
+    Two are equal when their extensions and representatives are; they are
+    not hashable.
+    """
 
-    def __post_init__(self):
-        if self.rep is None:
-            self.rep = _X if self.ext.m.degree > 1 else Poly((self.ext.rational_root,))
-        self.rep = Poly.of(self.rep) % self.ext.m
+    def __init__(self, ext: ValuationExtension, rep: Poly = None):
+        self.ext = ext
+        if rep is None:
+            rep = _X if ext.m.degree > 1 else Poly((ext.rational_root,))
+        self.rep = Poly.of(rep) % ext.m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ext, self.rep) == (other.ext, other.rep)
 
     def value_of(self, g: Poly) -> Value:
         """v(g(self)); composes g with the representative inside Q[Y]/(m)."""

@@ -60,7 +60,7 @@ names an invalid augmentation is rejected with the failing invariant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import types
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -80,6 +80,11 @@ from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value
 # Largest prime a chain accepts; it bounds the trial division that proves p
 # prime (at most 46341 divisors).
 MAX_PRIME = 2**31 - 1
+
+# Largest ``samples`` that ``verify.run_suite`` and the CLI accept: the
+# slowest corpus chain runs the "all" suite at this size in about 1.5 s on a
+# 2-vCPU host (Python 3.11).
+MAX_SAMPLES = 5000
 
 # Most recent (r, s, rd, sd) tuples whose Value ``_numerator_value`` keeps;
 # a chain's values repeat, so most evaluations return a shared Value.
@@ -123,36 +128,44 @@ def _check_center(key: Poly):
         raise ChainError("chain.center", f"first key needs an integer center, got {key}")
 
 
-@dataclass(frozen=True)
 class KeyCertificate:
     """Outcome of the key test, recording which of its three conditions failed.
 
     A passing certificate also carries the key's irreducible residual
     polynomial, which ``augment`` builds the new residue field on; it takes
-    no part in comparison or printing.
+    no part in comparison or printing.  Certificates are immutable.
     """
 
-    is_key: bool
-    failed: str | None = None
-    detail: str | None = None
-    residual: FqPoly | None = field(default=None, compare=False, repr=False)
+    def __init__(self, is_key: bool, failed: str | None = None, detail: str | None = None,
+                 residual: FqPoly | None = None):
+        self.__dict__.update(is_key=is_key, failed=failed, detail=detail, residual=residual)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return self.is_key, self.failed, self.detail
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "{}(is_key={!r}, failed={!r}, detail={!r})".format(type(self).__qualname__, *self._fields())
 
     def __bool__(self):
         return self.is_key
 
 
-@dataclass
-class ChainData:
-    """Invariants read off a chain: degree, value group, per-level e and f."""
-
-    degree: int
-    group_generator: Fraction | None
-    group_generators: list
-    ramification: list
-    residue_degrees: list
-    epsilons: list
-    betas: list
-    classification: str
+class ChainData(types.SimpleNamespace):
+    """Invariants read off a chain: degree, group_generator (None for a
+    value-transcendental chain), group_generators, ramification,
+    residue_degrees, epsilons, betas and classification."""
 
 
 class _Level:
@@ -345,7 +358,7 @@ class Chain:
         """
         p = self.p
         if i < 0:
-            cc, _ = _shifted_numerators(num, -key.num[0], 1)
+            cc = _shifted_numerators(num, -key.num[0], 1)[0] if key.num[0] else num
             return [(j, c, _p_order(c, p) - off) for j, c in enumerate(cc) if c]
         g = key.num
         m = len(g) - 1
@@ -722,10 +735,10 @@ def _parse_int(m, group: int, lineno: int) -> int:
 def _value_file_text(v: Value) -> str:
     if v.infinite:
         return "inf"
-    if v.s == 0:
+    if v.is_rational:
         return str(v.r)
-    sign = "+" if v.s > 0 else "-"
-    return f"{v.r} {sign} {abs(v.s)} t"
+    s = v.s
+    return f"{v.r} {'+' if s > 0 else '-'} {abs(s)} t"
 
 
 def _term_value(level: _Level, j: int, n: int) -> Value:

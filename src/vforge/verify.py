@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 
 from .extensions import AlgebraicNumber, delta_via_roots, extend_to_number_field
-from .maclane import Chain, VALUE_TRANSCENDENTAL
+from .maclane import MAX_SAMPLES, VALUE_TRANSCENDENTAL, Chain
 from .pairs import (
     CheckOutcome,
     FieldPoly,
@@ -52,10 +52,6 @@ from .polynomials import Poly
 from .values import value_min
 
 SCHEMA_VERSION = 1
-
-# Largest accepted ``samples``: the slowest corpus chain runs the "all"
-# suite at this size in about 1.5 s on a 2-vCPU host (Python 3.11).
-MAX_SAMPLES = 5000
 
 
 @dataclass
@@ -205,7 +201,7 @@ def _check_linear_value_set(report, chain, pair, rng, samples):
         if v > delta:
             over = c
             break
-        if not v.infinite and v.s != 0:
+        if not v.is_rational:
             tau_seen.append(c)
     report.add(
         CheckOutcome(

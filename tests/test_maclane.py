@@ -568,6 +568,25 @@ def _rand_rational_poly(rng, chain, max_deg, monic=False):
     return Poly(cc)
 
 
+def test_level_zero_digits_equal_those_of_the_shifted_copy(corpus):
+    # below level 0 a chain centered at 0 reads the numerators in place;
+    # the digits must still be those of the Taylor shift by the center
+    from vforge.polynomials import _p_order, _shifted_numerators
+
+    rng = random.Random(2210)
+    centers = set()
+    for name, chain in _cross_check_chains(corpus).items():
+        key, p = chain.levels[0].key, chain.p
+        centers.add(key.num[0])
+        for _ in range(20):
+            f = _rand_rational_poly(rng, chain, 2 * chain.degree + 2)
+            off = _p_order(f.den, p)
+            cc, _ = _shifted_numerators(f.num, -key.num[0], 1)
+            shifted = [(j, c, _p_order(c, p) - off) for j, c in enumerate(cc) if c]
+            assert chain._int_terms(f.num, off, key, -1) == shifted, (name, f)
+    assert 0 in centers and len(centers) > 1  # shifted2 is centered at 1
+
+
 def test_integer_evaluation_matches_value_reference(corpus):
     # the seeded random chains add three-level towers, with and without an
     # infinitesimal last level, to the corpus
