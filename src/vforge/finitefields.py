@@ -5,7 +5,7 @@ element is a coefficient tuple of length deg(h) with entries in
 {0, ..., p-1}.  Relative extensions are flattened: FieldExtension embeds
 a base field into one absolute quotient, so residue towers of arbitrary
 shape compute inside a single modulus; the shape picks only that quotient
-and the generators' images, and the maps are one path for every shape.
+and the generators' images, and the maps are one basis matrix and its inverse.
 
 Factorization uses squarefree splitting, distinct-degree splitting and
 Cantor-Zassenhaus equal-degree splitting (trace variant in
@@ -562,8 +562,8 @@ class FieldExtension:
     to ``base_gen`` and y to ``gen``.  The shape picks only these three: the
     base itself for rho linear (base_gen = z), F_p[z]/(rho) over a prime
     base (base_gen = 1, gen = z), else the canonical modulus with the first
-    roots of the base modulus and of rho.  The maps are one path for every
-    shape; the first two have the identity as lifting matrix.
+    roots of the base modulus and of rho.  The maps are products with one
+    basis matrix (``embed``, ``reduce``) and its inverse (``lift``).
     """
 
     def __init__(self, base: FiniteField, rho: FqPoly):
@@ -578,35 +578,37 @@ class FieldExtension:
             raise FieldSizeError(
                 f"residue field F_{p}^{abs_deg} exceeds the degree limit {MAX_TOWER_DEGREE}"
             )
+        gen = None
         if rel_deg == 1:
             # no residue growth: the "extension" is the base field itself
             self.field = base
             self.base_gen = base.element([0, 1])
-            self.gen = -rho[0] * rho[1].inverse()
+            gen = -rho[0] * rho[1].inverse()
         elif base.degree == 1:
             self.field = FiniteField(p, tuple(c.coeffs[0] for c in rho.coeffs))
             self.base_gen = self.field.one
-            self.gen = self.field.element([0, 1])
+            gen = self.field.element([0, 1])
         else:
             self.field = FiniteField(p, find_irreducible(p, abs_deg))
             self.base_gen = ff_roots(FqPoly.from_ints(self.field, base.modulus))[0]
-            self.gen = ff_roots(FqPoly(self.field, [self.embed(c) for c in rho.coeffs]))[0]
-        # basis matrix: rows are base_gen^j * gen^i in absolute coordinates
-        rows = []
-        for i in range(rel_deg):
-            gi = self.gen**i
-            for j in range(base.degree):
-                rows.append(list((self.base_gen**j * gi).coeffs))
-        self._mat_inv = _invert_mod_p(rows, p)
+        # basis matrix: row i * deg(base) + j is base_gen^j * gen^i in absolute
+        # coordinates; the rows i = 0 come first, as embed reads only them and
+        # the general shape finds gen by embedding rho
+        powers = [self.base_gen**j for j in range(base.degree)]
+        self._mat = [list(b.coeffs) for b in powers]
+        self.gen = ff_roots(FqPoly(self.field, [self.embed(c) for c in rho.coeffs]))[0] if gen is None else gen
+        self._mat += [list((b * self.gen**i).coeffs) for i in range(1, rel_deg) for b in powers]
+        self._mat_inv = _invert_mod_p(self._mat, p)
 
     def embed(self, c: FFElement) -> FFElement:
-        """Image of a base-field element in the flattened field: c, as a
-        polynomial in the base generator, evaluated at base_gen."""
-        return FqPoly.from_ints(self.field, c.coeffs)(self.base_gen)
+        """Image of a base-field element: its coordinates times the first deg(base) matrix rows."""
+        return FFElement(self.field, tuple(_mat_vec_mod_p(self._mat, c.coeffs, self.base.p)))
 
     def reduce(self, f: FqPoly) -> FFElement:
-        """Image of f (a polynomial over the base) at the chosen root of rho."""
-        return FqPoly(self.field, [self.embed(c) for c in f.coeffs])(self.gen)
+        """Image of f at the chosen root of rho: coordinates of f mod rho times the basis matrix."""
+        f = f % self.rho if f.degree >= self.rho.degree else f
+        coords = [a for c in f.coeffs for a in c.coeffs]
+        return FFElement(self.field, tuple(_mat_vec_mod_p(self._mat, coords, self.base.p)))
 
     def lift(self, c: FFElement) -> FqPoly:
         """Write c as a polynomial of degree < deg(rho) over the base field."""
@@ -633,5 +635,5 @@ def _invert_mod_p(mat, p):
 
 
 def _mat_vec_mod_p(mat, vec, p):
-    # vec is a row vector: returns vec . mat
+    # vec is a row vector: returns vec . mat, reading only the first len(vec) rows
     return [sum(v * x for v, x in zip(vec, column)) % p for column in zip(*mat)]

@@ -28,7 +28,6 @@ minimality, so a failing restriction check is never re-sampled into a
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -83,6 +82,8 @@ class VerificationReport(_CheckList):
         }
 
     def to_json(self) -> str:
+        import json  # only --format json loads it
+
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
@@ -288,9 +289,10 @@ def _suite_props(report, chain, data, rng, samples):
     bad_trunc = None
     for _ in range(samples):
         f = _random_poly(rng, rng.randint(1, 2 * chain.degree + 2), spread, monic=False)
-        w = chain.eval(f)
-        truncs = [chain.truncate(i, f) for i in range(len(chain.levels))]
-        if not all(t <= w for t in truncs) or w not in truncs:
+        # mu_0 <= mu_1 <= ... <= mu_k = w, since augmentation only raises
+        # values; the last level is w itself, so it is not truncated again
+        chain_values = [chain.truncate(i, f) for i in range(len(chain.levels) - 1)] + [chain.eval(f)]
+        if not all(a <= b for a, b in zip(chain_values, chain_values[1:])):
             bad_trunc = f
             break
     report.add(

@@ -61,8 +61,9 @@ def test_a_cold_command_runs_neither_pairs_nor_verify(chain_file, argv):
 
 
 def test_a_cold_verify_runs_both(chain_file):
-    ran, _ = _python(CLI_PROBE, "verify", "--chain", chain_file, "--suite", "props", "--samples", "5")
+    ran, imported = _python(CLI_PROBE, "verify", "--chain", chain_file, "--suite", "props", "--samples", "5")
     assert ran == list(DEFERRED)
+    assert "json" not in imported  # a text report loads no json
 
 
 def test_import_registers_every_submodule_and_star_binds_every_name():
