@@ -4,9 +4,8 @@ Each extension is represented by an approximating chain in Y whose last
 key converges to one p-adic factor of m: the search starts from the
 center 0, walks the polygon faces of the expansion of m in the current
 key, lifts irreducible residual factors to new keys, and splits whenever
-the residual factors.  A branch is isolated once the minimum-value index
-range of the expansion of m has width one; from then on improvement
-steps keep a single child and the assigned values grow without bound.
+the residual factors.  A branch isolated by a polygon face of length one,
+or by reaching m, improves through single isolated children without bound.
 
 Values v(g(a)) are read off the approximating chain.  For arguments of
 degree below the current key degree the chain value is already exact;
@@ -209,57 +208,48 @@ def rational_factor_list(m: Poly) -> list[Poly]:
 
 
 def _last_minimum(chain: Chain, g: Poly):
-    """(minimum term value, indices attaining it) of g expanded in the last key.
-
-    The value is an int numerator over the last level's ``denom``.  Digit
-    values are prefix values, so they do not move when the last assigned
-    value changes.
-    """
+    """(least term as an int numerator over the last level's denom, indices
+    attaining it) of g in the last key; its digits take their prefix values."""
     return _term_minimum(chain._terms(g, chain.last_key, len(chain) - 2), chain.levels[-1])
 
 
-def _attach(chain: Chain, psi: Poly, value: Value) -> Chain:
-    if psi.degree == chain.degree:
-        return chain.refine(psi, value)
-    return chain.augment(psi, value)
-
-
-def _branch_children(chain: Chain, m: Poly) -> list[Chain]:
-    """One search step: all continuations of a value-matched branch toward m.
+def _branch_children(chain: Chain, m: Poly) -> list[tuple[Chain, bool]]:
+    """One search step: (child, isolated) for each continuation toward m.
 
     Only the non-monomial factors of the residual are followed: branches for
     roots strictly closer along the current key were already enumerated when
     the key received its value, since every steeper polygon face spawns its
     own sibling.
+
+    A child is isolated when the face that set its value lambda has length
+    one, or its key divides m and so is m.  The face is the range of indices
+    attaining the least term of m in the child's last key (``_last_minimum``):
+    the least of n_j + j * lambda over the points (j, n_j) is attained exactly
+    on the face of slope -lambda; the n_j are the child's digit values up to a
+    positive factor (``augment`` keeps this chain as the prefix; ``refine``
+    drops the last level, equal to the prefix below it under the key degree);
+    and a seed's Taylor points are ``_padic_points`` shifted by -v_p(den m).
     """
     out = []
-    residual = chain.residual_polynomial(m)
-    for u, _mult in ff_factor(residual):
+    denom = chain.levels[-1].denom
+    for u, _mult in ff_factor(chain.residual_polynomial(m)):
         if u.degree == 1 and u[0].is_zero():
             continue
         psi = chain.key_from_residual(u)
+        attach = chain.refine if psi.degree == chain.degree else chain.augment
         terms = chain._terms(m, psi, len(chain) - 1)
         if terms[0][0] != 0:
             # psi divides m exactly, hence equals m: the branch is exact and
             # any larger assigned value works
-            out.append(_attach(chain, psi, chain.eval(psi) + Value(1)))
+            out.append((attach(psi, chain.eval(psi) + Value(1)), True))
             continue
         # polygon of the digit value numerators over the last level's denom
-        denom = chain.levels[-1].denom
-        pts = [(j, n) for j, _digit, n in terms]
         current = chain.eval(psi).r
-        for pslope, _plen in NewtonPolygon(pts).slopes():
+        for pslope, plen in NewtonPolygon([(j, n) for j, _digit, n in terms]).slopes():
             plam = -pslope / denom
             if plam > current:
-                out.append(_attach(chain, psi, Value(plam)))
+                out.append((attach(psi, Value(plam)), plen == 1))
     return out
-
-
-def _is_isolated(chain: Chain, m: Poly) -> bool:
-    if chain.last_key == m:
-        return True
-    _, achieving = _last_minimum(chain, m)
-    return achieving[-1] - achieving[0] == 1
 
 
 class ValuationExtension:
@@ -286,9 +276,9 @@ class ValuationExtension:
 
     def _improve(self):
         children = _branch_children(self._chain, self.m)
-        if len(children) != 1:
-            raise InvariantError("isolated branch must improve deterministically")
-        self._chain = children[0]
+        if len(children) != 1 or not children[0][1]:
+            raise InvariantError("isolated branch must improve to one isolated child")
+        self._chain = children[0][0]
 
     def is_exact(self) -> bool:
         """Whether the approximating chain already ends in m itself."""
@@ -370,10 +360,10 @@ class ValuationExtension:
 def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_BOUND):
     """All extensions of v_p to Q[Y]/(m), for monic irreducible m.
 
-    Runs the branch search from the center 0; each isolated branch yields
-    one ValuationExtension with its ramification index and residue degree.
-    The sum of e*f over the result equals deg m.  degree_bound is at most
-    MAX_DEGREE_BOUND.
+    Runs the branch search from the center 0; each branch isolated by a
+    polygon face of length one, or by reaching m, yields one
+    ValuationExtension, and the e*f of the result sum to deg m.
+    degree_bound is at most MAX_DEGREE_BOUND.
     """
     if not 1 <= degree_bound <= MAX_DEGREE_BOUND:
         raise ValueError(f"degree bound must lie in 1..{MAX_DEGREE_BOUND}, got {degree_bound}")
@@ -393,11 +383,11 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
         raise LimitError("minimal polynomial must be p-integral")
 
     roots: list[Chain] = []
-    lams = [-slope for slope, _length in NewtonPolygon(_padic_points(m, p)).slopes()]
-    queue = [Chain(p, _X, Value(lam)) for lam in lams]
+    polygon = NewtonPolygon(_padic_points(m, p))
+    queue = [(Chain(p, _X, Value(-slope)), length == 1) for slope, length in polygon.slopes()]
     while queue:
-        branch = queue.pop()
-        if _is_isolated(branch, m):
+        branch, isolated = queue.pop()
+        if isolated:
             roots.append(branch)
             continue
         children = _branch_children(branch, m)

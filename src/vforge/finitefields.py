@@ -591,13 +591,15 @@ class FieldExtension:
         else:
             self.field = FiniteField(p, find_irreducible(p, abs_deg))
             self.base_gen = ff_roots(FqPoly.from_ints(self.field, base.modulus))[0]
-        # basis matrix: row i * deg(base) + j is base_gen^j * gen^i in absolute
-        # coordinates; the rows i = 0 come first, as embed reads only them and
-        # the general shape finds gen by embedding rho
+        # basis matrix, stored by its columns: row i * deg(base) + j is
+        # base_gen^j * gen^i in absolute coordinates.  embed reads only the
+        # rows i = 0, so the general shape finds gen by embedding rho with
+        # them; inverting the columns gives the columns of the inverse
         powers = [self.base_gen**j for j in range(base.degree)]
-        self._mat = [list(b.coeffs) for b in powers]
+        self._mat = list(zip(*(b.coeffs for b in powers)))
         self.gen = ff_roots(FqPoly(self.field, [self.embed(c) for c in rho.coeffs]))[0] if gen is None else gen
-        self._mat += [list((b * self.gen**i).coeffs) for i in range(1, rel_deg) for b in powers]
+        basis = powers + [b * self.gen**i for i in range(1, rel_deg) for b in powers]
+        self._mat = list(zip(*(b.coeffs for b in basis)))
         self._mat_inv = _invert_mod_p(self._mat, p)
 
     def embed(self, c: FFElement) -> FFElement:
@@ -619,7 +621,7 @@ class FieldExtension:
 
 def _invert_mod_p(mat, p):
     n = len(mat)
-    aug = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
         if pivot is None:
@@ -634,6 +636,7 @@ def _invert_mod_p(mat, p):
     return [row[n:] for row in aug]
 
 
-def _mat_vec_mod_p(mat, vec, p):
-    # vec is a row vector: returns vec . mat, reading only the first len(vec) rows
-    return [sum(v * x for v, x in zip(vec, column)) % p for column in zip(*mat)]
+def _mat_vec_mod_p(columns, vec, p):
+    # vec is a row vector: returns vec . mat for the matrix given by its
+    # columns, reading only the first len(vec) rows
+    return [sum(v * x for v, x in zip(vec, column)) % p for column in columns]

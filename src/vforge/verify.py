@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .extensions import AlgebraicNumber, delta_via_roots, extend_to_number_field
 from .maclane import MAX_SAMPLES, VALUE_TRANSCENDENTAL, Chain
@@ -224,10 +226,16 @@ def _check_linear_value_set(report, chain, pair, rng, samples):
 
 
 def _suite_lemmas(report, chain, data, rng, samples):
+    # value-transcendental exactly when the last beta has a t-part, with a
+    # rank-2 value group and no generator; else Z + sum beta_i Z is
+    # (1 / lcm b_i) Z over the betas' denominators b_i, which the kernel
+    # reaches as the product of the level ramification indices
+    tau = not data.betas[-1].is_rational
+    generator = None if tau else Fraction(1, lcm(*(b.r.denominator for b in data.betas)))
     report.add(
         CheckOutcome(
             "classification",
-            True,
+            (data.classification == VALUE_TRANSCENDENTAL) == tau and data.group_generator == generator,
             detail=f"{data.classification}; d(w) = {data.degree}, "
             f"value group generator {data.group_generator if data.group_generator is not None else 'rank 2'}",
         )

@@ -1,9 +1,14 @@
-"""Every workload that BENCHMARK.json names passes a short traced run.
+"""Every workload that BENCHMARK.json names, and extend-refine, passes a
+short traced run.
 
 A traced run of ``bench/run.py`` replays the workload's canonical pass,
 checks each output against its goldens and laws, and stops when one of the
 workload's MUST_FIRE spans never fires.  A change that alters a golden byte
 or leaves a listed layer dead so fails here, not only in the benchmark.
+extend-refine runs only by name, but it is the workload that exercises the
+branch search, ``Chain.refine`` and ``ensure_value_above``, so its MUST_FIRE
+list is enforced here too.  eval-laws stays untraced: its traced run fails
+because chain evaluation no longer reaches the expansion spans it lists.
 
 The two workloads that run only by name, eval-laws and extend-refine, get a
 short untraced run: its minimum passes check every output (extend-refine's
@@ -19,9 +24,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+TRACED = WORKLOADS + ["extend-refine"]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", TRACED)
 def test_traced_benchmark_run_passes(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,

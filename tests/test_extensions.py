@@ -15,7 +15,7 @@ from vforge import (
     root_difference_valuations,
     value_min,
 )
-from vforge.extensions import MAX_DEGREE_BOUND, rational_factor_list
+from vforge.extensions import MAX_DEGREE_BOUND, _last_minimum, rational_factor_list
 from vforge.finitefields import FiniteField, FqPoly, ff_factor
 from vforge.newton import padic_root_values, root_values
 from vforge.polynomials import composed_value_poly
@@ -360,9 +360,82 @@ def test_broken_improvement_invariant_raises_named_error(monkeypatch):
 
     assert not issubclass(InvariantError, ValueError)  # the CLI maps ValueError to exit 2
     ext = extend_to_number_field(P("X^2 - 17"), 2)[0]
-    monkeypatch.setattr(extensions, "_branch_children", lambda chain, m: [chain, chain])
-    with pytest.raises(InvariantError):
-        ext.ensure_value_above(F(1000))
+    # an improvement step must yield exactly one child, flagged isolated
+    for children in ([(ext.chain, True), (ext.chain, True)], [(ext.chain, False)]):
+        monkeypatch.setattr(extensions, "_branch_children", lambda chain, m, children=children: children)
+        with pytest.raises(InvariantError):
+            ext.ensure_value_above(F(1000))
+
+
+# -- isolation read off the polygon face ---------------------------------------------
+# The search flags a branch isolated when the polygon face that set its value
+# has length one or its key is m.  The reference rule expands m in the
+# branch's last key instead: the key is m, or the indices attaining the least
+# term of that expansion span one unit.
+
+
+def _isolated_by_expansion(chain, m):
+    if chain.last_key == m:
+        return True
+    _, achieving = _last_minimum(chain, m)
+    return achieving[-1] - achieving[0] == 1
+
+
+def test_isolation_flag_matches_the_expansion_rule(corpus, monkeypatch):
+    import vforge.extensions as extensions
+    from test_acceptance import EXTENSION_COUNT_CASES
+
+    cases = [(P(mtxt), p) for mtxt, p in EXTENSION_COUNT_CASES]
+    cases += [(chain.last_key, chain.p) for chain in corpus.values() if chain.degree > 1]
+    rng = random.Random(9)
+    cases += [_deep_quartic(rng) for _ in range(8)]
+    calls = []
+    real = extensions._branch_children
+
+    def recorded(chain, m):
+        children = real(chain, m)
+        calls.append((chain, children))
+        return children
+
+    monkeypatch.setattr(extensions, "_branch_children", recorded)
+    flags = Counter()
+    for m, p in cases:
+        calls.clear()
+        exts = extend_to_number_field(m, p)
+        # the search expands exactly the branches flagged unisolated (seeds
+        # included) and keeps the ones flagged isolated
+        for parent, children in calls:
+            assert not _isolated_by_expansion(parent, m), (m, p, parent)
+            for child, isolated in children:
+                assert isolated == _isolated_by_expansion(child, m), (m, p, child)
+                flags[isolated] += 1
+        assert all(_isolated_by_expansion(ext.chain, m) for ext in exts), (m, p)
+        # each improvement step keeps one child, isolated by both rules
+        calls.clear()
+        for ext in exts:
+            ext.ensure_value_above(ext.chain.last_value.r + 4)
+        for _parent, children in calls:
+            [(child, isolated)] = children
+            assert isolated and _isolated_by_expansion(child, m), (m, p, child)
+    assert flags[True] and flags[False]
+
+
+def test_the_search_makes_no_last_minimum_call(monkeypatch):
+    # each branch carries its isolation flag, so m is expanded once per
+    # branch, in _branch_children
+    import vforge.extensions as extensions
+    from test_acceptance import EXTENSION_COUNT_CASES
+
+    calls = Counter()
+
+    def counted(chain, g):
+        calls[g] += 1
+        return _last_minimum(chain, g)
+
+    monkeypatch.setattr(extensions, "_last_minimum", counted)
+    for mtxt, p in EXTENSION_COUNT_CASES:
+        extend_to_number_field(P(mtxt), p)
+    assert not calls
 
 
 # -- the factorizer on the shared int kernels, against the Fraction reference ---------

@@ -23,6 +23,7 @@ import vforge.cli as cli
 import vforge.pairs as pairs_mod
 import vforge.verify as verify_mod
 from vforge import AlgebraicNumber, Chain, PairOfDefinition, Poly, ValuationExtension
+from vforge.maclane import RESIDUE_TRANSCENDENTAL, VALUE_TRANSCENDENTAL
 
 
 def _shift_eval(monkeypatch):
@@ -108,6 +109,60 @@ def _degree_one_high(monkeypatch):
     monkeypatch.setattr(Chain, "degree", property(lambda self: self.levels[-1].degree + 1))
 
 
+def _flip_classify(monkeypatch):
+    # every chain classified as the other kind
+    real = Chain.classify
+    monkeypatch.setattr(
+        Chain,
+        "classify",
+        lambda self: RESIDUE_TRANSCENDENTAL if real(self) == VALUE_TRANSCENDENTAL else VALUE_TRANSCENDENTAL,
+    )
+
+
+def _negate_resultant(monkeypatch):
+    # every resultant in the root lemmas negated
+    real = pairs_mod.resultant
+    monkeypatch.setattr(pairs_mod, "resultant", lambda f, g: -real(f, g))
+
+
+def _lower_root_difference_valuations(monkeypatch):
+    # every finite root difference value one too low
+    real = pairs_mod.root_difference_valuations
+    monkeypatch.setattr(
+        pairs_mod,
+        "root_difference_valuations",
+        lambda m1, m2, p: [v if v.infinite else v - 1 for v in real(m1, m2, p)],
+    )
+
+
+def _shift_padic_valuation(monkeypatch):
+    # every finite p-adic value in the root lemmas one too high
+    real = pairs_mod.padic_valuation
+    monkeypatch.setattr(pairs_mod, "padic_valuation", lambda x, p: (lambda v: v if v.infinite else v + 1)(real(x, p)))
+
+
+def _shift_conjugate_pair_eval(monkeypatch):
+    # the pair value one too high at every center but the generator Y, so
+    # conjugate pairs disagree
+    real = verify_mod.pair_eval
+
+    def faulty(pair, f):
+        v, info = real(pair, f)
+        return (v if v.infinite or pair.center.rep == Poly((0, 1)) else v + 1), info
+
+    monkeypatch.setattr(verify_mod, "pair_eval", faulty)
+
+
+def _pair_eval_at_generator(monkeypatch):
+    # every pair valued at the generator's center, so conjugate pairs agree
+    real = verify_mod.pair_eval
+    monkeypatch.setattr(
+        verify_mod,
+        "pair_eval",
+        lambda pair, f: real(PairOfDefinition(AlgebraicNumber(pair.center.ext), pair.delta), f),
+    )
+
+
 def _named(name):
     return lambda check: check.name == name
 
@@ -135,6 +190,15 @@ MUTATIONS = [
     ("level0.root_value_each", "lemmas", "c2", _shift_padic_root_values, _named("level0.root_value_each")),
     ("level0.root_value", "lemmas", "c2", _negate_eval, _named("level0.root_value.ext0")),
     ("level0.root_proximity", "lemmas", "c2", _negate_eval, _named("level0.root_proximity.ext0")),
+    ("classification", "lemmas", "c2", _flip_classify, _named("classification")),
+    ("level0.resultant_product_identity", "lemmas", "c2", _negate_resultant,
+     _named("level0.resultant_product_identity")),
+    ("level0.root_proximity_count", "lemmas", "c2", _lower_root_difference_valuations,
+     _named("level0.root_proximity_count")),
+    ("level0.distant_center_drop", "lemmas", "c2", _shift_padic_valuation,
+     lambda check: check.name.startswith("level0.distant_center_drop.c=")),
+    ("pair_equivalence.forward", "lemmas", "c2", _shift_conjugate_pair_eval, _named("pair_equivalence.forward")),
+    ("pair_equivalence.backward", "lemmas", "c4", _pair_eval_at_generator, _named("pair_equivalence.backward")),
 ]
 
 EXCLUDED = {
