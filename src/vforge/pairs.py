@@ -25,7 +25,7 @@ The enumeration and the root identities work with that one extension;
 comparing centers carried by two different extensions of one field is
 left to ``pairs_equivalent``.  Extensions with equal (m, p, ``index``) are
 the same, whichever call built them; across two different ones only the
-generators Y compare, as the test measures roots of m, not centers.
+generators Y compare, by one exact ball test on the second one's chain.
 """
 
 from __future__ import annotations
@@ -48,17 +48,10 @@ from .polynomials import (
     _make,
     _p_order,
     composed_value_poly,
-    difference_resultant,
     padic_valuation,
     resultant,
 )
 from .values import Value
-
-# Rounds of _cross_difference_multiset (one difference resultant and, short
-# of separation, one improvement of each branch) before it gives up; the
-# largest count seen over the test suite is 3.
-MAX_SEPARATION_ROUNDS = 16
-
 
 @dataclass
 class PairOfDefinition:
@@ -139,44 +132,35 @@ def pair_eval(pair: PairOfDefinition, f) -> tuple[Value, list[int]]:
 # -- equivalence ---------------------------------------------------------------
 
 
-def _cross_difference_multiset(e1: ValuationExtension, e2: ValuationExtension):
-    """Stabilized multiset of v(a - b) over the root clusters of two branches.
-
-    Both extensions must belong to the same minimal polynomial.  The keys
-    stand in for the p-adic factors once their assigned values clear twice
-    the largest candidate difference, which is the usual separation bound.
-    Raises InvariantError when they have not after MAX_SEPARATION_ROUNDS.
-    """
-    for _ in range(MAX_SEPARATION_ROUNDS):
-        res = difference_resultant(e1.chain.last_key, e2.chain.last_key)
-        current = [v.r for v in padic_root_values(res, e1.p) if not v.infinite]
-        bound = max([abs(x) for x in current] or [Fraction(0)])
-        needed = 2 * bound + 1
-        if all(
-            ext.is_exact() or ext.chain.last_value.r > needed for ext in (e1, e2)
-        ):
-            return current
-        for ext in (e1, e2):
-            ext.ensure_value_above(needed)
-    raise InvariantError(f"root clusters did not separate in {MAX_SEPARATION_ROUNDS} rounds")
-
-
 def pairs_equivalent(p1: PairOfDefinition, p2: PairOfDefinition) -> bool:
     """Whether two pairs define the same valuation.
 
-    Centers on the same extension (equal m, p and ``index``, even from two
-    ``extend_to_number_field`` calls) or with one of them rational are
-    compared pointwise: equivalent exactly when v(a - b) >= delta.  The
-    generators Y of two extensions of one m are compared at multiset level:
-    whether the two root clusters come within delta of each other.  Other
-    centers on two extensions, and centers in unrelated fields, raise
-    ValueError: the multiset measures the roots of m, not the centers.
+    Pairs with unequal deltas, or over two primes (they restrict to two v_p
+    on Q), are never equivalent.  Centers on one extension (equal m, p and
+    ``index``) or with one of them rational compare pointwise: v(a - b) >=
+    delta.  The generators Y of two extensions e1, e2 of one m track roots
+    a1, a2 of distinct Q_p-factors F1, F2, and are equivalent exactly when
+    M >= delta, M the largest v(a1 - b) over the roots b of F2.  Other
+    centers raise ValueError.
+
+    Let phi be e2's last key, eps = epsilon(phi) and D the largest v(a1 - c)
+    over the roots c of phi.  e2's chain is the pair valuation (c, eps) and
+    lies below v at a2, so a2 lies within eps of a root of phi; as
+    Q_p-automorphisms permute both root sets, each root of F2 lies within
+    eps of a root of phi and conversely.  So D < eps gives M = D (a b and a
+    root of phi within eps of it lie equally near a1), and D >= eps gives
+    M >= eps: once D < eps or eps >= delta, the answer is D >= delta.
+    Otherwise e2 improves one step, raising eps (``Chain._stacked``) by at
+    least 1/(e n^2), as eps = r / b with r in (1/e)Z, e = e2.e and b <= n =
+    deg m.  M is finite, so D < eps after a number of steps set by the root
+    separation, whatever delta is; an extension that does not improve
+    raises InvariantError.
     """
-    if p1.delta != p2.delta:
+    if p1.delta != p2.delta or p1.center.ext.p != p2.center.ext.p:
         return False
     c1, c2 = p1.center, p2.center
     e1, e2 = c1.ext, c2.ext
-    if (e1.m, e1.p, e1.index) == (e2.m, e2.p, e2.index):
+    if (e1.m, e1.index) == (e2.m, e2.index):
         return e1.valuation(c1.rep - c2.rep) >= p1.delta
     m1 = c1.minimal_polynomial()
     m2 = c2.minimal_polynomial()
@@ -184,7 +168,7 @@ def pairs_equivalent(p1: PairOfDefinition, p2: PairOfDefinition) -> bool:
         return c2.value_of(Poly((-m1[0], 1))) >= p1.delta
     if m2.degree == 1:
         return c1.value_of(Poly((-m2[0], 1))) >= p1.delta
-    if m1 != m2 or c1.ext.m != c2.ext.m:
+    if m1 != m2 or e1.m != e2.m:
         raise ValueError(
             "centers live in unrelated fields; equivalence needs conjugate "
             "centers or one center rational"
@@ -192,8 +176,15 @@ def pairs_equivalent(p1: PairOfDefinition, p2: PairOfDefinition) -> bool:
     if c1.rep != _X or c2.rep != _X:
         raise ValueError(f"centers on two extensions are compared only as the generator Y, "
                          f"not {c1.rep.to_text('Y')} and {c2.rep.to_text('Y')}")
-    diffs = _cross_difference_multiset(c1.ext, c2.ext)
-    return bool(diffs) and Value(max(diffs)) >= p1.delta
+    while True:
+        chain = e2.chain
+        eps = chain.epsilon(chain.last_key)
+        near = max(e1.root_distances_to(chain.last_key))
+        if near < eps or eps >= p1.delta:
+            return near >= p1.delta
+        e2.ensure_value_above(chain.last_value.r)  # one improvement step
+        if e2.chain is chain:
+            raise InvariantError("an extension did not improve")
 
 
 # -- restriction to a chain -----------------------------------------------------

@@ -407,14 +407,26 @@ class Poly:
 
 
 def _p_order(n: int, p: int) -> int:
-    """The exponent of p in the nonzero int n."""
+    """The exponent of p in the nonzero int n (on 0 it would not end):
+    p, p^2, p^4, ... divide while they can, taking out p^(2^k - 1) and
+    leaving an order r < 2^k, whose bits are read from p^(2^(k-1)) down."""
     if p == 2:
         return (n & -n).bit_length() - 1
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    if n % p:
+        return 0
+    powers = []
+    q = p
+    while n % q == 0:
+        n //= q
+        powers.append(q)
+        q *= q
+    r = 0
+    for q in reversed(powers):
+        r += r
+        if n % q == 0:
+            n //= q
+            r += 1
+    return (1 << len(powers)) - 1 + r
 
 
 def padic_valuation(x, p: int) -> Value:

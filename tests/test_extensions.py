@@ -627,3 +627,27 @@ def test_two_generators_of_one_field_give_the_same_extensions():
                     m, p, r, bound)
     # enough draws reach level 2, where only this test checks the graded maps
     assert deep >= 5
+
+
+def test_each_root_lies_within_its_chain_ball():
+    # the ball lemma behind pairs.pairs_equivalent: the chain is the pair
+    # valuation (c, eps) for a root c of its last key phi and lies below v at
+    # the tracked root a, so some root of phi lies within eps of a; at
+    # isolation and after two improvements
+    from test_acceptance import EXTENSION_COUNT_CASES
+
+    rng = random.Random(7)
+    runs = [([_deep_quartic(rng) for _ in range(25)], (3, 8)),
+            ([(P(mtxt), p) for mtxt, p in EXTENSION_COUNT_CASES], (4, 12))]
+    checked = 0
+    for cases, bounds in runs:
+        for m, p in cases:
+            exts = extend_to_number_field(m, p)
+            for ext in exts if len(exts) > 1 else ():
+                for bound in (None, *bounds):
+                    if bound is not None:
+                        ext.ensure_value_above(F(bound))
+                    key = ext.chain.last_key
+                    assert max(ext.root_distances_to(key)) >= ext.chain.epsilon(key), (m, p, ext.index, bound)
+                    checked += 1
+    assert checked >= 75

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
@@ -22,6 +22,7 @@ from vforge import (
     padic_valuation,
     pair_eval,
     pairs_equivalent,
+    resultant,
     root_difference_valuations,
     verify_root_lemmas,
 )
@@ -193,22 +194,163 @@ def test_non_generator_centers_on_two_extensions_raise():
             pairs_equivalent(p1, p2)
 
 
-def test_separation_loop_has_a_budget(monkeypatch):
-    # an extension that never improves must end the loop with a named error
-    import vforge.pairs as pairs
-    from vforge import InvariantError
-    from vforge.extensions import ValuationExtension
+# -- the generators of two extensions of one m ----------------------------------------
+# Y on extension i and Y on extension j track roots a and b of two Q_p-factors
+# of m; the pairs are equivalent at delta exactly when max v(a - b') >= delta
+# over the roots b' of the second factor, which Galois makes symmetric.
 
-    exts = extend_to_number_field(P("X^2 - 17"), 2)
-    rounds = []
-    real = pairs.difference_resultant
-    monkeypatch.setattr(pairs, "difference_resultant", lambda a, b: rounds.append(1) or real(a, b))
-    monkeypatch.setattr(ValuationExtension, "ensure_value_above", lambda self, target: None)
-    p1 = PairOfDefinition(AlgebraicNumber(exts[0]), Value(F(1, 2)))
-    p2 = PairOfDefinition(AlgebraicNumber(exts[1]), Value(F(1, 2)))
-    with pytest.raises(InvariantError, match="did not separate"):
-        pairs_equivalent(p1, p2)
-    assert len(rounds) == pairs.MAX_SEPARATION_ROUNDS
+SEPARATION_ROWS = [("X^2 + 28", 2), ("X^2 - 2X + 29", 2), ("X^2 - 29X - 53", 3)]
+DELTA_GRID = [Value(F(k, 4)) for k in range(25)]
+
+
+def _generators(m, p, i, j, delta):
+    """Y on extensions i and j of fresh extend_to_number_field calls, so each
+    answer starts from the chains at isolation."""
+    exts = extend_to_number_field(m, p)
+    return PairOfDefinition(AlgebraicNumber(exts[i]), delta), PairOfDefinition(AlgebraicNumber(exts[j]), delta)
+
+
+def _multi_extension_cases():
+    from test_acceptance import EXTENSION_COUNT_CASES
+    from test_extensions import _deep_quartic
+
+    cases = [(P(mtxt), p) for mtxt, p in EXTENSION_COUNT_CASES + SEPARATION_ROWS + [("X^2 - 6X + 1032", 2)]]
+    rng = random.Random(7)
+    cases += [_deep_quartic(rng) for _ in range(25)]
+    return [(m, p) for m, p in cases if len(extend_to_number_field(m, p)) > 1]
+
+
+def _reference_separations(m, p):
+    """{(i, j): max v(a_i - b)} from keys improved past every root distance.
+
+    The roots of a monic integral m are p-integral, so each v(a - b) is at
+    most v_p(disc m) / 2.  Once every eps exceeds that, each root of a last
+    key lies within eps of a root of its factor and the differences of the
+    keys' roots are the differences of the factors' roots."""
+    exts = extend_to_number_field(m, p)
+    bound = Value(padic_valuation(resultant(m, m.derivative()), p).r / 2)
+    for ext in exts:
+        while ext.chain.epsilon(ext.chain.last_key) <= bound:
+            ext.ensure_value_above(ext.chain.last_value.r)
+    keys = [ext.chain.last_key for ext in exts]
+    return {
+        (i, j): max(root_difference_valuations(keys[i], keys[j], p))
+        for i in range(len(exts)) for j in range(len(exts)) if i != j
+    }
+
+
+@pytest.mark.parametrize("mtxt, p", SEPARATION_ROWS)
+def test_generators_whose_keys_coincide_meet_at_their_root_distance(mtxt, p):
+    # both isolation chains end in one key, so every key difference is
+    # infinite; v(a1 - a2) = 2 all the same
+    exts = extend_to_number_field(P(mtxt), p)
+    assert exts[0].chain.last_key == exts[1].chain.last_key
+    for delta, expected in ((0, True), (1, True), (2, True), (3, False)):
+        for i, j in ((0, 1), (1, 0)):
+            assert pairs_equivalent(*_generators(P(mtxt), p, i, j, Value(delta))) == expected, (delta, i, j)
+
+
+def test_pairs_over_two_primes_are_never_equivalent():
+    m = P("X^2 - 17")
+    a = PairOfDefinition(AlgebraicNumber(extend_to_number_field(m, 2)[0]), Value(0))
+    b = PairOfDefinition(AlgebraicNumber(extend_to_number_field(m, 13)[0]), Value(0))
+    # one restricts to v_2 on Q and the other to v_13
+    assert not pairs_equivalent(a, b) and not pairs_equivalent(b, a)
+    one = [PairOfDefinition(AlgebraicNumber(extend_to_number_field(P("X - 1"), q)[0]), Value(0)) for q in (2, 3)]
+    assert not pairs_equivalent(*one)
+
+
+def test_split_quadratics_are_equivalent_up_to_half_the_discriminant():
+    # the roots of X^2 + bX + c differ by sqrt(b^2 - 4c): v(a1 - a2) = v_p(b^2 - 4c) / 2
+    rng = random.Random(27)
+    rows = []
+    while len(rows) < 12:
+        # (X + beta)^2 - s: b^2 - 4c = 4s, with s = p^k t to spread the distances
+        p, beta = rng.choice((2, 3, 5)), rng.randint(-20, 20)
+        s = p ** rng.randint(0, 6) * rng.choice([t for t in range(-40, 41) if t])
+        m = Poly((beta * beta - s, 2 * beta, 1))
+        irreducible = s < 0 or isqrt(s) ** 2 != s
+        if irreducible and len(extend_to_number_field(m, p)) == 2:
+            rows.append((m, p, padic_valuation(4 * s, p).r / 2))
+    assert any(distance > 1 for _m, _p, distance in rows)
+    for m, p, distance in rows:
+        for delta in DELTA_GRID:
+            for i, j in ((0, 1), (1, 0)):
+                assert pairs_equivalent(*_generators(m, p, i, j, delta)) == (Value(distance) >= delta), (m, p, delta)
+
+
+def test_equivalence_across_extensions_matches_the_reference():
+    compared = 0
+    for m, p in _multi_extension_cases():
+        for (i, j), distance in _reference_separations(m, p).items():
+            for delta in DELTA_GRID:
+                assert pairs_equivalent(*_generators(m, p, i, j, delta)) == (distance >= delta), (m, p, i, j, delta)
+                compared += 1
+    assert compared >= 1000
+
+
+def test_equivalent_generators_value_alike_and_the_others_separate():
+    # pairs_equivalent runs first, on chains at isolation; pair_eval then
+    # improves them, which must not matter
+    separated = 0
+    for m, p in _multi_extension_cases():
+        exts = extend_to_number_field(m, p)
+        rng = random.Random(11)
+        probes = [_random_poly(rng, rng.randint(1, 4), p**3) for _ in range(8)]
+        probes += [ext.chain.last_key for ext in exts]
+        for i in range(len(exts)):
+            for j in range(len(exts)):
+                for delta in DELTA_GRID[::2] if i != j else ():
+                    a, b = (PairOfDefinition(AlgebraicNumber(exts[k]), delta) for k in (i, j))
+                    same = pairs_equivalent(a, b)
+                    alike = [pair_eval(a, f)[0] == pair_eval(b, f)[0] for f in probes]
+                    assert all(alike) if same else not all(alike), (m, p, i, j, delta)
+                    separated += not same
+    assert separated >= 300
+
+
+def test_an_extension_that_does_not_improve_raises(monkeypatch):
+    # Y on extension 1 against extension 0 of X^2 - 6X + 1032 at delta 2
+    # needs one improvement step; without it the test cannot decide
+    from vforge import InvariantError
+
+    monkeypatch.setattr(ValuationExtension, "ensure_value_above", lambda self, bound: None)
+    with pytest.raises(InvariantError, match="did not improve"):
+        pairs_equivalent(*_generators(P("X^2 - 6X + 1032"), 2, 1, 0, Value(2)))
+
+
+def test_equivalence_work_is_bounded_by_the_root_separation(monkeypatch):
+    calls = []
+    real = ValuationExtension.ensure_value_above
+    monkeypatch.setattr(ValuationExtension, "ensure_value_above",
+                        lambda self, bound: calls.append(bound) or real(self, bound))
+    for delta in (Value(2), Value(10**6), INFINITY):
+        calls.clear()
+        assert not pairs_equivalent(*_generators(P("X^2 - 6X + 1032"), 2, 1, 0, delta))
+        assert len(calls) <= 1, (delta, calls)
+
+
+def _answers(grid):
+    """pairs_equivalent on every ordered pair of extensions and every delta,
+    and is_minimal_pair without a chain; grid[i] holds Y on extension i."""
+    equivalent = [pairs_equivalent(a, b) for i, row in enumerate(grid) for j, col in enumerate(grid)
+                  if i != j for a, b in zip(row, col)]
+    return equivalent, [is_minimal_pair(a).minimal for row in grid for a in row]
+
+
+def test_answers_do_not_depend_on_how_far_chains_were_improved():
+    # record, improve every chain, record again: an answer read off a lazy
+    # chain before it is good enough would change here
+    changed = []
+    for m, p in _multi_extension_cases():
+        exts = extend_to_number_field(m, p)
+        grid = [[PairOfDefinition(AlgebraicNumber(ext), delta) for delta in DELTA_GRID[::2]] for ext in exts]
+        before = _answers(grid)
+        for ext in exts:
+            ext.ensure_value_above(F(20))
+        if _answers(grid) != before:
+            changed.append((m, p))
+    assert not changed
 
 
 # -- restriction checks ----------------------------------------------------------------

@@ -630,3 +630,30 @@ def test_p_order_matches_the_division_loop():
             cases.append(n)
         for n in cases:
             assert _p_order(n, p) == loop(n, p), (n, p)
+    # p^v for every v up to 300, times a signed cofactor
+    for p in (3, 5, 7, 2**31 - 1):
+        for v in range(301):
+            n = rng.choice([1, -1]) * rng.randint(1, 2**64) * p**v
+            assert _p_order(n, p) == loop(n, p), (n, p)
+
+
+def test_p_order_takes_logarithmically_many_divisions():
+    from vforge.polynomials import _p_order
+
+    ops = []
+
+    class Counted(int):
+        def __mod__(self, q):
+            ops.append("%")
+            return int(self) % q
+
+        def __floordiv__(self, q):
+            ops.append("//")
+            return Counted(int(self) // q)
+
+    for v in (0, 1, 2, 3, 7, 8, 300, 4000):
+        ops.clear()
+        assert _p_order(Counted(5 * 3**v), 3) == v
+        # k = floor(log2(v + 1)) steps up and k down, one % and at most one // each
+        assert len(ops) <= 4 * (v + 1).bit_length() - 2, (v, len(ops))
+    assert len(ops) < 50  # the division loop takes 8,001 at v = 4000
