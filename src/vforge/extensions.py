@@ -210,7 +210,7 @@ def rational_factor_list(m: Poly) -> list[Poly]:
 def _last_minimum(chain: Chain, g: Poly):
     """(least term as an int numerator over the last level's denom, indices
     attaining it) of g in the last key; its digits take their prefix values."""
-    return _term_minimum(chain._terms(g, chain.last_key, len(chain) - 2), chain.levels[-1])
+    return _term_minimum(chain._int_terms(g, chain.last_key, len(chain) - 2), chain.levels[-1])
 
 
 def _branch_children(chain: Chain, m: Poly) -> list[tuple[Chain, bool]]:
@@ -229,6 +229,12 @@ def _branch_children(chain: Chain, m: Poly) -> list[tuple[Chain, bool]]:
     positive factor (``augment`` keeps this chain as the prefix; ``refine``
     drops the last level, equal to the prefix below it under the key degree);
     and a seed's Taylor points are ``_padic_points`` shifted by -v_p(den m).
+
+    A child's key psi = ``key_from_residual(u)`` is monic and homogeneous
+    of degree n * deg phi, n = e * deg u, so it takes n * beta, the value of
+    its top term phi^n (``Chain.is_key``): the value is read, not evaluated.
+    ``refine`` (``refine.key``) and ``augment`` (``is_key``) still check
+    every child, so a wrong reading raises.
     """
     out = []
     denom = chain.levels[-1].denom
@@ -237,17 +243,17 @@ def _branch_children(chain: Chain, m: Poly) -> list[tuple[Chain, bool]]:
             continue
         psi = chain.key_from_residual(u)
         attach = chain.refine if psi.degree == chain.degree else chain.augment
-        terms = chain._terms(m, psi, len(chain) - 1)
+        current = chain.last_value.scale(psi.degree // chain.degree)
+        terms = chain._int_terms(m, psi, len(chain) - 1)
         if terms[0][0] != 0:
             # psi divides m exactly, hence equals m: the branch is exact and
             # any larger assigned value works
-            out.append((attach(psi, chain.eval(psi) + Value(1)), True))
+            out.append((attach(psi, current + Value(1)), True))
             continue
         # polygon of the digit value numerators over the last level's denom
-        current = chain.eval(psi).r
         for pslope, plen in NewtonPolygon([(j, n) for j, _digit, n in terms]).slopes():
             plam = -pslope / denom
-            if plam > current:
+            if plam > current.r:
                 out.append((attach(psi, Value(plam)), plen == 1))
     return out
 

@@ -39,17 +39,20 @@ b_k = r_k + s_k t.  ``eval``, ``truncate`` and ``epsilon`` each return one
 builds the Value from ints with no Fraction, and hands out a shared Value
 for each recent numerator tuple (a bounded cache); ``epsilon`` picks the largest
 (w(f) - w(f^[b])) / b by cross-multiplying ints.  ``_int_terms`` lists the
-digits with their values for the callers that need them, and
-``_graded_reduce`` is the one user of ``q_expansion`` here: above level 0
-it needs the digits as polynomials.
+digits with their values for ``_graded_reduce`` at level 0, an
+infinitesimal last level, and ``extensions._last_minimum`` and
+``_branch_children``.  ``_graded_reduce`` is the one user of ``q_expansion``
+here: above level 0 it needs the digits as polynomials.
 
 Alongside evaluation this module carries the graded residue machinery:
 residues of digits relative to normalizing monomials in p and earlier
 keys, residual polynomials over the chain's residue field, lifting of
 residual factors back to candidate keys (Q_i^i0 * H(Q_i^e), one Horner),
-and the key test built from value homogeneity and residual irreducibility.
-A homogeneous monic candidate has a residual of the key's degree and the
-last key's epsilon, so the test needs no degree or growth certificate.
+and the key test, which reads value homogeneity and residual
+irreducibility off one graded expansion.  A homogeneous monic candidate has
+a residual of the key's degree, the last key's epsilon and the value n * beta
+of its top term, so the test needs no degree or growth certificate and
+``augment`` no evaluation.
 
 Chain files are plain text: ``p = <prime>`` on the first line, then one
 ``Q<i>: <poly> @ <value>`` line per level, with values written ``r`` or
@@ -249,7 +252,8 @@ class Chain:
         return obj
 
     def augment(self, key: Poly, beta: Value) -> "Chain":
-        """Append a validated level (key, beta); returns a new chain."""
+        """Append a validated level (key, beta); returns a new chain.  A
+        passing key takes n * beta, its top term's value (``is_key``)."""
         key = Poly.of(key)
         beta = Value.of(beta)
         last = self.levels[-1]
@@ -266,19 +270,12 @@ class Chain:
             )
         cert = self.is_key(key)
         if not cert:
-            raise ChainError(
-                "augment.key_test",
-                f"not a key polynomial ({cert.failed}: {cert.detail})",
-            )
-        current = self.eval(key)
+            raise ChainError("augment.key_test", f"not a key polynomial ({cert.failed}: {cert.detail})")
+        current = last.beta.scale(key.degree // last.degree)
         if not beta > current:
-            raise ChainError(
-                "augment.value",
-                f"assigned value {beta} is not above current value {current}",
-            )
-        rho = cert.residual
-        ext = FieldExtension(last.res_field, rho)
-        level = self._build_level(key, beta, last.denom, ext.field, ext, rho.degree)
+            raise ChainError("augment.value", f"assigned value {beta} is not above current value {current}")
+        ext = FieldExtension(last.res_field, cert.residual)
+        level = self._build_level(key, beta, last.denom, ext.field, ext, cert.residual.degree)
         return self._stacked(level)
 
     def refine(self, key: Poly, beta: Value) -> "Chain":
@@ -335,28 +332,21 @@ class Chain:
         f = Poly.of(f)
         return self._level_value(len(self.levels) - 1, f)
 
-    def _terms(self, f: Poly, key: Poly, i: int) -> list:
-        """_int_terms of f's numerators, with v_p of its denominator as offset."""
-        return self._int_terms(f.num, _p_order(f.den, self.p), key, i)
+    def _int_terms(self, f: Poly, key: Poly, i: int) -> list:
+        """(j, digit, n) for the nonzero digits of f = num / D in base key,
+        read off f's numerators num, with off = v_p(D) for D = f.den.
 
-    def _int_terms(self, num, off: int, key: Poly, i: int) -> list:
-        """(j, digit, n) for the nonzero digits in base key of num / D, where
-        num is a list of ints and D any denominator with v_p(D) = off.
-
-        Only the callers that need the digits or the indices attaining the
-        minimum build this list: ``_graded_reduce``, ``is_key``, an
-        infinitesimal last level, and ``extensions._last_minimum`` and
-        ``_branch_children``; a value alone comes from ``_int_value``.  n is
-        the digit's value under the chain prefix through the rational level
-        i, as an int numerator over that level's ``denom``.  Below level 0
-        (i = -1) the key is X - c with c an integer: each digit is an int of
-        the Taylor shift over D, and n = v_p(digit) - off.  Above, each digit
-        is the int list left by one in-place pseudo-division of the running
-        list by the key's numerators, whose leading entry l (the key's
-        denominator) adds steps * v_p(l) to the remainder's offset and
+        n is the digit's value under the chain prefix through the rational
+        level i, as an int numerator over that level's ``denom``.  Below
+        level 0 (i = -1) the key is X - c with c an integer: each digit is an
+        int of the Taylor shift over D, and n = v_p(digit) - off.  Above,
+        each digit is the int list left by one in-place pseudo-division of
+        the running list by the key's numerators, whose leading entry l (the
+        key's denominator) adds steps * v_p(l) to the remainder's offset and
         (steps - 1) * v_p(l) to the quotient's.
         """
         p = self.p
+        num, off = f.num, _p_order(f.den, p)
         if i < 0:
             cc = _shifted_numerators(num, -key.num[0], 1)[0] if key.num[0] else num
             return [(j, c, _p_order(c, p) - off) for j, c in enumerate(cc) if c]
@@ -429,7 +419,7 @@ class Chain:
         level i is r / rd + (s / sd) t, all ints."""
         level = self.levels[i]
         if level.tau:
-            return _tau_minimum(self._terms(f, level.key, i - 1), level)[0]
+            return _tau_minimum(self._int_terms(f, level.key, i - 1), level)[0]
         return self._int_value(f.num, _p_order(f.den, self.p), i), 0, level.denom, 1
 
     def _level_value(self, i: int, f: Poly) -> Value:
@@ -531,20 +521,20 @@ class Chain:
     # -- graded residue machinery ---------------------------------------------
 
     def _graded_reduce(self, i: int, f: Poly):
-        """Graded image of f at level i: (fbar, i0, j0, vnum).
+        """Graded image of f at level i: (fbar, i0, j0, vnum, terms, achieving).
 
         vnum is the value of f as an int numerator over the level's
-        ``denom``; at an infinitesimal level it is the Value itself.  Above
-        level 0 each digit is expanded once: its value is the last entry of
-        its own graded image one level down.
+        ``denom`` (the Value itself at an infinitesimal level), attained by
+        the indices ``achieving`` of the terms (j, digit or its image, n).
+        Above level 0 each digit is expanded once: its value is the fourth
+        entry of its own graded image one level down.
         """
         p = self.p
         level = self.levels[i]
         k = level.res_field
         e = level.rel_denom
         if i == 0 or level.tau:
-            off = _p_order(f.den, p)
-            terms = self._int_terms(f.num, off, level.key, i - 1)
+            terms = self._int_terms(f, level.key, i - 1)
         else:
             digits = enumerate(q_expansion(f, level.key))
             images = [(j, self._graded_reduce(i - 1, d)) for j, d in digits if d.num]
@@ -552,12 +542,13 @@ class Chain:
         vmin, achieving = _term_minimum(terms, level)
         if level.tau:
             # unique minimal term; the residual degenerates to a bare monomial
-            return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, vmin
+            return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, vmin, terms, achieving
         i0 = (level.numer_inv * vmin) % e
         j0 = (vmin - i0 * level.numer) // e
         if i == 0:
             # digit c / f.den has v_p(c) = n + off: its residue is the unit
             # c / p^(n + off) over the unit f.den / p^off
+            off = _p_order(f.den, p)
             unit_inv = pow(f.den // p**off, -1, p)
         coeffs = {}
         for j, c, n in terms:
@@ -567,13 +558,13 @@ class Chain:
             if i == 0:
                 coeffs[m] = k.from_int(c // p ** (n + off) * unit_inv)
             else:
-                c1, i1, j1, _ = c
+                c1, i1, j1 = c[:3]
                 cbar, texp = self._graded_map(i, c1, i1, j1)
                 if texp != j0 - m * level.numer:
                     raise InvariantError("graded bookkeeping out of step")
                 coeffs[m] = cbar
         cc = [coeffs.get(m, k.zero) for m in range(max(coeffs) + 1)]
-        return FqPoly(k, cc), i0, j0, vmin
+        return FqPoly(k, cc), i0, j0, vmin, terms, achieving
 
     def _graded_map(self, i: int, h: FqPoly, i1: int, j1: int):
         # map a level-(i-1) graded element into the level-i constant field
@@ -603,9 +594,10 @@ class Chain:
         lift = _horner(coeffs, level.key**level.rel_denom, Poly())
         return lift * level.key**i0 if i0 else lift
 
-    def _residual(self, i: int, f: Poly) -> FqPoly:
-        fbar, _, _, _ = self._graded_reduce(i, f)
-        return fbar
+    def _residual(self, i: int, f: Poly):
+        # (residual, terms, achieving) of f at level i, off one expansion
+        fbar, _, _, _, terms, achieving = self._graded_reduce(i, f)
+        return fbar, terms, achieving
 
     def residual_polynomial(self, f: Poly) -> FqPoly:
         """Residual polynomial of f at the last level, over the residue field.
@@ -619,7 +611,7 @@ class Chain:
         f = Poly.of(f)
         if f.is_zero():
             raise ValueError("residual polynomial of zero is not defined")
-        return self._residual(len(self.levels) - 1, f)
+        return self._residual(len(self.levels) - 1, f)[0]
 
     def key_from_residual(self, rho: FqPoly) -> Poly:
         """Lift a monic irreducible residual rho to a candidate key polynomial.
@@ -640,13 +632,14 @@ class Chain:
 
         The codes, in test order: ``divisible_by_last_key`` (the last key phi
         divides q), ``inhomogeneous`` (an expansion term in phi misses the
-        minimum) and ``reducible_residual``.  No other code can arise.  At an
-        infinitesimal last level term j carries the t-part j * s with s != 0,
-        so one index alone attains the minimum, while a monic q of degree
-        >= deg phi with a nonzero constant digit has two digits: the scan
-        returns ``inhomogeneous``.  A homogeneous q has the top digit 1 at
-        j = n = deg q / deg phi; j = 0 attains the minimum, so i0 = 0 and e
-        divides n, and the residual has degree n / e.
+        minimum) and ``reducible_residual``, all off the one expansion in phi
+        of ``_residual``.  No other code can arise.  At an infinitesimal last
+        level term j carries the t-part j * s with s != 0, so one index alone
+        attains the minimum, while a monic q of degree >= deg phi with a
+        nonzero constant digit has two digits: the scan returns
+        ``inhomogeneous``.  A homogeneous q has the top digit 1 at
+        j = n = deg q / deg phi, so mu(q) = n * beta; j = 0 attains the
+        minimum, so i0 = 0 and e divides n, and the residual has degree n / e.
 
         Nor can eps (``epsilon``) shrink.  Let (a, delta) be the chain's pair,
         a a root of phi: eps(f) = max over roots b of f of min(v(a - b), delta),
@@ -667,15 +660,13 @@ class Chain:
                 "key.degree",
                 f"degree {q.degree} is not a positive multiple of {last.degree}",
             )
-        terms = self._terms(q, last.key, len(self.levels) - 2)
+        rho, terms, achieving = self._residual(len(self.levels) - 1, q)
         if terms[0][0] != 0:
             return KeyCertificate(False, "divisible_by_last_key", f"{last.key} divides {q}")
-        _, achieving = _term_minimum(terms, last)
         if len(achieving) < len(terms):
             values = {j: str(_term_value(last, j, n)) for j, _, n in terms}
             shown = ", ".join(values.get(j, "-") for j in range(terms[-1][0] + 1))
             return KeyCertificate(False, "inhomogeneous", f"expansion term values {{{shown}}}")
-        rho = self.residual_polynomial(q)
         if not ff_is_irreducible(rho):
             return KeyCertificate(False, "reducible_residual", f"residual {rho.to_text()} factors")
         return KeyCertificate(True, residual=rho)

@@ -432,8 +432,9 @@ def enumerate_common_extensions(
     once.  The balls of radius delta around the roots all have the size read
     off the exact difference profile of that root, so they split the roots
     into degree / size classes.  The report gives the class size and count,
-    the count against the distinct-root bound, and the minimality of the
-    pair, read off the restriction outcome.  ``ext`` is the result of
+    the count against an independent one, which also bounds it by the
+    distinct roots, and the minimality of the pair, read off the
+    restriction outcome.  ``ext`` is the result of
     ``single_extension(extend_to_number_field(chain.last_key, chain.p))``
     when the caller already has it; it is built here when None.
     """
@@ -480,10 +481,13 @@ def enumerate_common_extensions(
             )
 
     report.class_count = count
+    # the independent count: d = count * size roots, and d * (size - 1)
+    # ordered pairs of them within delta in the difference multiset of m
+    close = sum(1 for v in root_difference_valuations(m, m, chain.p) if v >= delta)
     report.add(
         CheckOutcome(
             "class_count_bound",
-            count <= m.degree,
+            count * (m.degree + close) == m.degree**2,
             detail=f"{count} classes <= {m.degree} distinct roots",
         )
     )

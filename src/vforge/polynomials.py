@@ -409,13 +409,17 @@ class Poly:
 def _p_order(n: int, p: int) -> int:
     """The exponent of p in the nonzero int n (on 0 it would not end):
     p, p^2, p^4, ... divide while they can, taking out p^(2^k - 1) and
-    leaving an order r < 2^k, whose bits are read from p^(2^(k-1)) down."""
+    leaving an order r < 2^k, whose bits are read from p^(2^(k-1)) down.
+    The first step is taken alone, so an order 1 costs one division."""
     if p == 2:
         return (n & -n).bit_length() - 1
     if n % p:
         return 0
-    powers = []
-    q = p
+    n //= p
+    if n % p:
+        return 1
+    powers = [p]
+    q = p * p
     while n % q == 0:
         n //= q
         powers.append(q)

@@ -438,6 +438,92 @@ def test_the_search_makes_no_last_minimum_call(monkeypatch):
     assert not calls
 
 
+# -- a lifted key's value read off its top term ------------------------------------------
+# augment and the search take the value of a key psi over the chain as
+# n * beta, n = deg psi / deg phi, instead of evaluating psi.  The reference
+# evaluates every lift that the search meets.
+
+
+def _search_cases(corpus):
+    from test_acceptance import EXTENSION_COUNT_CASES
+
+    cases = [(P(mtxt), p) for mtxt, p in EXTENSION_COUNT_CASES]
+    cases += [(chain.last_key, chain.p) for chain in corpus.values() if chain.degree > 1]
+    rng = random.Random(28)
+    return cases + [_deep_quartic(rng) for _ in range(8)]
+
+
+def test_a_lifted_key_takes_n_times_the_last_value(corpus, monkeypatch):
+    import vforge.extensions as extensions
+
+    real = extensions._branch_children
+    checked = Counter()
+
+    def checking(chain, m):
+        for u, _mult in ff_factor(chain.residual_polynomial(m)):
+            if u.degree == 1 and u[0].is_zero():
+                continue
+            psi = chain.key_from_residual(u)
+            n = chain.levels[-1].rel_denom * u.degree
+            assert psi.degree == n * chain.degree, (m, chain, u)
+            assert chain.eval(psi) == chain.last_value.scale(n), (m, chain, u)
+            checked[n == 1] += 1
+        return real(chain, m)
+
+    monkeypatch.setattr(extensions, "_branch_children", checking)
+    for m, p in _search_cases(corpus):
+        for ext in extend_to_number_field(m, p):
+            ext.ensure_value_above(ext.chain.last_value.r + 2)
+    assert checked[True] > 100 and checked[False] > 20, checked
+
+
+def test_the_search_evaluates_only_inside_refine(corpus, monkeypatch):
+    # one Chain.eval per refine child, refine's own refine.key check; an
+    # augment child and an exact branch evaluate nothing
+    import vforge.extensions as extensions
+    from vforge.maclane import Chain
+
+    events, spans = [], []
+
+    def counted(name, real):
+        def wrapper(*args):
+            events.append(name)
+            return real(*args)
+        return wrapper
+
+    def children(chain, m):
+        start = len(events)
+        out = real_children(chain, m)
+        spans.append(events[start:])
+        return out
+
+    real_children = extensions._branch_children
+    for name in ("eval", "refine", "augment"):
+        monkeypatch.setattr(Chain, name, counted(name, getattr(Chain, name)))
+    monkeypatch.setattr(extensions, "_branch_children", children)
+    for m, p in _search_cases(corpus):
+        for ext in extend_to_number_field(m, p):
+            ext.ensure_value_above(ext.chain.last_value.r + 2)
+    assert all(span.count("eval") == span.count("refine") for span in spans)
+    assert sum(span.count("refine") for span in spans) > 100
+    assert sum(span.count("augment") for span in spans) > 20
+
+
+@pytest.mark.parametrize("n", [21, 201])
+def test_close_roots_take_a_bounded_number_of_search_steps(monkeypatch, n):
+    # X^2 - 2X - B = (X - 1)^2 - 2 * 3^n for B = 2 * 3^n - 1: two roots at
+    # distance n/2; the search steps are counted, not timed, and one step per
+    # digit of that distance stays within the bound
+    import vforge.extensions as extensions
+
+    steps = []
+    real = extensions._branch_children
+    monkeypatch.setattr(extensions, "_branch_children", lambda chain, m: steps.append(1) or real(chain, m))
+    [ext] = extend_to_number_field(Poly((-(2 * 3**n - 1), -2, 1)), 3)
+    assert ext.e == 2
+    assert len(steps) <= (n + 3) // 2, len(steps)
+
+
 # -- the factorizer on the shared int kernels, against the Fraction reference ---------
 #
 # The references are the loops the factorizer ran before it used

@@ -450,6 +450,50 @@ def test_augment_computes_one_residual(monkeypatch, corpus):
     assert cert == KeyCertificate(True) and repr(cert) == repr(KeyCertificate(True))
 
 
+def test_augment_reads_the_key_value_without_evaluating(monkeypatch, corpus):
+    # a passing key takes n * beta, its top term's value: augment evaluates
+    # nothing, on parsed chain files and in the extension search alike
+    from vforge.extensions import extend_to_number_field
+
+    evals, per_augment = [], []
+    real_eval, real_augment = Chain.eval, Chain.augment
+
+    def eval_(*args):
+        evals.append(1)
+        return real_eval(*args)
+
+    def augment(*args):
+        start = len(evals)
+        out = real_augment(*args)
+        per_augment.append(len(evals) - start)
+        return out
+
+    monkeypatch.setattr(Chain, "eval", eval_)
+    monkeypatch.setattr(Chain, "augment", augment)
+    for chain in corpus.values():
+        Chain.parse(chain.to_text())
+    for mtxt, p in [("X^4 + 1", 2), ("X^3 - 2", 3), ("X^5 - 2", 5)]:
+        extend_to_number_field(P(mtxt), p)
+    assert len(per_augment) > 10 and set(per_augment) == {0}
+    # the value it reads is the one it reports when beta does not exceed it
+    with pytest.raises(ChainError, match="assigned value 3/2 is not above current value 2"):
+        Chain(2, P("X"), Value(1)).augment(P("X^2 + 2X + 4"), Value(F(3, 2)))
+
+
+def test_level_zero_key_test_expands_once(monkeypatch):
+    # divisibility, homogeneity and the residual come off one expansion
+    calls = []
+    real = Chain._int_terms
+    monkeypatch.setattr(Chain, "_int_terms", lambda self, *args: calls.append(1) or real(self, *args))
+    chain = Chain(2, P("X"), Value(1))
+    expected = {"X^2": "divisible_by_last_key", "X^2 + 1": "inhomogeneous",
+                "X^2 + 4": "reducible_residual", "X^2 + 2X + 4": None}
+    for qtxt, failed in expected.items():
+        calls.clear()
+        assert chain.is_key(P(qtxt)).failed == failed, qtxt
+        assert len(calls) == 1, qtxt
+
+
 def test_non_integral_key_chain_values():
     chain = Chain.from_levels(3, [(P("X"), Value(-1)), (P("X^2 + 1/9"), Value(F(-1, 2)))])
     assert chain.eval(P("X^5 + 7X + 1/4")) == Value(-5)
@@ -583,7 +627,7 @@ def test_level_zero_digits_equal_those_of_the_shifted_copy(corpus):
             off = _p_order(f.den, p)
             cc, _ = _shifted_numerators(f.num, -key.num[0], 1)
             shifted = [(j, c, _p_order(c, p) - off) for j, c in enumerate(cc) if c]
-            assert chain._int_terms(f.num, off, key, -1) == shifted, (name, f)
+            assert chain._int_terms(f, key, -1) == shifted, (name, f)
     assert 0 in centers and len(centers) > 1  # shifted2 is centered at 1
 
 

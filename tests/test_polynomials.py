@@ -657,3 +657,24 @@ def test_p_order_takes_logarithmically_many_divisions():
         # k = floor(log2(v + 1)) steps up and k down, one % and at most one // each
         assert len(ops) <= 4 * (v + 1).bit_length() - 2, (v, len(ops))
     assert len(ops) < 50  # the division loop takes 8,001 at v = 4000
+
+
+def test_p_order_of_an_order_one_int_takes_one_division():
+    # the first step is taken alone: one test, one division and one more test
+    from vforge.polynomials import _p_order
+
+    ops = []
+
+    class Counted(int):
+        def __mod__(self, q):
+            ops.append("%")
+            return int(self) % q
+
+        def __floordiv__(self, q):
+            ops.append("//")
+            return Counted(int(self) // q)
+
+    for p in (3, 5, 2**31 - 1):
+        ops.clear()
+        assert _p_order(Counted(7 * p), p) == 1
+        assert len(ops) <= 3, (p, ops)

@@ -13,8 +13,8 @@ check only that beta grows (the growth of epsilon is proved in
 ``Chain._stacked``), so an epsilon fault runs under ``lemmas`` as well as
 ``props`` and is reported as a failing check, not as an invalid chain.
 
-Two families are excluded, not marked xfail: nothing in the library can
-turn them false (see the FOUND lines on them in CHANGES.md).
+One family is excluded, not marked xfail: nothing in the library can turn
+it false (see the FOUND line on it in CHANGES.md).
 """
 
 import pytest
@@ -199,10 +199,11 @@ MUTATIONS = [
      lambda check: check.name.startswith("level0.distant_center_drop.c=")),
     ("pair_equivalence.forward", "lemmas", "c2", _shift_conjugate_pair_eval, _named("pair_equivalence.forward")),
     ("pair_equivalence.backward", "lemmas", "c4", _pair_eval_at_generator, _named("pair_equivalence.backward")),
+    ("extension_classes.class_count_bound", "lemmas", "c2", _lower_root_difference_valuations,
+     _named("extension_classes.class_count_bound")),
 ]
 
 EXCLUDED = {
-    "extension_classes.class_count_bound": "count = d // size with size >= 1 restates its own arithmetic",
     "pair_equivalence": "the non-quadratic line always passes; no grouping covers the multiset form",
 }
 
