@@ -17,7 +17,9 @@ derivatives f^[j] at a center a, composed with a and never shifted, lazily
 and in order of j, so ``pairs.pair_eval`` can stop once no later order can
 reach its minimum; the root-distance multisets read every order through
 ``newton.root_values``, and the multisets of polynomials over Q read
-``newton.padic_root_values``.
+``newton.padic_root_values``.  ``delta_via_roots`` needs only the largest
+root difference, which ``newton.largest_root_value`` reads off the first
+polygon face.
 
 The minimal polynomial is first proved irreducible over Q by factoring
 it with Zassenhaus's algorithm (``rational_factor_list``), which scales
@@ -47,7 +49,7 @@ from .finitefields import (
     ff_factor,
 )
 from .maclane import Chain, InvariantError, _numerator_value, _term_minimum, prime_error
-from .newton import NewtonPolygon, _padic_points, padic_root_values, root_values
+from .newton import NewtonPolygon, _padic_points, largest_root_value, padic_root_values, root_values
 from .polynomials import (
     Poly, _make, _pseudo_divide, _scaled_monic, _unscaled,
     composed_value_poly, difference_resultant, hasse_derivative, padic_valuation,
@@ -473,12 +475,16 @@ def delta_via_roots(center: AlgebraicNumber, delta: Value, f: Poly) -> Value:
     Works at multiset level through the difference resultant of the center's
     minimal polynomial and f; the maximum is the same for every conjugate
     center, which makes this an independent oracle for the chain invariant.
+    The maximum of min(delta, v) over the differences is min(delta, the
+    largest v), and the largest v is the resultant's largest root value
+    (``newton.largest_root_value``): infinite when a difference is 0, else
+    read off the first polygon face, so no other root is valued.
     """
     f = Poly.of(f)
     if not f.is_monic():
         raise ValueError("oracle expects a monic polynomial")
-    mc = center.minimal_polynomial()
-    diffs = padic_root_values(difference_resultant(mc, f), center.ext.p)
-    if not diffs:
+    res = difference_resultant(center.minimal_polynomial(), f)
+    if res.degree < 1:
         raise ValueError("no root differences available")
-    return max(delta if v >= delta else v for v in diffs)
+    top = largest_root_value(res, center.ext.p)
+    return delta if top >= delta else top

@@ -26,7 +26,7 @@ term of digit numerator n costs ``n * rel_denom + j * numer``, and
 ``_int_value`` keeps only the running minimum of the terms.  Digits travel
 as int numerator lists with a v_p offset: a polynomial enters as its
 numerator list plus v_p of its denominator, level 0 reads its digits off
-one int Taylor shift, or off the list itself when the center is 0 (a
+an int Taylor shift, or off the list itself when the center is 0 (a
 digit's numerator is v_p of its shift numerator minus the offset, and the
 leaf adds numer per digit to a running base), and each higher level
 pseudo-divides the running list by the key's numerators in place and
@@ -43,6 +43,13 @@ digits with their values for ``_graded_reduce`` at level 0, an
 infinitesimal last level, and ``extensions._last_minimum`` and
 ``_branch_children``.  ``_graded_reduce`` is the one user of ``q_expansion``
 here: above level 0 it needs the digits as polynomials.
+
+Chain values and epsilon stop at the term that settles them.  With
+beta_0 >= 0, digit j of num / D costs at least j * numer - off * denom, a
+bound that never falls, so ``_int_value`` returns once its minimum reaches
+the next digit's bound (level 0 shifts one synthetic division per digit for
+this), and ``epsilon`` once its best reaches (w(f) + off) / b; the
+docstrings carry the proofs.
 
 Alongside evaluation this module carries the graded residue machinery:
 residues of digits relative to normalizing monomials in p and earlier
@@ -85,8 +92,8 @@ from .values import INFINITY, MAX_NUMERAL_LENGTH, TextParseError, Value
 MAX_PRIME = 2**31 - 1
 
 # Largest ``samples`` that ``verify.run_suite`` and the CLI accept: the
-# slowest corpus chain runs the "all" suite at this size in about 1.5 s on a
-# 2-vCPU host (Python 3.11).
+# slowest corpus chain runs the "all" suite at this size in 0.8-0.95 s of
+# CPU on a 2-vCPU host (Python 3.11).
 MAX_SAMPLES = 5000
 
 # Most recent (r, s, rd, sd) tuples whose Value ``_numerator_value`` keeps;
@@ -375,7 +382,29 @@ class Chain:
         the rational level i, as an int numerator over that level's ``denom``.
 
         The same expansion as ``_int_terms`` one level down, keeping only the
-        running minimum of n * rel_denom + j * numer over the digits.
+        running minimum of n * rel_denom + j * numer over the digits.  At
+        level 0 with a center c0 != 0, each pass of synthetic division by
+        X - c0 fixes one more Taylor digit, so the digits come one at a time.
+
+        The loop stops once the running minimum reaches the lower bound
+        j * numer - off * denom of the next digit j, before that digit's
+        pseudo-division or Taylor pass.  At level 0, term j is v_p(c_j) * e
+        + base_j with c_j an int and base_j = j * numer - off * e.  If
+        numer >= 0 the bases never fall, so no later term is below the
+        minimum once it is.  If numer < 0 each term read is at least its own
+        base, which is above every later one, so the test never fires.
+
+        Above level 0 the stop needs beta_0 >= 0; with beta_0 < 0 integers
+        can take negative values, and every digit is read.  Proof: w(X) >= 0,
+        as X = (X - c0) + c0 with c0 an integer, so w >= 0 on Z[X].  Every
+        key is p-integral, so ``vlead`` = 0: its roots value each polynomial
+        of smaller degree as the prefix does (Mac Lane), so v(theta - c0) =
+        w(X - c0) = beta_0 >= 0 at each root theta, and a monic polynomial
+        with p-integral roots has p-integral coefficients.  Pseudo-division
+        by the key's numerators, whose lead is then a unit, leaves each digit
+        an int list over D times a unit, of value >= -off, so term j >=
+        j * numer - off * denom.  The betas
+        grow from beta_0 >= 0, so numer > 0 and the bound never falls.
         """
         p = self.p
         level = self.levels[i]
@@ -384,16 +413,27 @@ class Chain:
         best = None
         if not i:
             # term j is v_p(c_j) * e + base, base = j * numer - off * e
+            c0 = -g[0]
+            cc = list(num) if c0 else num
+            top = len(cc) - 1
             base = -off * e
-            for c in _shifted_numerators(num, -g[0], 1)[0] if g[0] else num:
+            for j in range(top + 1):
+                if c0:
+                    # one synthetic division by X - c0 fixes Taylor digit j
+                    for k in range(top - 1, j - 1, -1):
+                        cc[k] += c0 * cc[k + 1]
+                c = cc[j]
                 if c:
                     term = _p_order(c, p) * e + base
                     if best is None or term < best:
                         best = term
                 base += numer
+                if best is not None and best <= base:
+                    break
             return best
         m = len(g) - 1
         vlead = level.vlead
+        bound = -off * level.denom if self.levels[0].numer >= 0 else None
         run = list(num)
         j = 0
         while len(run) > m:
@@ -408,6 +448,10 @@ class Chain:
             del run[:m]
             off += (steps - 1) * vlead
             j += 1
+            if bound is not None:
+                bound += numer
+                if best is not None and best <= bound:
+                    return best
         if run:
             term = self._int_value(run, off, i - 1) * e + j * numer
             if best is None or term < best:
@@ -442,14 +486,29 @@ class Chain:
         """Growth invariant max_b (w(f) - w(f^[b])) / b over divided derivatives.
 
         Equals the largest distance from a root of f to the chain's centers.
+
+        On a rational last level with beta_0 >= 0 the loop stops at the
+        first b whose bound (w(f) + v_p(D)) / b the best quotient has
+        reached, D being f's denominator, before f^[b] is formed.  Proof:
+        f^[b] has the int numerators C(n, b) * num_n over D, and w >= 0 on
+        Z[X] (``_int_value``), so w(f^[b]) >= -v_p(D) and quotient b is at
+        most that bound, which is >= 0 and falls as b grows.  A later order
+        can then only tie, and a tie keeps the earlier b.  An infinitesimal
+        last level or beta_0 < 0 values every order.
         """
         f = Poly.of(f)
         if f.degree < 1:
             raise ValueError("epsilon needs a nonconstant polynomial")
         i = len(self.levels) - 1
         rf, sf, rd, sd = self._numerators(i, f)
+        # the bound's numerator over rd, when the loop may stop
+        top = None
+        if not self.levels[i].tau and self.levels[0].numer >= 0:
+            top = rf + _p_order(f.den, self.p) * rd
         best = None
         for b in range(1, f.degree + 1):
+            if top is not None and best is not None and best[0] * b >= top * best[2]:
+                break
             rh, sh, _, _ = self._numerators(i, hasse_derivative(f, b))
             r, s = rf - rh, sf - sh
             # (r, s) / b against the best so far, cross-multiplied

@@ -11,7 +11,8 @@ points (j, v_p(num_j)) of its int numerators: the common denominator shifts
 every point alike and moves no slope.  ``root_values`` does the same from
 per-coefficient values over a valued number field, such as the values
 v(f^[j](a)) of the divided derivatives at a center.  Both list the roots at 0 first, as infinity,
-then the polygon's values.
+then the polygon's values.  ``largest_root_value`` gives only the largest
+of the values ``padic_root_values`` lists, read off the first face.
 
 The same hull is reused by the chain machinery for polygons of key
 expansions, so the constructor also accepts an arbitrary point cloud.
@@ -87,6 +88,27 @@ def padic_root_values(f: Poly, p: int) -> list[Value]:
     """Values v_p of the roots of the nonzero f over Q, one per root with
     multiplicity: INFINITY once per root at 0, then ascending."""
     return _root_values(_padic_points(f, p))
+
+
+def largest_root_value(f: Poly, p: int) -> Value:
+    """The largest v_p over the roots of f over Q, deg f >= 1: INFINITY when
+    0 is a root, else max_j (v_0 - v_j) / j over the nonzero int numerators.
+
+    That is minus the slope of the polygon's first face, from (0, v_0):
+    slopes grow along the hull, so its first face carries the largest root
+    value, and no hull or per-root list is built.
+    """
+    num = f.num
+    if not num[0]:
+        return INFINITY
+    v0 = _p_order(num[0], p)
+    n, d = None, 1
+    for j in range(1, len(num)):
+        if num[j]:
+            v = v0 - _p_order(num[j], p)
+            if n is None or v * d > n * j:
+                n, d = v, j
+    return Value._exact(Fraction(n, d))
 
 
 def root_values(values) -> list[Value]:

@@ -42,7 +42,7 @@ from .extensions import (
     root_difference_valuations,
 )
 from .maclane import Chain, InvariantError
-from .newton import padic_root_values
+from .newton import largest_root_value, padic_root_values
 from .polynomials import (
     Poly,
     _make,
@@ -510,10 +510,12 @@ def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
     Checks the signed resultant product identity, the value sum of the
     level-j key over the next key's roots against s * b_j, the proximity
     of every next-level root to a level-j root, and the strict value drop
-    at the integer centers -p..p that stay away from every level-j root.
-    ``ext`` is the one extension of v_p to the field of the chain's last
-    key; it is used when level j+1 is the last level, and the extension for
-    the level-(j+1) key is built here otherwise.
+    at the integer centers -p..p that stay away from every level-j root:
+    the largest root value of Q_j(X + c) (``newton.largest_root_value``)
+    is finite and below eps_j.  ``ext`` is the one extension of v_p to the
+    field of the chain's last key; it is used when level j+1 is the last
+    level, and the extension for the level-(j+1) key is built here
+    otherwise.
     """
     if not 0 <= j < len(chain.levels) - 1:
         raise IndexError("need a level with a successor")
@@ -588,10 +590,10 @@ def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
     )
 
     for c in range(-chain.p, chain.p + 1):
-        dists = padic_root_values(qj.shift(c), chain.p)
-        if dists[0].infinite:
+        top = largest_root_value(qj.shift(c), chain.p)
+        if top.infinite:
             continue  # c is a root of the level-j key
-        if max(dists) < eps_j:
+        if top < eps_j:
             vq = padic_valuation(qj(Fraction(c)), chain.p)
             report.add(
                 CheckOutcome(

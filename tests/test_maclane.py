@@ -631,18 +631,40 @@ def test_level_zero_digits_equal_those_of_the_shifted_copy(corpus):
     assert 0 in centers and len(centers) > 1  # shifted2 is centered at 1
 
 
+def _late_minimum_poly(rng, chain, i, k):
+    # sum of p^(k * (n - j)) * r_j * Q_i^j: for k > 0 the low digits carry
+    # high powers of p, so the minimum falls on a late digit unless
+    # beta_0 < 0; k = 0 leaves the digits unscaled
+    key, p = chain.levels[i].key, chain.p
+    n = rng.randint(2, 4)
+    f = Poly()
+    for j in range(n + 1):
+        digit = Poly([rng.randint(-p, p) for _ in range(key.degree - 1)] + [rng.choice((1, -1))])
+        f = f + digit * key**j * Poly.of(p ** (k * (n - j)))
+    return f
+
+
 def test_integer_evaluation_matches_value_reference(corpus):
     # the seeded random chains add three-level towers, with and without an
-    # infinitesimal last level, to the corpus
+    # infinitesimal last level, to the corpus.  Between them the chains meet
+    # every guard of the early stops in _int_value and epsilon: beta_0 = 0,
+    # > 0 and < 0, a nonzero center and an infinitesimal last level
     from test_random_chains import random_chain
 
     rng = random.Random(20200727)
+    late_rng = random.Random(29)
     chains = _cross_check_chains(corpus)
     for k, (p, tau_last) in enumerate([(2, False), (3, False), (2, True), (3, True)]):
         chains[f"random{k}"] = random_chain(random.Random(4000 + k), p, levels=3, tau_last=tau_last)
-    assert {"p3_tau", "c3"} <= set(chains)
     grown = [c for name, c in chains.items() if name.startswith("random")]
     assert all(len(c.levels) == 3 for c in grown) and sum(c.levels[-1].tau for c in grown) == 2
+    for names, sign in ((("gauss2", "c4"), 0), (("c2", "c6"), 1), (("p3_negative",), -1)):
+        for name in names:
+            r = chains[name].levels[0].beta.r
+            assert (r > 0) - (r < 0) == sign, name
+    assert chains["shifted2"].levels[0].key != P("X")
+    assert chains["p3_tau"].levels[-1].tau and chains["c3"].levels[-1].tau
+    late = 0
 
     def checked(value):
         # a stray int division gives a float, and Fraction(1, 2) == 0.5
@@ -651,14 +673,70 @@ def test_integer_evaluation_matches_value_reference(corpus):
 
     for name, chain in chains.items():
         top = len(chain.levels) - 1
+        lates = [_late_minimum_poly(late_rng, chain, i, k) for i in range(top + 1) for k in (0, 2, 3)]
+        for f in lates:
+            level = chain.levels[-1]
+            terms = _ref_terms(chain, f, level.key, top - 1)
+            late += _ref_minimum(terms, level.beta)[1][0] >= 2
         for f in [lev.key for lev in chain.levels] + [
             _rand_rational_poly(rng, chain, 2 * chain.degree + 2) for _ in range(25)
-        ]:
+        ] + lates:
             assert checked(chain.eval(f)) == _ref_level(chain, top, f), (name, f)
             for i in range(top + 1):
                 assert checked(chain.truncate(i, f)) == _ref_level(chain, i, f), (name, i, f)
             assert checked(chain.epsilon(f)) == _ref_epsilon(chain, f), (name, f)
             assert chain.residual_polynomial(f) == _ref_graded_reduce(chain, top, f)[0], (name, f)
+    assert late >= len(chains)
+
+
+def test_evaluation_and_epsilon_stop_at_the_settling_term(monkeypatch, c2):
+    # beta_0 = 1/2 >= 0: once the running minimum reaches the floor of the
+    # next digit (or order), nothing later is divided out (or derived)
+    import vforge.maclane as maclane
+
+    calls = {"divide": 0, "derive": 0}
+    real_divide, real_derive = maclane._pseudo_divide, maclane.hasse_derivative
+
+    def divide(rem, g):
+        calls["divide"] += 1
+        return real_divide(rem, g)
+
+    def derive(f, b):
+        calls["derive"] += 1
+        return real_derive(f, b)
+
+    monkeypatch.setattr(maclane, "_pseudo_divide", divide)
+    monkeypatch.setattr(maclane, "hasse_derivative", derive)
+    # digit 0 in X^2 - 2 is 8X + 1025, of value 0 = the floor of every digit
+    f = P("X^20 + X^7 + 1")
+    assert c2.eval(f) == Value(0) == _ref_level(c2, 1, f)
+    assert calls == {"divide": 1, "derive": 0}
+    # w(g) = w(g') = 0, so order 1 gives 0 and the bound (0 + 0) / 2 stops
+    g = P("X^5 + X + 1")
+    calls.update(divide=0)
+    assert c2.epsilon(g) == Value(0) == _ref_epsilon(c2, g)
+    assert calls == {"divide": 2, "derive": 1}
+
+
+def test_keys_are_p_integral_when_beta_zero_is_nonnegative(corpus):
+    # _int_value's stop relies on vlead = 0 at every level when beta_0 >= 0
+    # (its docstring proves it); check it on the corpus, seeded towers and
+    # the chains the extension search builds
+    from test_random_chains import random_chain
+    from vforge.extensions import extend_to_number_field
+
+    chains = list(_cross_check_chains(corpus).values())
+    chains += [random_chain(random.Random(7000 + k), p, levels=3, beta0_low=-1)
+               for k, p in enumerate((2, 3, 5, 2, 3, 5))]
+    for mtxt, p in [("X^2 - 17", 2), ("X^4 + 1", 3), ("X^3 - 10", 3), ("X^4 + 4X^2 + 20", 5)]:
+        chains += [ext.chain for ext in extend_to_number_field(P(mtxt), p)]
+    signs = {chain.levels[0].beta >= 0 for chain in chains}
+    assert signs == {True, False}
+    for chain in chains:
+        if chain.levels[0].beta >= 0:
+            assert all(level.vlead == 0 for level in chain.levels), chain
+    # with beta_0 < 0 a key may have a denominator divisible by p
+    assert _cross_check_chains(corpus)["p3_negative"].levels[1].vlead == 2
 
 
 def test_graded_reduce_matches_value_reference_on_unit_denominators(corpus):

@@ -691,6 +691,42 @@ def test_taylor_shift_matches_per_j_reference(corpus):
         assert root_difference_valuations(m, m, p) == _per_j_root_differences(m, m, p), name
 
 
+def test_first_face_reader_matches_the_root_multiset(corpus):
+    # largest_root_value against the largest entry of the full multiset, on
+    # the difference resultants behind delta_via_roots (f = m and f sharing
+    # a root with m included) and on verify_root_lemmas' distant-center scan
+    from vforge.newton import largest_root_value
+
+    rng = random.Random(2929)
+    shared = roots_at_center = distant = 0
+    for name, chain in sorted(corpus.items()):
+        p = chain.p
+        for j, level in enumerate(chain.levels[:-1]):
+            key, eps = level.key, chain.epsilon(level.key)
+            for c in range(-p, p + 1):
+                dists = _resultant_roots(key.shift(c), p)
+                top = largest_root_value(key.shift(c), p)
+                assert top == max(dists) and top.infinite == dists[0].infinite, (name, j, c)
+                roots_at_center += top.infinite
+                distant += not top.infinite and top < eps
+        m = chain.last_key
+        delta = chain.epsilon(m)
+        ext = extend_to_number_field(m, p)[0]
+        centers = [AlgebraicNumber(ext), AlgebraicNumber(ext, Poly((1, 1)))]
+        polys = [m, m * P("X + 1"), P("X"), P("X - 1")] + [
+            _random_poly(rng, rng.randint(1, 2 * m.degree), p**3) for _ in range(4)
+        ]
+        for center in centers:
+            mc = center.minimal_polynomial()
+            for f in polys:
+                res = difference_resultant(mc, f)
+                assert largest_root_value(res, p) == max(_resultant_roots(res, p)), (name, str(f))
+                shared += largest_root_value(res, p).infinite
+                for d in (delta, Value(0), delta + Value(5)):
+                    assert delta_via_roots(center, d, f) == _per_j_delta(center, d, f), (name, str(f), d)
+    assert shared >= 2 * len(corpus) and roots_at_center and distant
+
+
 def test_pair_eval_stops_before_the_last_order(corpus, monkeypatch):
     # with delta > 0 and an integral center, no order past the first term
     # below F + (j+1)*delta is valued
