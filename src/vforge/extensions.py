@@ -10,7 +10,9 @@ or by reaching m, improves through single isolated children without bound.
 Values v(g(a)) are read off the approximating chain.  For arguments of
 degree below the current key degree the chain value is already exact;
 otherwise the chain is improved until the constant digit of the
-expansion is the strict unique minimum, which pins the exact value.
+expansion is the strict unique minimum, which pins the exact value.  A
+linear m has no chain: its root -m[0] is Y mod m, e = f = 1, and a value
+is v_p of the constant that reducing the argument mod m leaves.
 Improvement is guarded by a lock, so concurrent valuation queries on a
 shared extension are safe.  ``taylor_values`` values the divided
 derivatives f^[j] at a center a, composed with a and never shifted, lazily
@@ -210,9 +212,11 @@ def rational_factor_list(m: Poly) -> list[Poly]:
 
 
 def _last_minimum(chain: Chain, g: Poly):
-    """(least term as an int numerator over the last level's denom, indices
-    attaining it) of g in the last key; its digits take their prefix values."""
-    return _term_minimum(chain._int_terms(g, chain.last_key, len(chain) - 2), chain.levels[-1])
+    """(least term of g in the last key, indices attaining it): an int
+    numerator over the last level's denom, or a Value at an infinitesimal one."""
+    last = chain.levels[-1]
+    numerators, achieving = _term_minimum(chain._int_terms(g, last.key, len(chain) - 2), last)
+    return (_numerator_value(*numerators) if last.tau else numerators[0]), achieving
 
 
 def _branch_children(chain: Chain, m: Poly) -> list[tuple[Chain, bool]]:
@@ -261,21 +265,19 @@ def _branch_children(chain: Chain, m: Poly) -> list[tuple[Chain, bool]]:
 
 
 class ValuationExtension:
-    """One extension of v_p to Q[Y]/(m), held as an improvable chain."""
+    """One extension of v_p to Q[Y]/(m), held as an improvable chain; a
+    linear m has no chain, and its root ``rational_root`` = -m[0]."""
 
-    def __init__(self, m: Poly, p: int, chain: Chain | None, index: int, rational_root=None):
+    def __init__(self, m: Poly, p: int, chain: Chain | None, index: int):
         self.m = m
         self.p = p
         self.index = index
-        self.rational_root = rational_root
         self._chain = chain
         self._lock = threading.RLock()
-        if rational_root is not None:
-            self.e = 1
-            self.f = 1
+        if chain is None:
+            self.rational_root, self.e, self.f = -m[0], 1, 1
         else:
-            self.e = chain.levels[-1].denom
-            self.f = chain.residue_field.degree
+            self.rational_root, self.e, self.f = None, chain.levels[-1].denom, chain.residue_field.degree
 
     @property
     def chain(self) -> Chain:
@@ -289,13 +291,11 @@ class ValuationExtension:
         self._chain = children[0][0]
 
     def is_exact(self) -> bool:
-        """Whether the approximating chain already ends in m itself."""
-        return self.rational_root is not None or self._chain.last_key == self.m
+        """Whether there is no approximating chain (m linear) or it ends in m."""
+        return self._chain is None or self._chain.last_key == self.m
 
     def ensure_value_above(self, bound: Fraction):
         """Improve the approximation until the last assigned value clears bound."""
-        if self.rational_root is not None:
-            return
         with self._lock:
             while not self.is_exact() and self._chain.last_value.r <= bound:
                 self._improve()
@@ -305,6 +305,7 @@ class ValuationExtension:
 
         g is reduced mod m by one pseudo-division of the numerators, with the
         remainder over den(g) * lc^steps for the leading numerator lc of m.
+        For a linear m the remainder is the constant g(a).
         """
         g = Poly.of(g)
         num, mnum = g.num, self.m.num
@@ -314,8 +315,8 @@ class ValuationExtension:
             g = _make(rem[:len(mnum) - 1], g.den * mnum[-1] ** steps)
         if g.is_zero():
             return INFINITY
-        if self.rational_root is not None:
-            return padic_valuation(g(self.rational_root), self.p)
+        if self._chain is None:
+            return padic_valuation(g[0], self.p)
         with self._lock:
             while True:
                 chain = self._chain
@@ -347,7 +348,7 @@ class ValuationExtension:
 
     def best_rational_approximation(self) -> Value:
         """Largest v(a - c) over rational c; infinite when a lies in Q_p."""
-        if self.rational_root is not None or self.e * self.f == 1:
+        if self.e * self.f == 1:
             return INFINITY
         return self.chain.levels[0].beta
 
@@ -386,7 +387,7 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
     if len(factors) > 1:
         raise ReducibleError(m, next(f for f in factors if f != m))
     if m.degree == 1:
-        return [ValuationExtension(m, p, None, 0, rational_root=-m[0])]
+        return [ValuationExtension(m, p, None, 0)]
     if m.den % p == 0:
         raise LimitError("minimal polynomial must be p-integral")
 
@@ -440,9 +441,7 @@ class AlgebraicNumber:
 
     def __init__(self, ext: ValuationExtension, rep: Poly = None):
         self.ext = ext
-        if rep is None:
-            rep = _X if ext.m.degree > 1 else Poly((ext.rational_root,))
-        self.rep = Poly.of(rep) % ext.m
+        self.rep = Poly.of(_X if rep is None else rep) % ext.m
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

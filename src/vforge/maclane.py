@@ -8,13 +8,14 @@ is written in powers of Q_k, each digit is valued by the prefix, and the
 minimum of digit value + j * b_k is taken.
 
 Chains grow by two moves.  ``augment`` appends a key of larger degree that
-passes the key test, and its level's residue field is the previous one
-extended by the key's residual polynomial.  ``refine`` replaces the last key
-by one of the same degree and a larger value; at every level the new key
-must take the last assigned value (ChainError code ``refine.key``), which
-makes it equivalent to the last key over the prefix, so the level keeps the
-last level's residue field and its value grows.  Both moves end in the same
-check: beta grows over the level below.
+passes the key test, on the extension of the previous residue field by the
+key's residual polynomial; a level reads its residue field and relative
+residue degree off that extension (the prime field and 1 at level 0).
+``refine`` replaces the last key by one of the same degree and a larger
+value; at every level the new key must take the last assigned value
+(ChainError code ``refine.key``), which makes it equivalent to the last key
+over the prefix, so the level keeps the last level's extension and its value
+grows.  Both moves end in the same check: beta grows over the level below.
 
 All level values except possibly the last are rational.  A final value
 with a nonzero infinitesimal part makes the chain value-transcendental;
@@ -39,9 +40,9 @@ b_k = r_k + s_k t.  ``eval``, ``truncate`` and ``epsilon`` each return one
 builds the Value from ints with no Fraction, and hands out a shared Value
 for each recent numerator tuple (a bounded cache); ``epsilon`` picks the largest
 (w(f) - w(f^[b])) / b by cross-multiplying ints.  ``_int_terms`` lists the
-digits with their values for ``_graded_reduce`` at level 0, an
-infinitesimal last level, and ``extensions._last_minimum`` and
-``_branch_children``.  ``_graded_reduce`` is the one user of ``q_expansion``
+digits with their values; one routine, ``_term_minimum``, reads the least
+term off such a list at either kind of level, as the tuple that
+``_numerator_value`` takes.  ``_graded_reduce`` is the one user of ``q_expansion``
 here: above level 0 it needs the digits as polynomials.
 
 Chain values and epsilon stop at the term that settles them.  With
@@ -192,7 +193,6 @@ class _Level:
         "denom_inv",
         "res_field",
         "ext",
-        "res_degree",
         "tau",
     )
 
@@ -214,7 +214,7 @@ class Chain:
         beta = Value.of(beta)
         _check_center(key)
         self.p = p
-        self.levels = (self._build_level(key, beta, prev_denom=1, res_field=FiniteField(p)),)
+        self.levels = (self._build_level(key, beta, prev_denom=1),)
 
     @classmethod
     def from_levels(cls, p: int, levels) -> "Chain":
@@ -227,14 +227,13 @@ class Chain:
             chain = chain.augment(q, b)
         return chain
 
-    def _build_level(self, key, beta, prev_denom, res_field, ext=None, res_degree=1):
+    def _build_level(self, key, beta, prev_denom, ext=None):
         if beta.infinite:
             raise ChainError("chain.value", "level values must be finite, got inf")
         level = _Level(key, beta)
         level.prev_denom = prev_denom
-        level.res_field = res_field
         level.ext = ext
-        level.res_degree = res_degree
+        level.res_field = FiniteField(self.p) if ext is None else ext.field
         level.vlead = _p_order(key.num[-1], self.p)
         if level.tau:
             level.denom = level.rel_denom = level.numer = None
@@ -281,8 +280,7 @@ class Chain:
         current = last.beta.scale(key.degree // last.degree)
         if not beta > current:
             raise ChainError("augment.value", f"assigned value {beta} is not above current value {current}")
-        ext = FieldExtension(last.res_field, cert.residual)
-        level = self._build_level(key, beta, last.denom, ext.field, ext, cert.residual.degree)
+        level = self._build_level(key, beta, last.denom, FieldExtension(last.res_field, cert.residual))
         return self._stacked(level)
 
     def refine(self, key: Poly, beta: Value) -> "Chain":
@@ -312,9 +310,7 @@ class Chain:
             )
         if not beta > current:
             raise ChainError("refine.value", f"{beta} not above current value of {key}")
-        level = self._build_level(
-            key, beta, last.prev_denom, last.res_field, last.ext, last.res_degree
-        )
+        level = self._build_level(key, beta, last.prev_denom, last.ext)
         return self._clone_with(self.levels[:-1])._stacked(level)
 
     def _stacked(self, level: _Level) -> "Chain":
@@ -463,7 +459,7 @@ class Chain:
         level i is r / rd + (s / sd) t, all ints."""
         level = self.levels[i]
         if level.tau:
-            return _tau_minimum(self._int_terms(f, level.key, i - 1), level)[0]
+            return _term_minimum(self._int_terms(f, level.key, i - 1), level)[0]
         return self._int_value(f.num, _p_order(f.den, self.p), i), 0, level.denom, 1
 
     def _level_value(self, i: int, f: Poly) -> Value:
@@ -537,7 +533,7 @@ class Chain:
             group_generator=generator,
             group_generators=gens,
             ramification=[lev.rel_denom for lev in self.levels],
-            residue_degrees=[lev.res_degree for lev in self.levels],
+            residue_degrees=[1 if lev.ext is None else lev.ext.rho.degree for lev in self.levels],
             epsilons=eps,
             betas=betas,
             classification=self.classify(),
@@ -583,8 +579,9 @@ class Chain:
         """Graded image of f at level i: (fbar, i0, j0, vnum, terms, achieving).
 
         vnum is the value of f as an int numerator over the level's
-        ``denom`` (the Value itself at an infinitesimal level), attained by
-        the indices ``achieving`` of the terms (j, digit or its image, n).
+        ``denom`` (over ``_term_minimum``'s rd at an infinitesimal level),
+        attained by the indices ``achieving`` of the terms (j, digit or its
+        image, n).
         Above level 0 each digit is expanded once: its value is the fourth
         entry of its own graded image one level down.
         """
@@ -598,7 +595,7 @@ class Chain:
             digits = enumerate(q_expansion(f, level.key))
             images = [(j, self._graded_reduce(i - 1, d)) for j, d in digits if d.num]
             terms = [(j, image, image[3]) for j, image in images]
-        vmin, achieving = _term_minimum(terms, level)
+        (vmin, _, _, _), achieving = _term_minimum(terms, level)
         if level.tau:
             # unique minimal term; the residual degenerates to a bare monomial
             return FqPoly.from_ints(k, [0] * achieving[0] + [1]), 0, 0, vmin, terms, achieving
@@ -723,7 +720,7 @@ class Chain:
         if terms[0][0] != 0:
             return KeyCertificate(False, "divisible_by_last_key", f"{last.key} divides {q}")
         if len(achieving) < len(terms):
-            values = {j: str(_term_value(last, j, n)) for j, _, n in terms}
+            values = {t[0]: str(_numerator_value(*_term_minimum([t], last)[0])) for t in terms}
             shown = ", ".join(values.get(j, "-") for j in range(terms[-1][0] + 1))
             return KeyCertificate(False, "inhomogeneous", f"expansion term values {{{shown}}}")
         if not ff_is_irreducible(rho):
@@ -791,23 +788,23 @@ def _value_file_text(v: Value) -> str:
     return f"{v.r} {'+' if s > 0 else '-'} {abs(s)} t"
 
 
-def _term_value(level: _Level, j: int, n: int) -> Value:
-    """Value of term j, whose digit has value numerator n, at level."""
-    if level.tau:
-        return _numerator_value(n, 0, level.prev_denom, 1) + level.beta.scale(j)
-    return _numerator_value(n * level.rel_denom + j * level.numer, 0, level.denom, 1)
-
-
 def _term_minimum(terms, level: _Level):
-    """(least term value, the indices j attaining it) over (j, digit, n) terms.
+    """((r, s, rd, sd), achieving): the least of the (j, digit, n) terms at
+    level is r / rd + (s / sd) t, attained by the indices j in achieving.
 
-    At a rational level a term value is the int numerator
-    n * rel_denom + j * numer over the level's ``denom``; at an
-    infinitesimal level it is a Value, and one index attains it.
+    At a rational level term j of digit value numerator n is the int
+    numerator n * rel_denom + j * numer over the level's ``denom``, and s = 0.
+    At an infinitesimal level it is n / prev_denom + j * beta, with r over
+    rd = lcm(prev_denom, den beta.r) and s = j * numerator of beta.s over
+    sd = den beta.s; terms compare as the int pairs (r, s).  Their t-parts
+    differ, so one index attains the least.
     """
     if level.tau:
-        numerators, j = _tau_minimum(terms, level)
-        return _numerator_value(*numerators), [j]
+        beta = level.beta
+        rd = lcm(level.prev_denom, beta._rd)
+        scale, rnumer = rd // level.prev_denom, beta._rn * (rd // beta._rd)
+        r, s, j = min((n * scale + j * rnumer, j * beta._sn, j) for j, _digit, n in terms)
+        return (r, s, rd, beta._sd), [j]
     e, numer = level.rel_denom, level.numer
     best, achieving = None, []
     for j, _digit, n in terms:
@@ -816,23 +813,7 @@ def _term_minimum(terms, level: _Level):
             best, achieving = term, [j]
         elif term == best:
             achieving.append(j)
-    return best, achieving
-
-
-def _tau_minimum(terms, level: _Level):
-    """((r, s, rd, sd), j): the least term at an infinitesimal level is
-    term j, of value r / rd + (s / sd) t.
-
-    Term j of digit value numerator n has value n / prev_denom + j * beta,
-    with r over rd = lcm(prev_denom, den beta.r) and s = j * numerator of
-    beta.s over sd = den beta.s; terms compare as the int pairs (r, s).
-    Their t-parts differ, so the least is unique.
-    """
-    beta = level.beta
-    rd = lcm(level.prev_denom, beta._rd)
-    scale, rnumer = rd // level.prev_denom, beta._rn * (rd // beta._rd)
-    r, s, j = min((n * scale + j * rnumer, j * beta._sn, j) for j, _digit, n in terms)
-    return (r, s, rd, beta._sd), j
+    return (best, 0, level.denom, 1), achieving
 
 
 @lru_cache(maxsize=VALUE_CACHE_SIZE)

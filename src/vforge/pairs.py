@@ -53,6 +53,13 @@ from .polynomials import (
 )
 from .values import Value
 
+# Cap on the radius of verify's integer-center windows: the root lemmas scan
+# -r..r, the linear value set -(r + 2)..r + 2 and the forward pair
+# equivalence -2r..2r, with r = min(p, CENTER_RADIUS), so their work stops
+# growing with p.  Every window is unchanged for p <= CENTER_RADIUS.
+CENTER_RADIUS = 64
+
+
 @dataclass
 class PairOfDefinition:
     """A center with its valuation extension, and the value at X - center."""
@@ -510,12 +517,12 @@ def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
     Checks the signed resultant product identity, the value sum of the
     level-j key over the next key's roots against s * b_j, the proximity
     of every next-level root to a level-j root, and the strict value drop
-    at the integer centers -p..p that stay away from every level-j root:
-    the largest root value of Q_j(X + c) (``newton.largest_root_value``)
-    is finite and below eps_j.  ``ext`` is the one extension of v_p to the
-    field of the chain's last key; it is used when level j+1 is the last
-    level, and the extension for the level-(j+1) key is built here
-    otherwise.
+    at the integer centers -r..r, r = min(p, ``CENTER_RADIUS``), that stay
+    away from every level-j root: the largest root value of Q_j(X + c)
+    (``newton.largest_root_value``) is finite and below eps_j.  ``ext`` is
+    the one extension of v_p to the field of the chain's last key; it is
+    used when level j+1 is the last level, and the extension for the
+    level-(j+1) key is built here otherwise.
     """
     if not 0 <= j < len(chain.levels) - 1:
         raise IndexError("need a level with a successor")
@@ -589,7 +596,8 @@ def verify_root_lemmas(chain: Chain, j: int, ext=None) -> RootLemmaReport:
         )
     )
 
-    for c in range(-chain.p, chain.p + 1):
+    radius = min(chain.p, CENTER_RADIUS)
+    for c in range(-radius, radius + 1):
         top = largest_root_value(qj.shift(c), chain.p)
         if top.infinite:
             continue  # c is a root of the level-j key

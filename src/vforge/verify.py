@@ -23,19 +23,23 @@ approximation.  That is safe: improvement only raises the precision of an
 exact answer, and it runs under the extension's lock.  The root pair's
 restriction check also runs once, and its outcome decides the pair's
 minimality, so a failing restriction check is never re-sampled into a
-"minimal" verdict.
+"minimal" verdict.  The pair equivalence criterion reads v(a - a') off the
+difference resultant, apart from the extension values it tests.  Every
+integer-center scan has radius min(p, ``pairs.CENTER_RADIUS``).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .extensions import AlgebraicNumber, delta_via_roots, extend_to_number_field
+from .extensions import AlgebraicNumber, delta_via_roots, extend_to_number_field, root_difference_valuations
 from .maclane import MAX_SAMPLES, VALUE_TRANSCENDENTAL, Chain
 from .pairs import (
+    CENTER_RADIUS,
     CheckOutcome,
     FieldPoly,
     PairOfDefinition,
@@ -154,7 +158,9 @@ def _check_pair_equivalence(report, chain, p1):
     gen, ext, delta = p1.center, p1.center.ext, p1.delta
     other = AlgebraicNumber(ext, _second_quadratic_root(m))
     p2 = PairOfDefinition(other, delta)
-    dist = ext.valuation(gen.rep - other.rep)
+    # v(a - a') off the difference resultant of m, not off the extension that
+    # pairs_equivalent reads: for a quadratic m the multiset holds it twice
+    dist = max(root_difference_valuations(m, m, chain.p))
     expected = dist >= delta
     got = pairs_equivalent(p1, p2)
     report.add(
@@ -168,7 +174,8 @@ def _check_pair_equivalence(report, chain, p1):
         # equivalent pairs must assign identical values everywhere
         agree = True
         witness = None
-        for c in range(-2 * chain.p, 2 * chain.p + 1):
+        radius = 2 * min(chain.p, CENTER_RADIUS)
+        for c in range(-radius, radius + 1):
             v1, _ = pair_eval(p1, Poly((-c, 1)))
             v2, _ = pair_eval(p2, Poly((-c, 1)))
             if v1 != v2:
@@ -197,9 +204,9 @@ def _check_linear_value_set(report, chain, pair, rng, samples):
     delta = pair.delta
     over = None
     tau_seen = []
-    cs = list(range(-chain.p - 2, chain.p + 3))
-    cs.extend(_randints(rng, -chain.p**3, chain.p**3, samples // 4))
-    for c in cs:
+    radius = min(chain.p, CENTER_RADIUS) + 2
+    drawn = _randints(rng, -chain.p**3, chain.p**3, samples // 4)
+    for c in itertools.chain(range(-radius, radius + 1), drawn):
         v, _ = pair_eval(pair, Poly((-c, 1)))
         if v > delta:
             over = c
@@ -210,7 +217,7 @@ def _check_linear_value_set(report, chain, pair, rng, samples):
         CheckOutcome(
             "linear_values_bounded_by_delta",
             over is None,
-            detail=f"{len(cs)} rational centers",
+            detail=f"{2 * radius + 1 + len(drawn)} rational centers",
             witness=None if over is None else f"X - {over}",
         )
     )

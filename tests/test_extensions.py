@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -18,7 +19,8 @@ from vforge import (
 from vforge.extensions import MAX_DEGREE_BOUND, _last_minimum, rational_factor_list
 from vforge.finitefields import FiniteField, FqPoly, ff_factor
 from vforge.newton import padic_root_values, root_values
-from vforge.polynomials import composed_value_poly
+from vforge.polynomials import composed_value_poly, padic_valuation
+from vforge.values import INFINITY
 
 P = Poly.parse
 
@@ -654,6 +656,34 @@ def test_ensure_value_above_on_a_rational_root_is_a_no_op():
     assert ext.rational_root == F(3, 4) and ext.is_exact()
     ext.ensure_value_above(F(100))
     assert ext.valuation(P("X - 3")) == Value(-2)  # v_2(3/4 - 3) = v_2(-9/4)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("root", [F(12), F(3, 4), F(5)])
+def test_a_linear_m_fixes_its_root(p, root):
+    # the root has p in its numerator, its denominator or neither; with no
+    # chain the extension reads every value off the remainder mod m
+    [ext] = extend_to_number_field(Poly((-root, 1)), p)
+    assert ext.chain is None and ext.rational_root == root and ext.e == ext.f == 1
+    assert AlgebraicNumber(ext).rep == Poly((root,))
+    assert ext.best_rational_approximation() == INFINITY
+    rng = random.Random(int(root * 4) + p)
+    for _ in range(25):
+        g = rand_poly(rng, 4, p**3)
+        assert ext.valuation(g) == padic_valuation(g(root), p), g
+    assert ext.valuation(Poly((-root, 1)) * rand_poly(rng, 3, p**3)) == INFINITY
+
+
+def test_residue_degrees_multiply_to_the_residue_field_degree(corpus):
+    # each level reads its relative residue degree off its own extension
+    from test_acceptance import EXTENSION_COUNT_CASES
+
+    for name, chain in corpus.items():
+        assert prod(chain.data().residue_degrees) == chain.residue_field.degree, name
+    for mtxt, p in EXTENSION_COUNT_CASES:
+        for ext in extend_to_number_field(P(mtxt), p):
+            degrees = ext.chain.data().residue_degrees
+            assert prod(degrees) == ext.chain.residue_field.degree == ext.f, (mtxt, p, degrees)
 
 
 # -- one field, two generators ---------------------------------------------------

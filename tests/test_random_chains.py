@@ -10,6 +10,7 @@ oracle, class enumeration and the file round trip.
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -97,6 +98,7 @@ def test_random_tower(p, seed):
     assert all(b % a == 0 and b > a for a, b in zip(degs, degs[1:]))
     text = chain.to_text()
     assert Chain.parse(text) == chain
+    assert prod(chain.data().residue_degrees) == chain.residue_field.degree
 
     # valuation laws
     for _ in range(25):
@@ -141,6 +143,7 @@ def test_random_tower_with_infinitesimal_top(p, seed):
 
     # the top value and the growth invariant both carry the infinitesimal
     assert not chain.last_value.is_rational
+    assert prod(chain.data().residue_degrees) == chain.residue_field.degree
     delta = chain.epsilon(chain.last_key)
     assert not delta.is_rational
 

@@ -59,6 +59,14 @@ def _shift_taylor_values(monkeypatch):
     )
 
 
+def _lower_extension_valuation(monkeypatch):
+    # every finite value in a number field one too low
+    real = ValuationExtension.valuation
+    monkeypatch.setattr(
+        ValuationExtension, "valuation", lambda self, g: (lambda v: v if v.infinite else v - 1)(real(self, g))
+    )
+
+
 def _value_of_drops_constant(monkeypatch):
     # g(center) read without the constant coefficient of g
     real = AlgebraicNumber.value_of
@@ -181,6 +189,8 @@ MUTATIONS = [
     ("minimal_pair", "lemmas", "p3_cubic", _degree_one_high, _named("minimal_pair.ext0")),
     ("epsilon_equals_root_distance", "lemmas", "c2", _shift_delta_via_roots, _named("epsilon_equals_root_distance")),
     ("pair_equivalence.criterion", "lemmas", "c4", _negate_pairs_equivalent, _named("pair_equivalence.criterion")),
+    ("pair_equivalence.criterion.valuation", "lemmas", "c2", _lower_extension_valuation,
+     _named("pair_equivalence.criterion")),
     ("class_separation", "lemmas", "c4", _negate_pairs_equivalent, _named("extension_classes.class_separation")),
     ("level0.root_value_sum", "lemmas", "c2", _shift_padic_root_values, _named("level0.root_value_sum")),
     ("monotone_level_data", "props", "c2", _negate_epsilon, _named("monotone_level_data")),
