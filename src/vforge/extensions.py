@@ -346,12 +346,6 @@ class ValuationExtension:
         polygon of the Taylor values of m at a; the one root at 0 is b = a."""
         return [v.r for v in root_values(self.taylor_values([self.m]))[1:]]
 
-    def best_rational_approximation(self) -> Value:
-        """Largest v(a - c) over rational c; infinite when a lies in Q_p."""
-        if self.e * self.f == 1:
-            return INFINITY
-        return self.chain.levels[0].beta
-
     def root_distances_to(self, other_poly: Poly) -> list:
         """Multiset of v(a - b) over roots b of other_poly, exact Values.
 

@@ -11,7 +11,7 @@ lies below F + (j+1)*delta, which no later order can reach (the proof is in
 its docstring).
 Two pairs with conjugate centers define the same valuation exactly when
 the deltas agree and v(a - b) >= delta; the center of smallest field
-degree among all pairs of a valuation is a minimal pair.
+degree among all pairs of a valuation is a minimal pair (``is_minimal_pair``).
 
 This module decides pair equivalence, checks whether a pair restricts to
 a given chain valuation on Q[X], enumerates the equivalence classes of
@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from .extensions import (
     _X,
+    MAX_DEGREE_BOUND,
     AlgebraicNumber,
     ValuationExtension,
     extend_to_number_field,
@@ -47,6 +48,7 @@ from .polynomials import (
     Poly,
     _make,
     _p_order,
+    _unscaled,
     composed_value_poly,
     padic_valuation,
     resultant,
@@ -332,52 +334,50 @@ def common_extension_check(
 class MinimalityVerdict:
     minimal: bool
     center_degree: int
-    chain_degree: int | None
     certificate: str
 
 
-def is_minimal_pair(
-    pair: PairOfDefinition, chain: Chain | None = None, restriction: CheckOutcome | None = None
-) -> MinimalityVerdict:
-    """Whether no center of smaller field degree defines the same valuation.
+def is_minimal_pair(pair: PairOfDefinition) -> MinimalityVerdict:
+    """Whether no center of smaller degree over Q defines the same valuation.
 
-    With a chain the pair must restrict to it, and the verdict is the
-    degree comparison against d(w).  ``restriction`` is the outcome of
-    ``common_extension_check`` already run for this pair and chain; when it
-    is None the check runs here with its defaults.  A failed restriction is
-    never re-sampled: the verdict is "not minimal".  Without a chain a
-    direct search runs over rational centers (exactly, via the best
-    rational approximation) and over the roots of the approximating
-    chain's earlier keys.
+    A center b does exactly when v(a - b) >= delta.  Let n be the degree of
+    a; n = 1 or an infinite delta is minimal.  If p divides the denominator
+    of a's minimal polynomial to order k, (p^k a, delta + k) decides it, as
+    every v(a - b) grows by k; the certificate is unscaled.  The extension
+    is ``center.ext`` at the generator Y, else the first one to the field
+    of p^k a.  If its e*f < n, the minimal polynomial factors over Q_p, and
+    improved keys of a's factor have degree below n and roots as near a as
+    asked: not minimal.  Else v_p extends in one way, so a and the root the
+    extension tracks are Q_p-conjugate, equally near every root of a
+    polynomial over Q, and the chain ends in degree n.  The level below,
+    with key phi and D = epsilon(phi), is the pair valuation (c, D) for a
+    root c of phi, below v at a, so v(a - c) >= D for some such c.  It is
+    exact below degree n: for monic h of smaller degree the sum of v(a - b)
+    over its roots b equals that of min(v(c - b), D).  Termwise the first
+    is at least the second, larger when v(a - b) > D, so no such b is
+    nearer than D.  A root of phi is at D: epsilon(phi) is its distance to
+    a root of the last key, which lies within epsilon(last key) > D of a.
+    So the pair is minimal exactly when D < delta.
     """
-    center = pair.center
-    deg = center.minimal_polynomial().degree
-    if chain is not None:
-        if restriction is None:
-            restriction = common_extension_check(chain, pair)
-        if not restriction.ok:
-            reason = f"pair does not restrict to the chain: {restriction.witness}"
-            return MinimalityVerdict(False, deg, chain.degree, reason)
-        minimal = deg == chain.degree
-        return MinimalityVerdict(minimal, deg, chain.degree, "degree equals d(w)" if minimal else "degree exceeds d(w)")
-    if deg == 1:
-        return MinimalityVerdict(True, 1, None, "rational center")
-    best_rational = center.ext.best_rational_approximation()
-    if best_rational >= pair.delta:
-        return MinimalityVerdict(
-            False, deg, None, f"a rational center within {pair.delta} exists (reach {best_rational})"
-        )
-    approx = center.ext.chain
-    for level in approx.levels[:-1]:
-        if level.key.degree >= deg:
-            continue
-        dists = center.ext.root_distances_to(level.key)
-        best = max(dists)
-        if best >= pair.delta:
-            return MinimalityVerdict(
-                False, deg, None, f"a degree {level.key.degree} center within {pair.delta} exists"
-            )
-    return MinimalityVerdict(True, deg, None, "no closer small-degree center found")
+    center, delta = pair.center, pair.delta
+    g = center.minimal_polynomial()
+    n, p = g.degree, center.ext.p
+    if n == 1 or delta.infinite:
+        return MinimalityVerdict(True, n, "rational center" if n == 1 else "infinite delta")
+    k = _p_order(g.den, p)
+    rep = center.rep * p**k
+    scaled = AlgebraicNumber(center.ext, rep).minimal_polynomial() if k else g
+    ext = center.ext if rep == _X else extend_to_number_field(scaled, p, MAX_DEGREE_BOUND)[0]
+    if ext.e * ext.f < n:
+        return MinimalityVerdict(False, n, f"{g} factors over Q_{p}")
+    chain = ext.chain
+    if chain.last_key.degree != n:
+        raise InvariantError(f"one extension to a degree {n} field ends in degree {chain.last_key.degree}")
+    phi = chain.levels[-2].key
+    dist = chain.epsilon(phi) - k
+    if dist < delta:
+        return MinimalityVerdict(True, n, f"every center of degree below {n} lies at distance <= {dist}")
+    return MinimalityVerdict(False, n, f"{_unscaled(phi.num, p**k, 1, phi.den)} has a root at distance {dist}")
 
 
 # -- enumeration of common extensions -------------------------------------------
@@ -440,8 +440,8 @@ def enumerate_common_extensions(
     off the exact difference profile of that root, so they split the roots
     into degree / size classes.  The report gives the class size and count,
     the count against an independent one, which also bounds it by the
-    distinct roots, and the minimality of the pair, read off the
-    restriction outcome.  ``ext`` is the result of
+    distinct roots, and the minimality of the pair, ``is_minimal_pair`` with
+    center degree d(w), apart from the restriction.  ``ext`` is the result of
     ``single_extension(extend_to_number_field(chain.last_key, chain.p))``
     when the caller already has it; it is built here when None.
     """
@@ -466,18 +466,19 @@ def enumerate_common_extensions(
         )
         count = 0
     else:
-        verdict = is_minimal_pair(pair, chain, restriction=restriction)
+        verdict = is_minimal_pair(pair)
+        minimal = verdict.minimal and verdict.center_degree == chain.degree
         report.classes.append(
             PairClass(
                 extension_index=ext.index,
                 representative=f"root of {m} tracked by extension {ext.index}",
                 size=size,
                 multiplicity=count,
-                minimal=verdict.minimal,
+                minimal=minimal,
                 center_degree=verdict.center_degree,
             )
         )
-        if not verdict.minimal:
+        if not minimal:
             report.ok = False
         if count > 1 and m.degree == 2:
             # the conjugate root lives in the same field; check it separates

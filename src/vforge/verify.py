@@ -21,11 +21,11 @@ root pair (a, delta) on the extension; the class enumeration builds its
 own.  The checks therefore share the extension's lazily improved
 approximation.  That is safe: improvement only raises the precision of an
 exact answer, and it runs under the extension's lock.  The root pair's
-restriction check also runs once, and its outcome decides the pair's
-minimality, so a failing restriction check is never re-sampled into a
-"minimal" verdict.  The pair equivalence criterion reads v(a - a') off the
-difference resultant, apart from the extension values it tests.  Every
-integer-center scan has radius min(p, ``pairs.CENTER_RADIUS``).
+restriction check runs once; its minimality is read off the extension's
+own chain and compared with d(w), apart from that check.  The pair
+equivalence criterion reads v(a - a') off the discriminant, apart from the
+extension values it tests.  Every integer-center scan has radius
+min(p, ``pairs.CENTER_RADIUS``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .extensions import AlgebraicNumber, delta_via_roots, extend_to_number_field, root_difference_valuations
+from .extensions import AlgebraicNumber, delta_via_roots, extend_to_number_field
 from .maclane import MAX_SAMPLES, VALUE_TRANSCENDENTAL, Chain
 from .pairs import (
     CENTER_RADIUS,
@@ -53,7 +53,7 @@ from .pairs import (
     single_extension,
     verify_root_lemmas,
 )
-from .polynomials import Poly
+from .polynomials import Poly, padic_valuation
 from .values import value_min
 
 SCHEMA_VERSION = 1
@@ -158,9 +158,9 @@ def _check_pair_equivalence(report, chain, p1):
     gen, ext, delta = p1.center, p1.center.ext, p1.delta
     other = AlgebraicNumber(ext, _second_quadratic_root(m))
     p2 = PairOfDefinition(other, delta)
-    # v(a - a') off the difference resultant of m, not off the extension that
-    # pairs_equivalent reads: for a quadratic m the multiset holds it twice
-    dist = max(root_difference_valuations(m, m, chain.p))
+    # v(a - a') off the discriminant, not off the extension that
+    # pairs_equivalent reads: for m = X^2 + bX + c, a - a' = sqrt(b^2 - 4c)
+    dist = padic_valuation(m[1] * m[1] - 4 * m[0], chain.p).scale(Fraction(1, 2))
     expected = dist >= delta
     got = pairs_equivalent(p1, p2)
     report.add(

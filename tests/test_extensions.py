@@ -283,13 +283,6 @@ def test_difference_profile_matches_global_multiset():
         assert sorted(combined) == sorted(global_ms)
 
 
-def test_best_rational_approximation():
-    sqrt2 = extend_to_number_field(P("X^2 - 2"), 2)[0]
-    assert sqrt2.best_rational_approximation() == Value(F(1, 2))
-    split = extend_to_number_field(P("X^2 - 17"), 2)[0]
-    assert split.best_rational_approximation().infinite
-
-
 def _roots_mod_power(m: Poly, p: int, precision: int) -> list[int]:
     """All residues r with m(r) = 0 mod p^precision, by digit-wise search."""
     roots = [r for r in range(p) if int(m(F(r))) % p == 0]
@@ -666,7 +659,6 @@ def test_a_linear_m_fixes_its_root(p, root):
     [ext] = extend_to_number_field(Poly((-root, 1)), p)
     assert ext.chain is None and ext.rational_root == root and ext.e == ext.f == 1
     assert AlgebraicNumber(ext).rep == Poly((root,))
-    assert ext.best_rational_approximation() == INFINITY
     rng = random.Random(int(root * 4) + p)
     for _ in range(25):
         g = rand_poly(rng, 4, p**3)

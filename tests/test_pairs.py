@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import comb, isqrt
 
@@ -26,8 +27,8 @@ from vforge import (
     root_difference_valuations,
     verify_root_lemmas,
 )
-from vforge.newton import NewtonPolygon
-from vforge.pairs import CheckOutcome, FieldPoly, _random_poly
+from vforge.newton import NewtonPolygon, root_values
+from vforge.pairs import FieldPoly, _random_poly
 
 P = Poly.parse
 
@@ -332,7 +333,7 @@ def test_equivalence_work_is_bounded_by_the_root_separation(monkeypatch):
 
 def _answers(grid):
     """pairs_equivalent on every ordered pair of extensions and every delta,
-    and is_minimal_pair without a chain; grid[i] holds Y on extension i."""
+    and is_minimal_pair; grid[i] holds Y on extension i."""
     equivalent = [pairs_equivalent(a, b) for i, row in enumerate(grid) for j, col in enumerate(grid)
                   if i != j for a, b in zip(row, col)]
     return equivalent, [is_minimal_pair(a).minimal for row in grid for a in row]
@@ -382,31 +383,14 @@ def test_common_extension_check_needs_matching_center(sqrt2_pair):
 # -- minimality --------------------------------------------------------------------------
 
 
-def test_minimality_examples(c2, c4, sqrt2_pair, omega_exts):
-    verdict = is_minimal_pair(sqrt2_pair, c2)
-    assert verdict.minimal and verdict.center_degree == 2 and verdict.chain_degree == 2
+def test_minimality_examples(sqrt2_pair, omega_exts):
+    verdict = is_minimal_pair(sqrt2_pair)
+    assert verdict.minimal and verdict.center_degree == 2
     omega = PairOfDefinition(AlgebraicNumber(omega_exts[0]), Value(1))
-    assert is_minimal_pair(omega, c4).minimal
-    base = Chain(2, P("X"), Value(F(1, 2)))
+    assert is_minimal_pair(omega).minimal
     zero = AlgebraicNumber(extend_to_number_field(P("X"), 2)[0])
-    verdict = is_minimal_pair(PairOfDefinition(zero, Value(F(1, 2))), base)
+    verdict = is_minimal_pair(PairOfDefinition(zero, Value(F(1, 2))))
     assert verdict.minimal and verdict.center_degree == 1
-
-
-def test_minimality_reads_a_given_restriction_outcome(c2, sqrt2_pair, monkeypatch):
-    # a restriction outcome already computed is used as is: a failed check
-    # gives "not minimal" and is never re-run with fresh samples
-    import vforge.pairs as pairs_mod
-
-    def no_check(*args, **kwargs):
-        raise AssertionError("the restriction check must not run again")
-
-    monkeypatch.setattr(pairs_mod, "common_extension_check", no_check)
-    failed = CheckOutcome("common_extension.ext0", False, witness="X^2 + 1")
-    verdict = is_minimal_pair(sqrt2_pair, c2, restriction=failed)
-    assert not verdict.minimal and verdict.certificate.endswith("X^2 + 1")
-    passed = CheckOutcome("common_extension.ext0", True)
-    assert is_minimal_pair(sqrt2_pair, c2, restriction=passed).minimal
 
 
 def test_minimality_search_without_chain(sqrt2_pair):
@@ -422,6 +406,115 @@ def test_minimality_without_chain_on_a_rational_center():
     rational = AlgebraicNumber(extend_to_number_field(P("X - 5"), 3)[0])
     verdict = is_minimal_pair(PairOfDefinition(rational, Value(2)))
     assert (verdict.minimal, verdict.center_degree, verdict.certificate) == (True, 1, "rational center")
+
+
+def test_a_center_other_than_the_generator_is_measured_itself():
+    # a = Y^2 = sqrt 2 on the field of X^4 - 2 at p = 2: the rational 0 lies
+    # at v(sqrt 2) = 1/2, though Y = 2^(1/4) lies only 1/4 from Q
+    center = AlgebraicNumber(extend_to_number_field(P("X^4 - 2"), 2)[0], P("X^2"))
+    pair = PairOfDefinition(center, Value(F(1, 2)))
+    verdict = is_minimal_pair(pair)
+    assert (verdict.minimal, verdict.center_degree, verdict.certificate) == (False, 2, "X has a root at distance 1/2")
+    zero = PairOfDefinition(AlgebraicNumber(extend_to_number_field(P("X"), 2)[0]), Value(F(1, 2)))
+    for f in ("X", "X^2 - 2", "X^3 + X + 1", "X^2 + 2X + 2"):
+        assert pair_eval(pair, P(f))[0] == pair_eval(zero, P(f))[0], f
+    assert is_minimal_pair(PairOfDefinition(center, Value(F(3, 4)))).minimal
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_a_center_whose_padic_factor_has_lower_degree_is_not_minimal(index):
+    # X^4 + 1 splits over Q_3 into two quadratics (e = 1, f = 2 each): the
+    # improved keys of the center's factor are rational quadratics with a
+    # root as near Y as asked
+    ext = extend_to_number_field(P("X^4 + 1"), 3)[index]
+    assert (ext.e, ext.f) == (1, 2)
+    for delta in (Value(1), Value(5), Value(100)):
+        verdict = is_minimal_pair(PairOfDefinition(AlgebraicNumber(ext), delta))
+        assert (verdict.minimal, verdict.center_degree, verdict.certificate) == (False, 4, "X^4 + 1 factors over Q_3")
+    ext.ensure_value_above(F(100))
+    key = ext.chain.last_key
+    assert key.degree == 2 and max(ext.root_distances_to(key)) >= 100
+
+
+@pytest.mark.parametrize("mtxt, p, rep, bound, nearest", [
+    # v(sqrt 2 / 2 - b) <= 1/2 - 1 over the rationals b, attained at 0
+    ("X^2 - 2", 2, Poly((0, F(1, 2))), Value(F(-1, 2)), "X"),
+    # v(2^(1/3) / 9 - b) <= 1/3 - 2 over the rationals b, attained at -1/9
+    ("X^3 - 2", 3, Poly((0, F(1, 9))), Value(F(-5, 3)), "X + 1/9"),
+], ids=["sqrt2/2", "cbrt2/9"])
+def test_a_center_with_p_in_its_denominator_is_scaled(mtxt, p, rep, bound, nearest):
+    center = AlgebraicNumber(extend_to_number_field(P(mtxt), p)[0], rep)
+    assert center.minimal_polynomial().den % p == 0
+    assert is_minimal_pair(PairOfDefinition(center, Value(0))).minimal
+    verdict = is_minimal_pair(PairOfDefinition(center, bound))
+    assert not verdict.minimal and verdict.certificate == f"{nearest} has a root at distance {bound}"
+    assert center.value_of(P(nearest)) == bound
+
+
+def _distance_to_roots(center, h):
+    """The largest v(a - b) over the roots b of h, at the pair's center a."""
+    return max(root_values(center.ext.taylor_values([h], center.rep)))
+
+
+def _near_key(center, verdict, delta):
+    """A polynomial of degree below the center's with a root within delta:
+    the key a "not minimal" certificate names, or, when the certificate says
+    the minimal polynomial factors over Q_p, the last key of the extension
+    of its field tracking the center, improved until its epsilon reaches
+    delta (the chain is the pair valuation (c, eps) below v at that root)."""
+    if " has a root at distance " in verdict.certificate:
+        return P(verdict.certificate.split(" has a root at distance ")[0])
+    assert verdict.certificate.endswith(f"factors over Q_{center.ext.p}")
+    for ext in extend_to_number_field(center.minimal_polynomial(), center.ext.p):
+        while ext.chain.epsilon(ext.chain.last_key) < delta:
+            ext.ensure_value_above(ext.chain.last_value.r)
+        if _distance_to_roots(center, ext.chain.last_key) >= delta:
+            return ext.chain.last_key
+    raise AssertionError("no extension tracks the center")
+
+
+def _nearest_small_centers(center, p):
+    """The largest v(a - b) over the integers b in 0..p^3 - 1, and over the
+    roots of the monic quadratics with coefficients in -p..p.  For a
+    p-integral a and delta <= 3 a rational lies within delta of a exactly
+    when one of those integers does (it is congruent to one mod p^3)."""
+    rational = max(center.value_of(P("X") - b) for b in range(p**3))
+    window = range(-p, p + 1)
+    quadratic = max(_distance_to_roots(center, Poly((w, u, 1))) for u in window for w in window)
+    return rational, quadratic
+
+
+MINIMALITY_CENTERS = [P("X"), P("X^2"), P("X^2 + X"), P("2X + 1"), P("X^3")]
+MINIMALITY_DELTAS = [Value(F(1, 3)), Value(F(1, 2)), Value(1), Value(F(3, 2)), Value(F(5, 2))]
+
+
+def test_minimality_verdicts_come_with_a_near_key_or_survive_a_search():
+    # every "not minimal" verdict names a key of smaller degree within delta
+    # of the center; no "minimal" verdict meets a rational or quadratic
+    # center within delta
+    from test_acceptance import EXTENSION_COUNT_CASES
+    from test_extensions import _deep_quartic
+
+    rng = random.Random(31)
+    fields = [(P(mtxt), p) for mtxt, p in EXTENSION_COUNT_CASES] + [_deep_quartic(rng) for _ in range(4)]
+    verdicts = Counter()
+    for m, p in fields:
+        for ext in extend_to_number_field(m, p):
+            for rep in MINIMALITY_CENTERS:
+                center = AlgebraicNumber(ext, rep)
+                n = center.minimal_polynomial().degree
+                nearest = None
+                for delta in MINIMALITY_DELTAS:
+                    verdict = is_minimal_pair(PairOfDefinition(center, delta))
+                    assert verdict.center_degree == n, (m, p, rep)
+                    verdicts[verdict.minimal] += 1
+                    if not verdict.minimal:
+                        key = _near_key(center, verdict, delta)
+                        assert key.degree < n and _distance_to_roots(center, key) >= delta, (m, p, rep, delta)
+                    elif n > 1:
+                        nearest = nearest or _nearest_small_centers(center, p)
+                        assert nearest[0] < delta and (n == 2 or nearest[1] < delta), (m, p, rep, delta, nearest)
+    assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
 
 
 # -- enumeration ---------------------------------------------------------------------------

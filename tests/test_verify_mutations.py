@@ -254,6 +254,15 @@ def test_the_family_passes_without_the_fault(corpus):
         assert report.ok
 
 
+def test_minimality_does_not_read_the_restriction_check(corpus, monkeypatch):
+    # a fault that fails the restriction check leaves the minimality line,
+    # which compares the chain with the extension search, passing
+    _pair_eval_doubles_delta(monkeypatch)
+    outcomes = {c.name: c.ok for c in verify_mod.run_suite(corpus["c2"], "lemmas").checks}
+    assert outcomes["extension_classes.common_extension.ext0.pair_value"] is False
+    assert outcomes["minimal_pair.ext0"] is True
+
+
 def test_excluded_families_are_emitted_and_named(corpus):
     report = verify_mod.run_suite(corpus["c5"], "lemmas")
     names = {c.name for c in report.checks}
