@@ -4,11 +4,13 @@ A pair is an algebraic center a (carried with one chosen extension of v_p
 to its field) together with a value delta.  The pair values a polynomial
 through its Taylor expansion at a: the minimum of v(f^[j](a)) + j*delta,
 with f^[j] the j-th divided derivative of f, composed with a and valued
-by ``ValuationExtension.taylor_values`` one order at a time.  For delta > 0
-and a p-integral center every v(f^[j](a)) is at least the least v_p F of a
-coefficient of f, so ``pair_eval`` stops after order j once the minimum
-lies below F + (j+1)*delta, which no later order can reach (the proof is in
-its docstring).
+by ``ValuationExtension.taylor_values`` one order at a time; ``pair_eval``
+scans the terms as int numerators and builds one Value at the end.  An
+infinite delta leaves order 0 alone, v(f(a)).  For delta > 0 and a
+p-integral center every v(f^[j](a)) is at least F, the least v_p of a
+coefficient of f (one gcd per part), so ``pair_eval`` stops after order j
+once the minimum lies below F + (j+1)*delta, which no later order can
+reach (the proof is in its docstring).
 Two pairs with conjugate centers define the same valuation exactly when
 the deltas agree and v(a - b) >= delta; the center of smallest field
 degree among all pairs of a valuation is a minimal pair (``is_minimal_pair``).
@@ -33,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .extensions import (
     _X,
@@ -42,7 +45,7 @@ from .extensions import (
     extend_to_number_field,
     root_difference_valuations,
 )
-from .maclane import Chain, InvariantError
+from .maclane import Chain, InvariantError, _numerator_value
 from .newton import largest_root_value, padic_root_values
 from .polynomials import (
     Poly,
@@ -53,7 +56,7 @@ from .polynomials import (
     padic_valuation,
     resultant,
 )
-from .values import Value
+from .values import INFINITY, Value
 
 # Cap on the radius of verify's integer-center windows: the root lemmas scan
 # -r..r, the linear value set -(r + 2)..r + 2 and the forward pair
@@ -87,11 +90,14 @@ class FieldPoly:
 def _order_floor(center: AlgebraicNumber, parts: list[Poly], delta: Value) -> int | None:
     """F, the least v_p of a nonzero coefficient of the parts, when
     ``pair_eval`` may stop early: delta > 0 and the center p-integral (the
-    denominators of m and of rep prime to p).  None otherwise."""
+    denominators of m and of rep prime to p).  None otherwise.  A part's
+    least v_p is that of the gcd of its numerators less that of its
+    denominator, one ``_p_order`` each; delta is finite, and its sign is
+    read off its int parts."""
     p = center.ext.p
-    if not delta > 0 or center.ext.m.den % p == 0 or center.rep.den % p == 0:
+    if (delta._rn, delta._sn) <= (0, 0) or center.ext.m.den % p == 0 or center.rep.den % p == 0:
         return None
-    return min(min(_p_order(c, p) for c in g.num if c) - _p_order(g.den, p) for g in parts if g.num)
+    return min(_p_order(gcd(*g.num), p) - _p_order(g.den, p) for g in parts if g.num)
 
 
 def pair_eval(pair: PairOfDefinition, f) -> tuple[Value, list[int]]:
@@ -101,6 +107,12 @@ def pair_eval(pair: PairOfDefinition, f) -> tuple[Value, list[int]]:
     split by powers of Y into parts over Q.  ``ValuationExtension.taylor_values``
     gives the values v(f^[j](a)) of its divided derivatives at the center a;
     S lists every j (from 0) attaining the minimum of v(f^[j](a)) + j*delta.
+
+    Order 0 carries no delta, so an infinite delta gives v(f(a)) with S = [0],
+    or, when f(a) = 0, an infinite value attained at every order.  For a
+    finite delta the scan keeps each term and the least one as int
+    numerators over positive denominators, compares them by
+    cross-multiplying, and builds one Value at the end.
 
     The scan over j stops early when delta > 0 and the center is p-integral.
     Then v(a) >= 0 and v(center) >= 0, and f^[j](center) =
@@ -120,22 +132,30 @@ def pair_eval(pair: PairOfDefinition, f) -> tuple[Value, list[int]]:
         parts = [Poly([c[l] for c in f.coeffs]) for l in range(f.ext.m.degree)]
     values = center.ext.taylor_values(parts, center.rep)  # raises on the zero polynomial
     delta = pair.delta
+    if delta.infinite:
+        v0 = next(iter(values))
+        return v0, list(range(max(g.degree for g in parts) + 1)) if v0.infinite else [0]
+    dn, dd, en, ed = delta._rn, delta._rd, delta._sn, delta._sd
     floor = _order_floor(center, parts, delta)
-    reach = None if floor is None else delta + floor  # F + (j+1)*delta after order j
-    best = None
-    achieved: list[int] = []
+    best, achieved = None, []  # best: the least finite term r/rd + (s/sd) t as (r, s, rd, sd)
     for j, vj in enumerate(values):
-        term = vj + delta.scale(j)
-        if best is None or term < best:
-            best = term
-            achieved = [j]
-        elif term == best:
-            achieved.append(j)
-        if reach is not None:
-            if best < reach:
-                break
-            reach = reach + delta
-    return best, achieved
+        if vj.infinite:
+            if best is None:
+                achieved.append(j)
+        else:
+            r, s, rd, sd = vj._rn * dd + j * dn * vj._rd, vj._sn * ed + j * en * vj._sd, vj._rd * dd, vj._sd * ed
+            if best is not None:
+                here, there = (r * best[2], s * best[3]), (best[0] * rd, best[1] * sd)
+            if best is None or here < there:
+                best, achieved = (r, s, rd, sd), [j]
+            elif here == there:
+                achieved.append(j)
+        # stop once the least term lies below F + (j+1)*delta
+        if floor is not None and best is not None and (best[0] * dd, best[1] * ed) < (
+            (floor * dd + (j + 1) * dn) * best[2], (j + 1) * en * best[3]
+        ):
+            break
+    return (INFINITY if best is None else _numerator_value(*best)), achieved
 
 
 # -- equivalence ---------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .finitefields import InvariantError, _convolve, _gcd, _horner, _power
@@ -448,6 +449,8 @@ def hasse_derivative(f: Poly, b: int) -> Poly:
     if b < 0:
         raise ValueError("derivative order must be >= 0")
     f = Poly.of(f)
+    if not b:
+        return f
     num = f.num
     return _make([comb(n, b) * num[n] for n in range(b, len(num))], f.den)
 
@@ -497,6 +500,12 @@ def _power_sums(num, count: int) -> list:
     return s[:count]
 
 
+@lru_cache(maxsize=64)
+def _kept_power_sums(num: tuple, count: int) -> tuple:
+    """``_power_sums(num, count)`` as a tuple, kept for recent arguments."""
+    return tuple(_power_sums(num, count))
+
+
 def _from_power_sums(P, N: int) -> list:
     """Coefficients (index = exponent) of the monic int polynomial of degree N
     whose roots have the power sums P[1], ..., P[N].
@@ -529,7 +538,8 @@ def difference_resultant(m1: Poly, m2: Poly) -> Poly:
     With l1, l2 the leading numerators, the power sums of l1 * l2 * (b - a)
     are a binomial convolution of those of l2 * b and l1 * a, and Newton's
     identities turn them back into a polynomial, all in ints.  Both inputs
-    must be nonzero.
+    must be nonzero.  m1's power sums are kept (``_kept_power_sums``), as a
+    caller pairs one center with many polynomials.
     """
     m1 = Poly.of(m1)
     m2 = Poly.of(m2)
@@ -540,7 +550,7 @@ def difference_resultant(m1: Poly, m2: Poly) -> Poly:
     N = n1 * n2
     # u[j] = l1^j * sum (l2 b)^j and w[i] = (-l2)^i * sum (l1 a)^i
     u = [l1**j * s for j, s in enumerate(_power_sums(m2.num, N + 1))]
-    w = [(-l2) ** i * s for i, s in enumerate(_power_sums(m1.num, N + 1))]
+    w = [(-l2) ** i * s for i, s in enumerate(_kept_power_sums(m1.num, N + 1))]
     P = [sum(comb(k, j) * u[j] * w[k - j] for j in range(k + 1)) for k in range(N + 1)]
     h = _from_power_sums(P, N)
     return _unscaled(h, l1 * l2, l1**n2 * l2**n1, m1.den**n2 * m2.den**n1)

@@ -53,7 +53,7 @@ from .pairs import (
     single_extension,
     verify_root_lemmas,
 )
-from .polynomials import Poly, padic_valuation
+from .polynomials import Poly, _make, padic_valuation
 from .values import value_min
 
 SCHEMA_VERSION = 1
@@ -176,8 +176,8 @@ def _check_pair_equivalence(report, chain, p1):
         witness = None
         radius = 2 * min(chain.p, CENTER_RADIUS)
         for c in range(-radius, radius + 1):
-            v1, _ = pair_eval(p1, Poly((-c, 1)))
-            v2, _ = pair_eval(p2, Poly((-c, 1)))
+            v1, _ = pair_eval(p1, _make((-c, 1)))
+            v2, _ = pair_eval(p2, _make((-c, 1)))
             if v1 != v2:
                 agree = False
                 witness = f"X - {c}"
@@ -207,7 +207,7 @@ def _check_linear_value_set(report, chain, pair, rng, samples):
     radius = min(chain.p, CENTER_RADIUS) + 2
     drawn = _randints(rng, -chain.p**3, chain.p**3, samples // 4)
     for c in itertools.chain(range(-radius, radius + 1), drawn):
-        v, _ = pair_eval(pair, Poly((-c, 1)))
+        v, _ = pair_eval(pair, _make((-c, 1)))
         if v > delta:
             over = c
             break

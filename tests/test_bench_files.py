@@ -2,8 +2,9 @@
 
 Each file holds the last stdout line of a traced ``bench/run.py`` run on a
 change's parent and on the change.  Only the shape is checked, never a
-timing: every run parses, and every metric it reports is declared, with
-the same unit, in BENCHMARK.json.
+timing: every run parses, passed its checks with no failed op, and every
+metric it reports is declared, with the same unit, in BENCHMARK.json; the
+two sides report the same metrics, so every figure has a before and after.
 """
 
 import json
@@ -22,8 +23,9 @@ def test_committed_bench_files_report_declared_metrics():
         record = json.loads(path.read_text())
         for side in ("parent", "change"):
             result = record[side]
-            assert isinstance(result["correct"], bool), (path.name, side)
+            assert result["correct"] is True and result["failed"] == 0, (path.name, side)
             assert result["metrics"], (path.name, side)
             for name, metric in result["metrics"].items():
                 assert units.get(name) == metric["unit"], (path.name, side, name)
                 assert isinstance(metric["value"], Real), (path.name, side, name)
+        assert record["parent"]["metrics"].keys() == record["change"]["metrics"].keys(), path.name

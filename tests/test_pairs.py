@@ -700,9 +700,12 @@ def _shift_values(ext, f, rep):
 
 
 def _reference_pair_evals(pair, f):
+    # a full Value scan with no early stop; order 0 carries no delta, so an
+    # infinite delta scales nothing by 0
     out = []
     for reference in (_per_j_values, _shift_values):
-        terms = [v + pair.delta.scale(j) for j, v in enumerate(reference(pair.center.ext, f, pair.center.rep))]
+        values = reference(pair.center.ext, f, pair.center.rep)
+        terms = [v + pair.delta.scale(j) if j else v for j, v in enumerate(values)]
         best = min(terms)
         out.append((best, [j for j, t in enumerate(terms) if t == best]))
     return out
@@ -765,12 +768,13 @@ def test_taylor_shift_matches_per_j_reference(corpus):
                 for rep in (_random_poly(rng, m.degree - 1, p, monic=False), Poly((0, F(1, p))))
             ]
             # pair_eval scans every order for delta = 0 and delta < 0; Y + 1 is
-            # an integral center other than Y
+            # an integral center other than Y; the int scan compares t-parts
+            # (delta = t, -t, 1/2 - t), and an infinite delta stops at order 0
             others += [
                 PairOfDefinition(center, Value(0)),
                 PairOfDefinition(center, Value(F(-1, 2))),
                 PairOfDefinition(AlgebraicNumber(ext, Poly((1, 1))), delta),
-            ]
+            ] + [PairOfDefinition(center, d) for d in (Value(0, 1), Value(0, -1), Value(F(1, 2), -1), INFINITY)]
             for f in polys + field_polys:
                 for q in [pair] + others:
                     assert [pair_eval(q, f)] * 2 == _reference_pair_evals(q, f), (name, str(q.center.rep), str(f))
@@ -837,6 +841,47 @@ def test_pair_eval_stops_before_the_last_order(corpus, monkeypatch):
     monkeypatch.undo()
     assert len(calls) < sum(f.degree + 1 for f in polys)
     assert got == [_reference_pair_evals(pair, f)[0] for f in polys]
+
+
+def test_pair_eval_with_an_infinite_delta_values_the_center_alone(sqrt2_pair, monkeypatch):
+    # order 0 carries no delta: w(f) = v(f(a)) with S = [0], and the scan
+    # stops there; f(a) = 0 makes every term infinite, attained at every order
+    pair = PairOfDefinition(sqrt2_pair.center, INFINITY)
+    calls = []
+    real = ValuationExtension.valuation
+    monkeypatch.setattr(ValuationExtension, "valuation", lambda self, g: calls.append(g) or real(self, g))
+    assert pair_eval(pair, P("X^3 - 1")) == (Value(0), [0])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert pair_eval(pair, P("X^2 - 2")) == (INFINITY, [0, 1, 2])
+    assert pair_eval(pair, P("X^2 - 2") * P("X + 1")) == (INFINITY, [0, 1, 2, 3])
+    assert pair_eval(pair, P("X")) == (Value(F(1, 2)), [0])
+    assert is_minimal_pair(pair).certificate == "infinite delta"
+
+
+def test_order_floor_is_the_least_coefficient_value(corpus):
+    # one gcd per part against the least v_p over every coefficient, with
+    # denominators that p divides; no floor for delta <= 0 or a center off Z_p
+    from vforge.pairs import _order_floor
+
+    rng = random.Random(3233)
+    for name, chain in sorted(corpus.items()):
+        p = chain.p
+        ext = extend_to_number_field(chain.last_key, p)[0]
+        center = AlgebraicNumber(ext)
+        for _ in range(30):
+            parts = [
+                Poly([F(rng.randint(-p**4, p**4), p ** rng.randint(0, 3) * rng.randint(1, 4)) for _ in range(4)])
+                for _ in range(rng.randint(1, 3))
+            ]
+            if all(g.is_zero() for g in parts):
+                continue
+            least = min(padic_valuation(c, p) for g in parts for c in g.coeffs if c)
+            assert Value(_order_floor(center, parts, Value(F(1, 3)))) == least, (name, parts)
+            assert _order_floor(center, parts, Value(0, 1)) == _order_floor(center, parts, Value(F(1, 3)))
+            assert _order_floor(center, parts, Value(0)) is None
+            assert _order_floor(center, parts, Value(0, -1)) is None
+            assert _order_floor(AlgebraicNumber(ext, Poly((F(1, p),))), parts, Value(1)) is None
 
 
 def test_random_draws_follow_randint():
