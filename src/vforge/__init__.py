@@ -9,9 +9,10 @@ explicit small finite fields.
 ``newton``, ``maclane`` and ``extensions``.  ``pairs`` and ``verify`` are
 in ``sys.modules`` and bound as ``vforge.pairs`` and ``vforge.verify`` from
 the start, but the code of each runs at the first read of a name it lacks,
-on the module or through the names exported here (``run_suite``,
-``pair_eval``, ...); among the CLI commands only ``verify`` makes that read.
-Several threads may make it at once: one runs the code, the others wait.
+on the module or through an unbound name of ``__all__`` (read from ``pairs``
+if it has it, else ``verify``); among the CLI commands only ``verify`` makes
+that read.  Several threads may make it at once: one runs the code, the
+others wait.
 """
 
 import importlib.util
@@ -68,18 +69,12 @@ def _defer(name: str) -> types.ModuleType:
 pairs = _defer("pairs")
 verify = _defer("verify")
 
-# the exported names that the deferred modules own
-_OWNER = dict.fromkeys(
-    ("FieldPoly", "PairOfDefinition", "common_extension_check", "enumerate_common_extensions",
-     "is_minimal_pair", "pair_eval", "pairs_equivalent", "verify_root_lemmas"),
-    pairs,
-) | dict.fromkeys(("VerificationReport", "run_suite"), verify)
-
 
 def __getattr__(name):
-    # read from the owner each time, so a name replaced there is seen here too
-    if name in _OWNER:
-        return getattr(_OWNER[name], name)
+    # an exported name not bound above: read from its owner each time, so a
+    # name replaced there is seen here too
+    if name in __all__:
+        return getattr(pairs if hasattr(pairs, name) else verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 malformed input text, a
 usage error (a degree bound above 16, ``--samples`` outside 1..5000, an
 ``extend -p`` that is not a prime of at most 2^31 - 1) or input outside the
-supported limits (``outside supported limits: ...``), 3 invalid chain (with
+supported limits (``outside supported limits: ...``, also from the lemma
+suites on a chain whose last key is not p-integral), 3 invalid chain (with
 the violated invariant named), 4 reducible minimal polynomial (with a
 factor), 5 internal error (one line on stderr, never a traceback).
 ``--seed`` (or the VFORGE_SEED environment variable) fixes all sampling;
@@ -25,6 +26,7 @@ import argparse
 import os
 import sys
 
+from . import verify  # deferred: its code runs at the verify command's first read
 from .extensions import DEFAULT_DEGREE_BOUND, MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
 from .finitefields import LimitError
 from .maclane import MAX_PRIME, MAX_SAMPLES, Chain, ChainError, ChainParseError, prime_error
@@ -56,13 +58,6 @@ def _print_json(data, indent=None):
     import json  # only --format json loads it
 
     print(json.dumps(data, indent=indent))
-
-
-def run_suite(*args, **kwargs):
-    """``verify.run_suite``; the verify command alone loads that module."""
-    from .verify import run_suite
-
-    return run_suite(*args, **kwargs)
 
 
 def _cmd_value(args) -> int:
@@ -128,7 +123,7 @@ def _cmd_extend(args) -> int:
 
 def _cmd_verify(args) -> int:
     chain = _load_chain(args.chain)
-    report = run_suite(chain, suite=args.suite, seed=args.seed, samples=args.samples)
+    report = verify.run_suite(chain, suite=args.suite, seed=args.seed, samples=args.samples)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:

@@ -50,7 +50,7 @@ from .finitefields import (
     _horner,
     ff_factor,
 )
-from .maclane import Chain, InvariantError, _numerator_value, _term_minimum, prime_error
+from .maclane import Chain, ChainError, InvariantError, _numerator_value, _term_minimum, prime_error
 from .newton import NewtonPolygon, _padic_points, largest_root_value, padic_root_values, root_values
 from .polynomials import (
     Poly, _make, _pseudo_divide, _scaled_monic, _unscaled,
@@ -366,8 +366,11 @@ def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_B
     Runs the branch search from the center 0; each branch isolated by a
     polygon face of length one, or by reaching m, yields one
     ValuationExtension, and the e*f of the result sum to deg m.
-    degree_bound is at most MAX_DEGREE_BOUND.
+    degree_bound is at most MAX_DEGREE_BOUND.  A p that is not a prime of
+    at most ``MAX_PRIME`` raises ChainError ``chain.prime``, at every degree.
     """
+    if reason := prime_error(p):
+        raise ChainError("chain.prime", reason)
     if not 1 <= degree_bound <= MAX_DEGREE_BOUND:
         raise ValueError(f"degree bound must lie in 1..{MAX_DEGREE_BOUND}, got {degree_bound}")
     m = Poly.of(m)

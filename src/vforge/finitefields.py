@@ -2,8 +2,8 @@
 
 A field is a quotient F_p[z]/(h) with h monic irreducible over F_p; an
 element is a coefficient tuple of length deg(h) with entries in
-{0, ..., p-1}.  Relative extensions are flattened: FieldExtension embeds
-a base field into one absolute quotient, so residue towers of arbitrary
+{0, ..., p-1}.  Relative extensions are flattened: FieldExtension(rho)
+embeds rho's field into one absolute quotient, so residue towers of any
 shape compute inside a single modulus; the shape picks only that quotient
 and the generators' images, and the maps are one basis matrix and its inverse.
 
@@ -557,8 +557,8 @@ def ff_roots(f: FqPoly) -> list[FFElement]:
 
 
 class FieldExtension:
-    """An extension base[y]/(rho), rho monic irreducible over the base, in
-    one absolute quotient ``field`` of F_p where the base generator z goes
+    """base[y]/(rho), rho monic irreducible over its field base = rho.field,
+    in one absolute quotient ``field`` of F_p where the base generator z goes
     to ``base_gen`` and y to ``gen``.  The shape picks only these three: the
     base itself for rho linear (base_gen = z), F_p[z]/(rho) over a prime
     base (base_gen = 1, gen = z), else the canonical modulus with the first
@@ -566,10 +566,8 @@ class FieldExtension:
     basis matrix (``embed``, ``reduce``) and its inverse (``lift``).
     """
 
-    def __init__(self, base: FiniteField, rho: FqPoly):
-        if rho.field.key != base.key:
-            raise ValueError("rho must have coefficients in the base field")
-        self.base = base
+    def __init__(self, rho: FqPoly):
+        self.base = base = rho.field
         self.rho = rho
         p = base.p
         rel_deg = rho.degree

@@ -280,7 +280,7 @@ class Chain:
         current = last.beta.scale(key.degree // last.degree)
         if not beta > current:
             raise ChainError("augment.value", f"assigned value {beta} is not above current value {current}")
-        level = self._build_level(key, beta, last.denom, FieldExtension(last.res_field, cert.residual))
+        level = self._build_level(key, beta, last.denom, FieldExtension(cert.residual))
         return self._stacked(level)
 
     def refine(self, key: Poly, beta: Value) -> "Chain":
@@ -780,8 +780,6 @@ def _parse_int(m, group: int, lineno: int) -> int:
 
 
 def _value_file_text(v: Value) -> str:
-    if v.infinite:
-        return "inf"
     if v.is_rational:
         return str(v.r)
     s = v.s

@@ -200,8 +200,12 @@ def _check_pair_equivalence(report, chain, p1):
 
 
 def _check_linear_value_set(report, chain, pair, rng, samples):
-    """Values of X - c: bounded by delta, with the maximum pinned at the center."""
+    """Values of X - c: bounded by delta, with the maximum pinned at the center's ball."""
     delta = pair.delta
+    # an infinitesimal value is delta's.  Minimality puts no integer within
+    # delta of a center of degree d(w) >= 2; at d(w) = 1 the center is the
+    # root c0, and every c with v_p(c0 - c) >= delta takes delta too
+    c0 = pair.center.ext.rational_root
     over = None
     tau_seen = []
     radius = min(chain.p, CENTER_RADIUS) + 2
@@ -211,7 +215,7 @@ def _check_linear_value_set(report, chain, pair, rng, samples):
         if v > delta:
             over = c
             break
-        if not v.is_rational:
+        if not v.is_rational and (c0 is None or padic_valuation(c0 - c, chain.p) < delta):
             tau_seen.append(c)
     report.add(
         CheckOutcome(

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from vforge import Chain, ChainError, InvariantError, run_suite
+from vforge import Chain, ChainError, InvariantError, Poly, run_suite
 from vforge.cli import main
 
 C2_TEXT = "p = 2\nQ0: X @ 1/2\nQ1: X^2 - 2 @ 3/2\n"
@@ -120,17 +120,16 @@ def test_invalid_chain_exit_code(chain_files, capsys):
 def test_verify_failure_exit_code(chain_files, capsys, monkeypatch):
     # a failing check must surface as exit 1; valid chains never fail, so
     # patch the suite runner to report one failure
-    import vforge.cli as cli
+    from vforge import verify
     from vforge.pairs import CheckOutcome
-    from vforge.verify import VerificationReport
 
     def fake_suite(chain, suite="all", seed=0, samples=100):
-        rep = VerificationReport(suite=suite, seed=seed, samples=samples,
-                                 prime=chain.p, chain_text=chain.to_text())
+        rep = verify.VerificationReport(suite=suite, seed=seed, samples=samples,
+                                        prime=chain.p, chain_text=chain.to_text())
         rep.add(CheckOutcome("synthetic", False, detail="forced failure"))
         return rep.finalize()
 
-    monkeypatch.setattr(cli, "run_suite", fake_suite)
+    monkeypatch.setattr(verify, "run_suite", fake_suite)
     code, out, _ = run(capsys, ["verify", "--chain", chain_files["c2"]])
     assert code == 1
     assert "FAIL" in out
@@ -417,3 +416,45 @@ def test_degree_bound_default_is_the_library_constant():
 
     args = build_parser().parse_args(["extend", "-p", "2", "--min-poly", "X^2 - 2"])
     assert args.degree_bound == DEFAULT_DEGREE_BOUND
+
+
+@pytest.mark.parametrize(
+    "text", ["p = 3\nQ0: X @ 1/2 + 1 t\n", "p = 5\nQ0: X - 1 @ 0 + 1 t\n", "p = 2\nQ0: X + 1 @ 1 - 1/2 t\n"]
+)
+def test_verify_passes_a_one_level_value_transcendental_chain(tmp_path, capsys, text):
+    # the center is the integer root c0, and c0 itself, like every integer
+    # in its ball, takes the infinitesimal delta too
+    path = tmp_path / "vt.vchain"
+    path.write_text(text)
+    code, out, _ = run(capsys, ["verify", "--chain", str(path), "--samples", "20"])
+    assert "[pass] infinitesimal_maximum_unique" in out
+    assert code == 0, out
+
+
+def test_an_infinitesimal_value_outside_the_ball_fails_the_maximum_line(tmp_path, capsys, monkeypatch):
+    from vforge import verify
+
+    path = tmp_path / "vt.vchain"
+    path.write_text("p = 3\nQ0: X @ 1/2 + 1 t\n")
+    real = verify.pair_eval
+
+    def faulty(pair, f):
+        # X - 1 lies outside the ball around 0 and is given delta
+        v, info = real(pair, f)
+        return (pair.delta if f == Poly.parse("X - 1") else v), info
+
+    monkeypatch.setattr(verify, "pair_eval", faulty)
+    code, out, _ = run(capsys, ["verify", "--chain", str(path), "--suite", "lemmas", "--samples", "20"])
+    assert "[FAIL] infinitesimal_maximum_unique" in out and "[pass] linear_values_bounded_by_delta" in out
+    assert code == 1
+
+
+@pytest.mark.parametrize("suite,code", [("lemmas", 2), ("all", 2), ("props", 0)])
+def test_the_lemma_suites_need_a_p_integral_last_key(tmp_path, capsys, suite, code):
+    # a valid chain: beta_0 < 0 lets the last key have 7 in its denominators
+    path = tmp_path / "nonintegral.vchain"
+    path.write_text("p = 7\nQ0: X @ -1\nQ1: X^3 + 1/7X^2 + 2/49X + 6/343 @ 1\n")
+    got, out, err = run(capsys, ["verify", "--chain", str(path), "--suite", suite, "--samples", "5"])
+    assert got == code
+    if code:
+        assert err == "outside supported limits: minimal polynomial must be p-integral\n" and out == ""

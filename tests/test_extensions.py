@@ -7,6 +7,7 @@ import pytest
 
 from vforge import (
     AlgebraicNumber,
+    ChainError,
     LimitError,
     Poly,
     ReducibleError,
@@ -192,6 +193,17 @@ def test_degree_one_extension():
     assert (ext.e, ext.f) == (1, 1)
     assert ext.valuation(P("X + 5")) == Value(3)
     assert ext.valuation(P("X - 3")).infinite
+
+
+@pytest.mark.parametrize("mtxt", ["X - 3", "X^2 - 2"])
+@pytest.mark.parametrize("p", [4, 1, 0, -3, 2**40])
+def test_a_non_prime_is_rejected_before_any_factoring(monkeypatch, mtxt, p):
+    import vforge.extensions as extensions
+
+    monkeypatch.setattr(extensions, "rational_factor_list", lambda m: pytest.fail("factored before the prime check"))
+    with pytest.raises(ChainError) as err:
+        extend_to_number_field(P(mtxt), p)
+    assert err.value.code == "chain.prime"
 
 
 def test_algebraic_valuation_examples():

@@ -17,11 +17,13 @@ import pytest
 from vforge import (
     AlgebraicNumber,
     Chain,
+    LimitError,
     Poly,
     Value,
     delta_via_roots,
     enumerate_common_extensions,
     extend_to_number_field,
+    run_suite,
     value_min,
 )
 from vforge.finitefields import FqPoly, ff_is_irreducible
@@ -38,7 +40,8 @@ def random_residual(rng, field, degree):
             return rho
 
 
-def random_chain(rng, p, levels=3, tau_last=False, cross_check=False, beta0_low=0):
+def random_chain(rng, p, levels=3, tau_last=0, cross_check=False, beta0_low=0):
+    # tau_last: the sign of a t-part added to the last value (True is +1), 0 for none
     center = rng.randint(-p, p)
     denom = rng.choice([1, 1, 2, 3])
     beta0 = F(rng.randint(beta0_low * denom, 2 * denom), denom)
@@ -69,11 +72,12 @@ def random_chain(rng, p, levels=3, tau_last=False, cross_check=False, beta0_low=
         step_denom = rng.choice([1, 1, 2])
         beta = current + F(rng.randint(1, 2), step_denom)
         chain = chain.augment(key, Value(beta))
-    if tau_last and len(chain.levels) >= 2:
-        # rebuild the final level with an infinitesimal part added to its value
+    if tau_last:
+        # rebuild the final level, the only one too, with an infinitesimal
+        # part added to its value
         levels_data = [(lev.key, lev.beta) for lev in chain.levels]
         last_key, last_beta = levels_data[-1]
-        levels_data[-1] = (last_key, Value(last_beta.r, F(1, rng.randint(1, 3))))
+        levels_data[-1] = (last_key, Value(last_beta.r, F(tau_last, rng.randint(1, 3))))
         chain = Chain.from_levels(chain.p, levels_data)
     return chain
 
@@ -126,6 +130,26 @@ def test_random_tower(p, seed):
         report = enumerate_common_extensions(chain, samples=8, rng=rng)
         assert report.ok, [c.as_dict() for c in report.checks if not c.ok]
         assert report.class_count <= chain.degree
+
+
+def test_verify_passes_random_chains_or_names_the_integrality_limit():
+    # 1-3 levels with beta_0 >= 0 and < 0, and rational, t-positive and
+    # t-negative last values; one-level value-transcendental chains among them
+    rng = random.Random(33)
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for levels, beta0_low, tau in ((1, 0, 1), (1, -1, -1), (2, -1, 0), (2, 0, 1), (3, -1, 1), (3, -1, 0)):
+            chain = random_chain(rng, p, levels, tau, beta0_low=beta0_low)
+            integral = all(lev.key.den % p for lev in chain.levels)
+            try:
+                report = run_suite(chain, "all", 0, samples=5)
+            except LimitError as exc:
+                assert not integral and str(exc) == "minimal polynomial must be p-integral", chain.to_text()
+                seen.add("limit")
+                continue
+            assert integral and report.ok, (chain.to_text(), [c.name for c in report.checks if not c.ok])
+            seen.add((len(chain.levels), chain.classify()))
+    assert {"limit", (1, "value-transcendental"), (3, "value-transcendental"), (3, "residue-transcendental")} <= seen
 
 
 @pytest.mark.parametrize("p,seed", [(2, 11), (3, 12), (5, 13)])

@@ -17,6 +17,8 @@ One family is excluded, not marked xfail: nothing in the library can turn
 it false (see the FOUND line on it in CHANGES.md).
 """
 
+import json
+
 import pytest
 
 import vforge.cli as cli
@@ -235,7 +237,7 @@ def test_a_library_fault_fails_the_family_and_verify_exits_1(
             reports.append(real_run_suite(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(cli, "run_suite", faulty_run_suite)
+    monkeypatch.setattr(verify_mod, "run_suite", faulty_run_suite)
     code = cli.main(["verify", "--chain", str(path), "--suite", suite])
     capsys.readouterr()
     outcomes = [c for c in reports[0].checks if picks(c)]
@@ -268,3 +270,56 @@ def test_excluded_families_are_emitted_and_named(corpus):
     names = {c.name for c in report.checks}
     assert set(EXCLUDED) <= names
     assert not set(EXCLUDED) & {row[0] for row in MUTATIONS}
+
+
+def _repeat_largest_difference(monkeypatch):
+    # the difference profile with its largest entry counted twice
+    real = ValuationExtension.difference_profile
+    monkeypatch.setattr(ValuationExtension, "difference_profile", lambda self: (lambda d: d + [max(d)])(real(self)))
+
+
+def _faulted_verify(corpus, tmp_path, capsys, monkeypatch, chain_name, fault, *options):
+    # one CLI verify run with the fault around the suite alone: (exit code, report, stdout)
+    path = tmp_path / f"{chain_name}.vchain"
+    path.write_text(corpus[chain_name].to_text())
+    reports = []
+    real_run_suite = verify_mod.run_suite
+
+    def faulty_run_suite(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            fault(patch)
+            reports.append(real_run_suite(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(verify_mod, "run_suite", faulty_run_suite)
+    code = cli.main(["verify", "--chain", str(path), *options])
+    return code, reports[0], capsys.readouterr().out
+
+
+def test_balls_that_do_not_partition_the_roots_fail_the_class_lines(corpus, tmp_path, capsys, monkeypatch):
+    code, report, _ = _faulted_verify(
+        corpus, tmp_path, capsys, monkeypatch, "c2", _repeat_largest_difference, "--suite", "lemmas"
+    )
+    outcomes = {c.name: c for c in report.checks}
+    partition = outcomes["extension_classes.class_partition"]
+    assert not partition.ok and "do not partition 2 roots" in partition.detail
+    assert not outcomes["extension_classes.class_count_bound"].ok
+    assert report.classes == [] and code == 1
+
+
+def test_a_failing_law_carries_its_witness_in_json(corpus, tmp_path, capsys, monkeypatch):
+    code, _, out = _faulted_verify(
+        corpus, tmp_path, capsys, monkeypatch, "c2", _shift_eval, "--suite", "props", "--format", "json"
+    )
+    line = next(c for c in json.loads(out)["checks"] if c["name"] == "valuation.multiplicative")
+    assert line["pass"] is False and " | " in line["witness"]
+    assert code == 1
+
+
+def test_the_key_property_scan_stops_at_the_first_failing_degree(corpus, tmp_path, capsys, monkeypatch):
+    # c5 has d(w) = 3, so degree 2 would follow the failing degree 1
+    assert corpus["c5"].degree == 3
+    code, report, _ = _faulted_verify(corpus, tmp_path, capsys, monkeypatch, "c5", _negate_epsilon, "--suite", "props")
+    line = next(c for c in report.checks if c.name == "key_definitional_property")
+    assert not line.ok and Poly.parse(line.witness).degree == 1
+    assert code == 1
