@@ -14,7 +14,11 @@ usage error (a degree bound above 16, ``--samples`` outside 1..5000, an
 supported limits (``outside supported limits: ...``, also from the lemma
 suites on a chain whose last key is not p-integral), 3 invalid chain (with
 the violated invariant named), 4 reducible minimal polynomial (with a
-factor), 5 internal error (one line on stderr, never a traceback).
+factor), 5 internal error (one line on stderr, never a traceback; a
+failed write to stdout is one, such as ``> /dev/full``).  A reader that
+closes the pipe early (``vforge verify ... | head -1``) is no error: the
+rest of the output is dropped silently and the exit code is the command's
+own, 0, or 1 when verify found a failing check.
 ``--seed`` (or the VFORGE_SEED environment variable) fixes all sampling;
 identical configuration yields byte-identical reports.  A VFORGE_SEED that
 is not an integer is a usage error of ``verify``; other commands ignore it.
@@ -54,10 +58,26 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _print_json(data, indent=None):
+def _write(text: str) -> None:
+    """Write a command's whole output to stdout and flush it.
+
+    On a failed write the rest of the output is dropped: stdout is pointed
+    at the null device, so the interpreter's last flush raises nothing.  A
+    reader that closed the pipe early is no fault and ends here; any other
+    failure (``> /dev/full``) propagates as an internal error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise
+
+
+def _write_json(data, indent=None):
     import json  # only --format json loads it
 
-    print(json.dumps(data, indent=indent))
+    _write(json.dumps(data, indent=indent) + "\n")
 
 
 def _cmd_value(args) -> int:
@@ -65,9 +85,9 @@ def _cmd_value(args) -> int:
     chain = _load_chain(args.chain)
     value = getattr(chain, args.command)(Poly.parse(args.poly, var="X"))
     if args.format == "json":
-        _print_json({"value" if args.command == "eval" else "epsilon": str(value)})
+        _write_json({"value" if args.command == "eval" else "epsilon": str(value)})
     else:
-        print(value)
+        _write(f"{value}\n")
     return EXIT_OK
 
 
@@ -76,7 +96,7 @@ def _cmd_classify(args) -> int:
     kind = chain.classify()
     if args.format == "json":
         data = chain.data()
-        _print_json(
+        _write_json(
             {
                 "classification": kind,
                 "degree": data.degree,
@@ -90,7 +110,7 @@ def _cmd_classify(args) -> int:
             indent=2,
         )
     else:
-        print(kind)
+        _write(kind + "\n")
     return EXIT_OK
 
 
@@ -108,26 +128,23 @@ def _cmd_extend(args) -> int:
             }
             for e in exts
         ]
-        _print_json({"count": len(rows), "extensions": rows}, indent=2)
+        _write_json({"count": len(rows), "extensions": rows}, indent=2)
     else:
-        print(f"{len(exts)} extension(s) of v_{args.prime} to Q[Y]/({poly.to_text('Y')})")
+        lines = [f"{len(exts)} extension(s) of v_{args.prime} to Q[Y]/({poly.to_text('Y')})"]
         for e in exts:
-            print(f"  #{e.index}: e = {e.e}, f = {e.f}")
+            lines.append(f"  #{e.index}: e = {e.e}, f = {e.f}")
             if e.rational_root is not None:
-                print(f"      rational root {e.rational_root}")
+                lines.append(f"      rational root {e.rational_root}")
             else:
-                for line in e.chain.to_text().strip().splitlines()[1:]:
-                    print(f"      {line.replace('X', 'Y')}")
+                lines.extend(f"      {line.replace('X', 'Y')}" for line in e.chain.to_text().strip().splitlines()[1:])
+        _write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     chain = _load_chain(args.chain)
     report = verify.run_suite(chain, suite=args.suite, seed=args.seed, samples=args.samples)
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
+    _write(report.to_json() if args.format == "json" else report.to_text())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 

@@ -650,11 +650,6 @@ class Chain:
         lift = _horner(coeffs, level.key**level.rel_denom, Poly())
         return lift * level.key**i0 if i0 else lift
 
-    def _residual(self, i: int, f: Poly):
-        # (residual, terms, achieving) of f at level i, off one expansion
-        fbar, _, _, _, terms, achieving = self._graded_reduce(i, f)
-        return fbar, terms, achieving
-
     def residual_polynomial(self, f: Poly) -> FqPoly:
         """Residual polynomial of f at the last level, over the residue field.
 
@@ -667,7 +662,7 @@ class Chain:
         f = Poly.of(f)
         if f.is_zero():
             raise ValueError("residual polynomial of zero is not defined")
-        return self._residual(len(self.levels) - 1, f)[0]
+        return self._graded_reduce(len(self.levels) - 1, f)[0]
 
     def key_from_residual(self, rho: FqPoly) -> Poly:
         """Lift a monic irreducible residual rho to a candidate key polynomial.
@@ -689,13 +684,14 @@ class Chain:
         The codes, in test order: ``divisible_by_last_key`` (the last key phi
         divides q), ``inhomogeneous`` (an expansion term in phi misses the
         minimum) and ``reducible_residual``, all off the one expansion in phi
-        of ``_residual``.  No other code can arise.  At an infinitesimal last
-        level term j carries the t-part j * s with s != 0, so one index alone
-        attains the minimum, while a monic q of degree >= deg phi with a
-        nonzero constant digit has two digits: the scan returns
-        ``inhomogeneous``.  A homogeneous q has the top digit 1 at
-        j = n = deg q / deg phi, so mu(q) = n * beta; j = 0 attains the
-        minimum, so i0 = 0 and e divides n, and the residual has degree n / e.
+        that ``_graded_reduce`` makes at the last level.  No other code can
+        arise.  At an infinitesimal last level term j carries the t-part
+        j * s with s != 0, so one index alone attains the minimum, while a
+        monic q of degree >= deg phi with a nonzero constant digit has two
+        digits: the scan returns ``inhomogeneous``.  A homogeneous q has the
+        top digit 1 at j = n = deg q / deg phi, so mu(q) = n * beta; j = 0
+        attains the minimum, so i0 = 0 and e divides n, and the residual has
+        degree n / e.
 
         Nor can eps (``epsilon``) shrink.  Let (a, delta) be the chain's pair,
         a a root of phi: eps(f) = max over roots b of f of min(v(a - b), delta),
@@ -716,7 +712,7 @@ class Chain:
                 "key.degree",
                 f"degree {q.degree} is not a positive multiple of {last.degree}",
             )
-        rho, terms, achieving = self._residual(len(self.levels) - 1, q)
+        rho, _, _, _, terms, achieving = self._graded_reduce(len(self.levels) - 1, q)
         if terms[0][0] != 0:
             return KeyCertificate(False, "divisible_by_last_key", f"{last.key} divides {q}")
         if len(achieving) < len(terms):

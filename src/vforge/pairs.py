@@ -289,6 +289,21 @@ def _randints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
     return out
 
 
+def _scan(cases, law):
+    """(cases drawn, witness) of the first case for which law returns a
+    witness, or (cases drawn, None) when none does.
+
+    cases is read lazily, so a seeded stream of samples stops at the first
+    counterexample and draws nothing after it."""
+    drawn = 0
+    for case in cases:
+        drawn += 1
+        witness = law(case)
+        if witness is not None:
+            return drawn, witness
+    return drawn, None
+
+
 def _random_poly(rng: random.Random, degree: int, spread: int, monic=True) -> Poly:
     """Seeded coefficients in [-spread, spread]; a non-monic leading one in [1, spread]."""
     cc = _randints(rng, -spread, spread, degree)
@@ -322,29 +337,20 @@ def common_extension_check(
     for deg in range(1, dw):
         for _ in range(samples):
             family.append(_random_poly(rng, deg, spread=chain.p**3))
-    for g in family:
-        lhs = chain.eval(g)
-        rhs = pair.center.value_of(g)
-        if lhs != rhs:
-            return CheckOutcome(
-                "common_extension.low_degree",
-                False,
-                detail=f"chain gives {lhs}, center gives {rhs}",
-                witness=str(g),
-            )
-    for _ in range(samples):
-        deg = rng.randint(1, 2 * dw)
-        g = _random_poly(rng, deg, spread=chain.p**3)
-        lhs = chain.eval(g)
-        rhs, _ = pair_eval(pair, g)
-        if lhs != rhs:
-            return CheckOutcome(
-                "common_extension.pair_value",
-                False,
-                detail=f"chain gives {lhs}, pair gives {rhs}",
-                witness=str(g),
-            )
-    return CheckOutcome("common_extension", True, detail=f"{len(family)} + {samples} polynomials")
+
+    def differs(name, who, value):
+        # the failing outcome at g when the chain value and value(g) differ
+        def law(g):
+            lhs, rhs = chain.eval(g), value(g)
+            if lhs != rhs:
+                return CheckOutcome(name, False, detail=f"chain gives {lhs}, {who} gives {rhs}", witness=str(g))
+        return law
+
+    _, failure = _scan(family, differs("common_extension.low_degree", "center", pair.center.value_of))
+    if failure is None:
+        drawn = (_random_poly(rng, rng.randint(1, 2 * dw), spread=chain.p**3) for _ in range(samples))
+        _, failure = _scan(drawn, differs("common_extension.pair_value", "pair", lambda g: pair_eval(pair, g)[0]))
+    return failure or CheckOutcome("common_extension", True, detail=f"{len(family)} + {samples} polynomials")
 
 
 # -- minimality -----------------------------------------------------------------
@@ -430,6 +436,7 @@ class CommonExtensionReport(_CheckList):
     root_bound: int = 0
     checks: list[CheckOutcome] = field(default_factory=list)
     ok: bool = True
+    pair: PairOfDefinition | None = None
 
 
 def single_extension(exts: list[ValuationExtension]) -> ValuationExtension:
@@ -449,29 +456,27 @@ def _second_quadratic_root(m: Poly) -> Poly:
 
 
 def enumerate_common_extensions(
-    chain: Chain, samples: int = 100, rng: random.Random | None = None, ext=None
+    chain: Chain, samples: int = 100, rng: random.Random | None = None
 ) -> CommonExtensionReport:
     """Classes of pairs (root of the last key, last distance invariant).
 
-    The last key is irreducible over Q_p, so v_p has one extension ``ext``
-    to its field and all its roots are conjugate.  One pair is built on the
-    root that extension tracks and its restriction to the chain is checked
-    once.  The balls of radius delta around the roots all have the size read
-    off the exact difference profile of that root, so they split the roots
-    into degree / size classes.  The report gives the class size and count,
-    the count against an independent one, which also bounds it by the
-    distinct roots, and the minimality of the pair, ``is_minimal_pair`` with
-    center degree d(w), apart from the restriction.  ``ext`` is the result of
-    ``single_extension(extend_to_number_field(chain.last_key, chain.p))``
-    when the caller already has it; it is built here when None.
+    The last key is irreducible over Q_p, so v_p has one extension to its
+    field and all its roots are conjugate.  One pair is built on the root
+    that extension tracks, returned as the report's ``pair``, and its
+    restriction to the chain is checked once.  The balls of radius delta
+    around the roots all have the size read off the exact difference profile
+    of that root, so they split the roots into degree / size classes.  The
+    report gives the class size and count, the count against an independent
+    one, which also bounds it by the distinct roots, and the minimality of
+    the pair, ``is_minimal_pair`` with center degree d(w), apart from the
+    restriction.
     """
     rng = rng or random.Random(0)
     m = chain.last_key
     delta = chain.epsilon(m)
-    report = CommonExtensionReport(root_bound=m.degree)
-    if ext is None:
-        ext = single_extension(extend_to_number_field(m, chain.p))
+    ext = single_extension(extend_to_number_field(m, chain.p))
     pair = PairOfDefinition(AlgebraicNumber(ext), delta)
+    report = CommonExtensionReport(root_bound=m.degree, pair=pair)
     restriction = common_extension_check(chain, pair, samples=samples, rng=rng)
     # keep the failing branch: common_extension.ext0, common_extension.ext0.low_degree, ...
     restriction.name = restriction.name.replace("common_extension", f"common_extension.ext{ext.index}", 1)

@@ -12,13 +12,17 @@ definitional property of keys.
 Reports are deterministic: the sampling is driven entirely by the seed,
 and checks are emitted in name order.  The JSON document and the text
 rendering carry the same data.  ``samples`` lies in 1..``MAX_SAMPLES``.
+Every sampled check is one ``pairs._scan``: it reads its cases lazily and
+stops at the first counterexample, which it reports as the witness, so a
+failing check draws nothing from the seeded stream after its witness.
 
 The last key of a chain is irreducible over Q_p, so v_p has exactly one
 extension to its field.  A run builds that extension and ``chain.data()``
-once each and hands them to every check that needs them.  The
-root-distance oracle, pair equivalence and the linear value set share one
-root pair (a, delta) on the extension; the class enumeration builds its
-own.  The checks therefore share the extension's lazily improved
+once each and hands them to every check that needs them.  There is one
+root pair (a, delta) per run: the class enumeration builds it on the
+extension and hands it back; the root-distance oracle, pair equivalence
+and the linear value set take it from there, and the root lemmas take its
+extension.  The checks therefore share the extension's lazily improved
 approximation.  That is safe: improvement only raises the precision of an
 exact answer, and it runs under the extension's lock.  The root pair's
 restriction check runs once; its minimality is read off the extension's
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .extensions import AlgebraicNumber, delta_via_roots, extend_to_number_field
+from .extensions import AlgebraicNumber, delta_via_roots
 from .maclane import MAX_SAMPLES, VALUE_TRANSCENDENTAL, Chain
 from .pairs import (
     CENTER_RADIUS,
@@ -46,11 +50,11 @@ from .pairs import (
     _CheckList,
     _randints,
     _random_poly,
+    _scan,
     _second_quadratic_root,
     enumerate_common_extensions,
     pair_eval,
     pairs_equivalent,
-    single_extension,
     verify_root_lemmas,
 )
 from .polynomials import Poly, _make, padic_valuation
@@ -122,22 +126,17 @@ class VerificationReport(_CheckList):
 
 def _check_epsilon_distance(report, chain, pair, rng, samples):
     """Growth invariant equals the largest root distance, by the oracle."""
-    bad = None
-    count = 0
-    for _ in range(samples):
-        f = _random_poly(rng, rng.randint(1, 6), spread=chain.p**3)
-        count += 1
-        eps = chain.epsilon(f)
-        dlt = delta_via_roots(pair.center, pair.delta, f)
+
+    def differs(f):
+        eps, dlt = chain.epsilon(f), delta_via_roots(pair.center, pair.delta, f)
         if eps != dlt:
-            bad = (f, eps, dlt)
-            break
+            return f"{f} (eps {eps}, oracle {dlt})"
+
+    drawn = (_random_poly(rng, rng.randint(1, 6), spread=chain.p**3) for _ in range(samples))
+    count, bad = _scan(drawn, differs)
     report.add(
         CheckOutcome(
-            "epsilon_equals_root_distance",
-            bad is None,
-            detail=f"{count} sampled monic polynomials",
-            witness=None if bad is None else f"{bad[0]} (eps {bad[1]}, oracle {bad[2]})",
+            "epsilon_equals_root_distance", bad is None, detail=f"{count} sampled monic polynomials", witness=bad
         )
     )
 
@@ -172,18 +171,14 @@ def _check_pair_equivalence(report, chain, p1):
     )
     if expected:
         # equivalent pairs must assign identical values everywhere
-        agree = True
-        witness = None
+        def differs(c):
+            if pair_eval(p1, _make((-c, 1)))[0] != pair_eval(p2, _make((-c, 1)))[0]:
+                return f"X - {c}"
+
         radius = 2 * min(chain.p, CENTER_RADIUS)
-        for c in range(-radius, radius + 1):
-            v1, _ = pair_eval(p1, _make((-c, 1)))
-            v2, _ = pair_eval(p2, _make((-c, 1)))
-            if v1 != v2:
-                agree = False
-                witness = f"X - {c}"
-                break
+        _, witness = _scan(range(-radius, radius + 1), differs)
         report.add(
-            CheckOutcome("pair_equivalence.forward", agree, detail="linear values agree", witness=witness)
+            CheckOutcome("pair_equivalence.forward", witness is None, detail="linear values agree", witness=witness)
         )
     else:
         # inequivalent pairs must disagree somewhere; X - a separates them
@@ -206,23 +201,25 @@ def _check_linear_value_set(report, chain, pair, rng, samples):
     # delta of a center of degree d(w) >= 2; at d(w) = 1 the center is the
     # root c0, and every c with v_p(c0 - c) >= delta takes delta too
     c0 = pair.center.ext.rational_root
-    over = None
     tau_seen = []
-    radius = min(chain.p, CENTER_RADIUS) + 2
-    drawn = _randints(rng, -chain.p**3, chain.p**3, samples // 4)
-    for c in itertools.chain(range(-radius, radius + 1), drawn):
+
+    def over(c):
+        # the witness when v(X - c) exceeds delta; notes an infinitesimal value off the center
         v, _ = pair_eval(pair, _make((-c, 1)))
         if v > delta:
-            over = c
-            break
+            return f"X - {c}"
         if not v.is_rational and (c0 is None or padic_valuation(c0 - c, chain.p) < delta):
             tau_seen.append(c)
+
+    radius = min(chain.p, CENTER_RADIUS) + 2
+    drawn = _randints(rng, -chain.p**3, chain.p**3, samples // 4)
+    _, witness = _scan(itertools.chain(range(-radius, radius + 1), drawn), over)
     report.add(
         CheckOutcome(
             "linear_values_bounded_by_delta",
-            over is None,
+            witness is None,
             detail=f"{2 * radius + 1 + len(drawn)} rational centers",
-            witness=None if over is None else f"X - {over}",
+            witness=witness,
         )
     )
     if chain.classify() == VALUE_TRANSCENDENTAL:
@@ -251,8 +248,8 @@ def _suite_lemmas(report, chain, data, rng, samples):
             f"value group generator {data.group_generator if data.group_generator is not None else 'rank 2'}",
         )
     )
-    ext = single_extension(extend_to_number_field(chain.last_key, chain.p))
-    enum = enumerate_common_extensions(chain, samples=samples, rng=rng, ext=ext)
+    enum = enumerate_common_extensions(chain, samples=samples, rng=rng)
+    pair = enum.pair
     report.classes = enum.classes
     for outcome in enum.checks:
         outcome.name = "extension_classes." + outcome.name
@@ -266,11 +263,10 @@ def _suite_lemmas(report, chain, data, rng, samples):
             )
         )
     for j in range(len(chain.levels) - 1):
-        sub = verify_root_lemmas(chain, j, ext=ext)
+        sub = verify_root_lemmas(chain, j, ext=pair.center.ext)
         for outcome in sub.checks:
             outcome.name = f"level{j}." + outcome.name
             report.add(outcome)
-    pair = PairOfDefinition(AlgebraicNumber(ext), data.epsilons[-1])
     _check_epsilon_distance(report, chain, pair, rng, max(10, samples // 4))
     _check_pair_equivalence(report, chain, pair)
     _check_linear_value_set(report, chain, pair, rng, samples)
@@ -278,67 +274,49 @@ def _suite_lemmas(report, chain, data, rng, samples):
 
 def _suite_props(report, chain, data, rng, samples):
     spread = chain.p**3
-    bad_mul = bad_ultra = None
-    for _ in range(samples):
-        f = _random_poly(rng, rng.randint(0, 5), spread, monic=False)
-        g = _random_poly(rng, rng.randint(0, 5), spread, monic=False)
+
+    def broken(fg):
+        # (the law, its witness) at the first pair that breaks either one
+        f, g = fg
         vf, vg = chain.eval(f), chain.eval(g)
         if chain.eval(f * g) != vf + vg:
-            bad_mul = (f, g)
-            break
+            return "valuation.multiplicative", f"{f} | {g}"
         if not chain.eval(f + g) >= value_min(vf, vg):
-            bad_ultra = (f, g)
-            break
-    report.add(
-        CheckOutcome(
-            "valuation.multiplicative",
-            bad_mul is None,
-            detail=f"{samples} random pairs",
-            witness=None if bad_mul is None else f"{bad_mul[0]} | {bad_mul[1]}",
-        )
-    )
-    report.add(
-        CheckOutcome(
-            "valuation.ultrametric",
-            bad_ultra is None,
-            detail=f"{samples} random pairs",
-            witness=None if bad_ultra is None else f"{bad_ultra[0]} | {bad_ultra[1]}",
-        )
-    )
-    bad_trunc = None
-    for _ in range(samples):
-        f = _random_poly(rng, rng.randint(1, 2 * chain.degree + 2), spread, monic=False)
+            return "valuation.ultrametric", f"{f} | {g}"
+
+    def draw(low, high):
+        return _random_poly(rng, rng.randint(low, high), spread, monic=False)
+
+    _, bad = _scan(((draw(0, 5), draw(0, 5)) for _ in range(samples)), broken)
+    for law in ("valuation.multiplicative", "valuation.ultrametric"):
+        witness = bad[1] if bad is not None and bad[0] == law else None
+        report.add(CheckOutcome(law, witness is None, detail=f"{samples} random pairs", witness=witness))
+
+    def unordered(f):
         # mu_0 <= mu_1 <= ... <= mu_k = w, since augmentation only raises
         # values; the last level is w itself, so it is not truncated again
         chain_values = [chain.truncate(i, f) for i in range(len(chain.levels) - 1)] + [chain.eval(f)]
         if not all(a <= b for a, b in zip(chain_values, chain_values[1:])):
-            bad_trunc = f
-            break
+            return str(f)
+
+    _, witness = _scan((draw(1, 2 * chain.degree + 2) for _ in range(samples)), unordered)
     report.add(
         CheckOutcome(
             "truncation.complete",
-            bad_trunc is None,
+            witness is None,
             detail="truncations bounded by the value and one attains it",
-            witness=None if bad_trunc is None else str(bad_trunc),
+            witness=witness,
         )
     )
     eps_last = data.epsilons[-1]
-    bad_eps = None
-    if chain.degree > 1:
-        for deg in range(1, chain.degree):
-            if bad_eps is not None:
-                break
-            for _ in range(samples):
-                f = _random_poly(rng, deg, spread)
-                if not chain.epsilon(f) < eps_last:
-                    bad_eps = f
-                    break
+    drawn = (_random_poly(rng, deg, spread) for deg in range(1, chain.degree) for _ in range(samples))
+    _, witness = _scan(drawn, lambda f: None if chain.epsilon(f) < eps_last else str(f))
     report.add(
         CheckOutcome(
             "key_definitional_property",
-            bad_eps is None,
+            witness is None,
             detail="smaller-degree monic polynomials have smaller growth invariant",
-            witness=None if bad_eps is None else str(bad_eps),
+            witness=witness,
         )
     )
     betas, eps = data.betas, data.epsilons

@@ -301,19 +301,67 @@ def test_unreadable_chain_file_is_an_input_error(tmp_path, capsys):
     assert out == "" and "Traceback" not in err
 
 
-def test_output_error_is_an_internal_error(capsys, monkeypatch):
-    # a failed write (e.g. a closed pipe) is not an input error
-    class ClosedPipe:
-        def write(self, _text):
-            raise BrokenPipeError(32, "Broken pipe")
+# The CLI in a child process whose stdout is given; "fail" as the first
+# argument adds a failing check to every verify report.  stdout is buffered
+# unless unbuffered is set, so a failed write can also surface at the
+# interpreter's last flush.
+_CLI_CHILD = (
+    "import sys\n"
+    "import vforge.verify as verify\n"
+    "from vforge.cli import main\n"
+    "from vforge.pairs import CheckOutcome\n"
+    "real = verify.run_suite\n"
+    "def failing(*args, **kwargs):\n"
+    "    report = real(*args, **kwargs)\n"
+    "    report.add(CheckOutcome('synthetic', False, detail='forced failure'))\n"
+    "    return report\n"
+    "if sys.argv[1] == 'fail':\n"
+    "    verify.run_suite = failing\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
 
-        def flush(self):
-            pass
 
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    assert main(["extend", "-p", "2", "--min-poly", "X^2-2"]) == 5
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: BrokenPipeError") and "Traceback" not in err
+def _cli_child(argv, stdout, unbuffered, fail=False):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-c", _CLI_CHILD, "fail" if fail else "pass", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closed_the_pipe_is_not_an_error(chain_files, unbuffered):
+    # `vforge verify ... | head -1`: nothing on stderr, and the command's own
+    # exit code; the pipe's reader is closed before the child writes
+    verify = ["verify", "--chain", chain_files["c2"], "--samples", "5"]
+    cases = [
+        (verify, False, 0),
+        (verify + ["--format", "json"], False, 0),
+        (verify, True, 1),
+        (["extend", "-p", "2", "--min-poly", "X^2-17"], False, 0),
+        (["eval", "--chain", chain_files["c2"], "--poly", "X^4+4"], False, 0),
+    ]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        outcomes = [(_cli_child(argv, write, unbuffered, fail), code) for argv, fail, code in cases]
+    finally:
+        os.close(write)
+    for (proc, code), (argv, _, _) in zip(outcomes, cases):
+        assert (proc.returncode, proc.stderr) == (code, ""), argv
+
+
+def test_output_error_is_an_internal_error():
+    # a failed write other than a closed pipe (no space left) is not an input
+    # error: exit 5 with one line, whether stdout is buffered or not
+    with open("/dev/full", "w") as full:
+        for unbuffered in (False, True):
+            proc = _cli_child(["extend", "-p", "2", "--min-poly", "X^2-2"], full, unbuffered)
+            assert proc.returncode == 5
+            assert proc.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
 
 
 def test_degree_above_ceiling_is_a_parse_error(chain_files):

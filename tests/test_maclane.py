@@ -401,7 +401,7 @@ def test_refine_builds_no_residue_field_and_augment_tests_each_key_once(monkeypa
 
     monkeypatch.setattr(maclane, "ff_is_irreducible", counted("rabin", maclane.ff_is_irreducible))
     monkeypatch.setattr(maclane, "FieldExtension", counted("field", maclane.FieldExtension))
-    monkeypatch.setattr(Chain, "_residual", counted("residual", Chain._residual))
+    monkeypatch.setattr(Chain, "_graded_reduce", counted("residual", Chain._graded_reduce))
     monkeypatch.setattr(Chain, "epsilon", counted("epsilon", Chain.epsilon))
     monkeypatch.setattr(Chain, "is_key", spanned("is_key", Chain.is_key))
     monkeypatch.setattr(Chain, "augment", spanned("augment", Chain.augment))
@@ -425,11 +425,13 @@ def test_augment_computes_one_residual(monkeypatch, corpus):
     from vforge.extensions import extend_to_number_field
 
     residuals, per_augment = [], []
-    real_residual, real_augment = Chain._residual, Chain.augment
+    real_reduce, real_augment = Chain._graded_reduce, Chain.augment
 
-    def residual(*args):
-        residuals.append(1)
-        return real_residual(*args)
+    def residual(self, i, f):
+        # a residual is the graded image at the last level; the levels below are its digits
+        if i == len(self.levels) - 1:
+            residuals.append(1)
+        return real_reduce(self, i, f)
 
     def augment(*args):
         start = len(residuals)
@@ -437,7 +439,7 @@ def test_augment_computes_one_residual(monkeypatch, corpus):
         per_augment.append(len(residuals) - start)
         return out
 
-    monkeypatch.setattr(Chain, "_residual", residual)
+    monkeypatch.setattr(Chain, "_graded_reduce", residual)
     monkeypatch.setattr(Chain, "augment", augment)
     for chain in corpus.values():
         Chain.parse(chain.to_text())

@@ -624,8 +624,7 @@ def test_verify_builds_each_extension_and_runs_each_check_once(corpus, monkeypat
         finally:
             depth.pop()
 
-    for module in (pairs_mod, verify_mod):
-        monkeypatch.setattr(module, "extend_to_number_field", extend)
+    monkeypatch.setattr(pairs_mod, "extend_to_number_field", extend)
     monkeypatch.setattr(pairs_mod, "common_extension_check", check)
     monkeypatch.setattr(verify_mod, "enumerate_common_extensions", enumerate_)
     for name, chain in sorted(corpus.items()):
@@ -640,9 +639,10 @@ def test_verify_builds_each_extension_and_runs_each_check_once(corpus, monkeypat
 
 # -- the one root pair of a verify run reaches every check it feeds -------------------
 #
-# verify builds PairOfDefinition(a, delta) once and hands it to the
-# root-distance oracle, pair equivalence and the linear value set; a delta
-# one below the growth invariant must make at least one of them fail.
+# the class enumeration builds PairOfDefinition(a, delta) once and verify
+# hands it to the root-distance oracle, pair equivalence and the linear value
+# set; a delta one below the growth invariant, in that pair and in every pair
+# verify builds from it, must make at least one of them fail.
 
 ROOT_PAIR_CHECKS = (
     "epsilon_equals_root_distance",
@@ -659,8 +659,18 @@ def test_a_root_pair_with_a_wrong_delta_fails_verify(corpus, monkeypatch):
         return {name: verify_mod.run_suite(chain, "all", 0, samples=20) for name, chain in sorted(corpus.items())}
 
     assert all(report.ok for report in run_all().values())
-    real = verify_mod.PairOfDefinition
-    monkeypatch.setattr(verify_mod, "PairOfDefinition", lambda center, delta: real(center, delta + Value(-1)))
+    real_enumerate, real_pair = verify_mod.enumerate_common_extensions, verify_mod.PairOfDefinition
+
+    def lower(center, delta):
+        return real_pair(center, delta + Value(-1))
+
+    def enumerate_(*args, **kwargs):
+        enum = real_enumerate(*args, **kwargs)
+        enum.pair = lower(enum.pair.center, enum.pair.delta)
+        return enum
+
+    monkeypatch.setattr(verify_mod, "enumerate_common_extensions", enumerate_)
+    monkeypatch.setattr(verify_mod, "PairOfDefinition", lower)
     for name, report in run_all().items():
         failed = [c.name for c in report.checks if not c.ok]
         assert not report.ok and any(n.startswith(ROOT_PAIR_CHECKS) for n in failed), (name, failed)

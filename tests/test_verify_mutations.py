@@ -5,7 +5,8 @@ a fault in the library.  The chain file is written from the corpus and
 parsed by the CLI without the fault; the fault is then applied, with
 monkeypatch, around the suite run alone (parsing validates the chain with
 the same functions, so a fault active there would stop at exit 3).  The
-family must come out false on that chain and ``vforge verify`` must exit 1.
+family must come out false on that chain, with the details and witnesses
+that ``FAILING`` records, and ``vforge verify`` must exit 1.
 
 The suite run itself builds chains: ``lemmas`` extends v_p to the last
 key's field through ``Chain.augment`` and ``Chain.refine``.  Those moves
@@ -215,6 +216,45 @@ MUTATIONS = [
      _named("extension_classes.class_count_bound")),
 ]
 
+# (detail, witness) of every failing outcome each row's predicate picks, at
+# the default seed and samples.  A witness fixes where a sampled check stops
+# drawing, so a scan that stops one sample early or late changes it.
+FAILING = {
+    "valuation.multiplicative": [("100 random pairs", "8X^3 - 7X + 5 | 4X^3 + 3X^2 + 7X + 1")],
+    "valuation.ultrametric": [("100 random pairs", "8X^3 - 7X + 5 | 4X^3 + 3X^2 + 7X + 1")],
+    "truncation.complete": [
+        ("truncations bounded by the value and one attains it",
+         "4X^9 - X^8 + 5X^7 - 3X^6 - 5X^5 - 5X^4 - 8X^3 - X^2"),
+    ],
+    "key_definitional_property": [("smaller-degree monic polynomials have smaller growth invariant", "X - 1")],
+    "linear_values_bounded_by_delta": [("34 rational centers", "X - -4")],
+    "common_extension.low_degree": [("chain gives 0, center gives inf", "1")],
+    "common_extension.pair_value": [("chain gives 3/2, pair gives 2", "X^2 + 8X + 2")],
+    "minimal_pair": [("center degree 3 against d(w) = 4", None)],
+    "epsilon_equals_root_distance": [
+        ("1 sampled monic polynomials", "X^5 - 2X^4 + 3X^3 - 5X^2 + 2X - 4 (eps 1/2, oracle 3/2)"),
+    ],
+    "pair_equivalence.criterion": [("v(a - a') = 0 vs delta = 1: equivalent = True", None)],
+    "pair_equivalence.criterion.valuation": [("v(a - a') = 3/2 vs delta = 3/4: equivalent = False", None)],
+    "class_separation": [("conjugate roots fall in distinct classes", None)],
+    "level0.root_value_sum": [("sum of v(Q_0 at next roots) = 3, target 2 * 1/2 = 1", None)],
+    "monotone_level_data": [("values ['1/2', '3/2'], growth invariants ['-1/2', '-3/4']", None)],
+    "epsilon_equals_root_distance.chain_epsilon": [("1 sampled monic polynomials", "X - 5 (eps 0, oracle -3/4)")],
+    "infinitesimal_maximum_unique": [
+        ("v(X - a) = 3/2 + 1t; every sampled rational center gave a rational value", None),
+    ],
+    "level0.root_value_each": [("value multiset [Fraction(3, 2)] vs 1/2", None)],
+    "level0.root_value": [("v(Q_0(root)) = -1/2, expected 1/2", None)],
+    "level0.root_proximity": [("closest level-0 root at distance -1/2", None)],
+    "classification": [("value-transcendental; d(w) = 2, value group generator 1/2", None)],
+    "level0.resultant_product_identity": [("prod over level-0 roots = 2, sign 1, prod over level-1 roots = -2", None)],
+    "level0.root_proximity_count": [("0 of 2 differences reach eps_0 = 1/2", None)],
+    "level0.distant_center_drop": [("v(Q_0(-1)) = 1 below 1/2", None), ("v(Q_0(1)) = 1 below 1/2", None)],
+    "pair_equivalence.forward": [("linear values agree", "X - -4")],
+    "pair_equivalence.backward": [("X - a separates: 1 vs 1", None)],
+    "extension_classes.class_count_bound": [("1 classes <= 2 distinct roots", None)],
+}
+
 EXCLUDED = {
     "pair_equivalence": "the non-quadratic line always passes; no grouping covers the multiset form",
 }
@@ -242,7 +282,12 @@ def test_a_library_fault_fails_the_family_and_verify_exits_1(
     capsys.readouterr()
     outcomes = [c for c in reports[0].checks if picks(c)]
     assert outcomes and not all(c.ok for c in outcomes), (family, [c.name for c in reports[0].checks if not c.ok])
+    assert [(c.detail, c.witness) for c in outcomes if not c.ok] == FAILING[family]
     assert code == 1
+
+
+def test_every_row_pins_its_failing_outcomes():
+    assert set(FAILING) == {row[0] for row in MUTATIONS}
 
 
 def test_the_family_passes_without_the_fault(corpus):
