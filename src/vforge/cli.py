@@ -9,11 +9,12 @@ Subcommands:
   vforge verify   --chain FILE [--suite lemmas|props|all]
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input text, a
-usage error (a degree bound above 16, ``--samples`` outside 1..5000, an
-``extend -p`` that is not a prime of at most 2^31 - 1) or input outside the
-supported limits (``outside supported limits: ...``, also from the lemma
-suites on a chain whose last key is not p-integral), 3 invalid chain (with
-the violated invariant named), 4 reducible minimal polynomial (with a
+usage error (``--samples`` outside 1..5000, an ``extend -p`` that is not a
+prime of at most 2^31 - 1) or input outside the supported limits
+(``outside supported limits: ...``, such as a minimal polynomial of degree
+above 16; the lemma suites meet it on a chain with a key of degree above
+16 or whose last key is not p-integral), 3 invalid chain (with the
+violated invariant named), 4 reducible minimal polynomial (with a
 factor), 5 internal error (one line on stderr, never a traceback; a
 failed write to stdout is one, such as ``> /dev/full``).  A reader that
 closes the pipe early (``vforge verify ... | head -1``) is no error: the
@@ -31,7 +32,7 @@ import os
 import sys
 
 from . import verify  # deferred: its code runs at the verify command's first read
-from .extensions import DEFAULT_DEGREE_BOUND, MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
+from .extensions import MAX_DEGREE_BOUND, ReducibleError, extend_to_number_field
 from .finitefields import LimitError
 from .maclane import MAX_PRIME, MAX_SAMPLES, Chain, ChainError, ChainParseError, prime_error
 from .polynomials import Poly, PolyParseError
@@ -116,7 +117,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_extend(args) -> int:
     poly = Poly.parse(args.min_poly)
-    exts = extend_to_number_field(poly, args.prime, degree_bound=args.degree_bound)
+    exts = extend_to_number_field(poly, args.prime)
     if args.format == "json":
         rows = [
             {
@@ -152,13 +153,6 @@ def _samples(text: str) -> int:
     n = int(text)
     if not 1 <= n <= MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_SAMPLES}, got {n}")
-    return n
-
-
-def _degree_bound(text: str) -> int:
-    n = int(text)
-    if not 1 <= n <= MAX_DEGREE_BOUND:
-        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_DEGREE_BOUND}, got {n}")
     return n
 
 
@@ -204,10 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument(
         "-p", "--prime", type=_prime, required=True, help=f"a prime of at most {MAX_PRIME}"
     )
-    p_ext.add_argument("--min-poly", required=True, help="monic irreducible polynomial")
     p_ext.add_argument(
-        "--degree-bound", type=_degree_bound, default=DEFAULT_DEGREE_BOUND,
-        help=f"largest accepted degree of the minimal polynomial (at most {MAX_DEGREE_BOUND})",
+        "--min-poly", required=True, help=f"monic irreducible polynomial of degree at most {MAX_DEGREE_BOUND}"
     )
     p_ext.add_argument("--format", choices=("text", "json"), default="text")
     p_ext.set_defaults(func=_cmd_extend)
@@ -241,7 +233,7 @@ def main(argv=None) -> int:
     except ChainError as exc:
         return _fail(f"invalid chain: {exc.code}: {exc}", EXIT_INVALID_CHAIN)
     except ReducibleError as exc:
-        return _fail(f"reducible: {exc} ", EXIT_REDUCIBLE)
+        return _fail(f"reducible: {exc}", EXIT_REDUCIBLE)
     except LimitError as exc:
         return _fail(f"outside supported limits: {exc}", EXIT_PARSE)
     except ValueError as exc:

@@ -58,8 +58,8 @@ from .polynomials import (
 )
 from .values import INFINITY, Value
 
-DEFAULT_DEGREE_BOUND = 8
-# Ceiling on degree_bound; it keeps factorization over Q below 2^16
+# The one ceiling on the degree of a minimal polynomial, met by `extend` and
+# by the lemma suites alike; it keeps factorization over Q below 2^16
 # recombination trials (subsets of at most 8 of at most 16 modular factors).
 MAX_DEGREE_BOUND = 16
 
@@ -360,26 +360,25 @@ class ValuationExtension:
         return f"ValuationExtension(m={self.m}, p={self.p}, e={self.e}, f={self.f}, {self._chain!r})"
 
 
-def extend_to_number_field(m: Poly, p: int, degree_bound: int = DEFAULT_DEGREE_BOUND):
+def extend_to_number_field(m: Poly, p: int):
     """All extensions of v_p to Q[Y]/(m), for monic irreducible m.
 
     Runs the branch search from the center 0; each branch isolated by a
     polygon face of length one, or by reaching m, yields one
-    ValuationExtension, and the e*f of the result sum to deg m.
-    degree_bound is at most MAX_DEGREE_BOUND.  A p that is not a prime of
-    at most ``MAX_PRIME`` raises ChainError ``chain.prime``, at every degree.
+    ValuationExtension, and the e*f of the result sum to deg m.  A degree
+    above ``MAX_DEGREE_BOUND`` (16) raises LimitError.  A p that is not a
+    prime of at most ``MAX_PRIME`` raises ChainError ``chain.prime``, at
+    every degree.
     """
     if reason := prime_error(p):
         raise ChainError("chain.prime", reason)
-    if not 1 <= degree_bound <= MAX_DEGREE_BOUND:
-        raise ValueError(f"degree bound must lie in 1..{MAX_DEGREE_BOUND}, got {degree_bound}")
     m = Poly.of(m)
     if not m.is_monic():
         raise LimitError("minimal polynomial must be monic")
     if m.degree < 1:
         raise ValueError("minimal polynomial must be nonconstant")
-    if m.degree > degree_bound:
-        raise LimitError(f"degree {m.degree} exceeds the configured bound {degree_bound}")
+    if m.degree > MAX_DEGREE_BOUND:
+        raise LimitError(f"degree {m.degree} exceeds the ceiling {MAX_DEGREE_BOUND}")
     factors = rational_factor_list(m)
     if len(factors) > 1:
         raise ReducibleError(m, next(f for f in factors if f != m))

@@ -39,7 +39,6 @@ from math import gcd
 
 from .extensions import (
     _X,
-    MAX_DEGREE_BOUND,
     AlgebraicNumber,
     ValuationExtension,
     extend_to_number_field,
@@ -393,7 +392,7 @@ def is_minimal_pair(pair: PairOfDefinition) -> MinimalityVerdict:
     k = _p_order(g.den, p)
     rep = center.rep * p**k
     scaled = AlgebraicNumber(center.ext, rep).minimal_polynomial() if k else g
-    ext = center.ext if rep == _X else extend_to_number_field(scaled, p, MAX_DEGREE_BOUND)[0]
+    ext = center.ext if rep == _X else extend_to_number_field(scaled, p)[0]
     if ext.e * ext.f < n:
         return MinimalityVerdict(False, n, f"{g} factors over Q_{p}")
     chain = ext.chain

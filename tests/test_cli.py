@@ -87,10 +87,10 @@ def test_extend_linear_minimal_polynomial(capsys):
     [
         (["--min-poly", "2X^2 + 1"], "outside supported limits: minimal polynomial must be monic"),
         (["--min-poly", "X^2 + 1/2"], "outside supported limits: minimal polynomial must be p-integral"),
-        (["--min-poly", "X^9 + X^4 + 1", "--degree-bound", "9"],
-         "outside supported limits: residue field F_2^9 exceeds the degree limit 8"),
         (["--min-poly", "X^9 + X^4 + 1"],
-         "outside supported limits: degree 9 exceeds the configured bound 8"),
+         "outside supported limits: residue field F_2^9 exceeds the degree limit 8"),
+        (["--min-poly", "X^17 + 2"],
+         "outside supported limits: degree 17 exceeds the ceiling 16"),
     ],
     ids=["not-monic", "not-p-integral", "residue-degree", "degree-bound"],
 )
@@ -256,17 +256,17 @@ def test_samples_above_ceiling_is_a_usage_error(chain_files, capsys):
 def test_extend_reducible_message(capsys, mtxt, factor):
     code, out, err = run(capsys, ["extend", "-p", "2", "--min-poly", mtxt])
     assert code == 4 and out == ""
-    assert err == f"reducible: {mtxt} is reducible; factor {factor} \n"
+    assert err == f"reducible: {mtxt} is reducible; factor {factor}\n"
 
 
-def test_degree_bound_above_ceiling_is_a_usage_error(capsys):
+def test_extend_answers_up_to_the_degree_ceiling(capsys):
+    # degree 16 (extensions.MAX_DEGREE_BOUND) needs no flag, and there is none
+    code, out, err = run(capsys, ["extend", "-p", "2", "--min-poly", "X^16 + 1", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert [(e["e"], e["f"]) for e in json.loads(out)["extensions"]] == [(16, 1)]
     with pytest.raises(SystemExit) as exc:
-        main(["extend", "-p", "2", "--min-poly", "X^2 - 2", "--degree-bound", "17"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2
-    assert "--degree-bound" in err and "Traceback" not in err
-    code, _, _ = run(capsys, ["extend", "-p", "2", "--min-poly", "X^2 - 2", "--degree-bound", "16"])
-    assert code == 0
+        main(["extend", "-p", "2", "--min-poly", "X^2 - 2", "--degree-bound", "16"])
+    assert exc.value.code == 2 and "unrecognized arguments: --degree-bound" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [InvariantError, KeyError])
@@ -458,14 +458,6 @@ def test_bad_seed_environment_is_a_usage_error_of_verify_alone(chain_files, caps
     assert code == 0 and json.loads(out)["seed"] == 7
 
 
-def test_degree_bound_default_is_the_library_constant():
-    from vforge.cli import build_parser
-    from vforge.extensions import DEFAULT_DEGREE_BOUND
-
-    args = build_parser().parse_args(["extend", "-p", "2", "--min-poly", "X^2 - 2"])
-    assert args.degree_bound == DEFAULT_DEGREE_BOUND
-
-
 @pytest.mark.parametrize(
     "text", ["p = 3\nQ0: X @ 1/2 + 1 t\n", "p = 5\nQ0: X - 1 @ 0 + 1 t\n", "p = 2\nQ0: X + 1 @ 1 - 1/2 t\n"]
 )
@@ -506,3 +498,60 @@ def test_the_lemma_suites_need_a_p_integral_last_key(tmp_path, capsys, suite, co
     assert got == code
     if code:
         assert err == "outside supported limits: minimal polynomial must be p-integral\n" and out == ""
+
+
+DEGREE9_TEXT = "p = 2\nQ0: X @ 1/3\nQ1: X^3 - 2 @ 10/9\nQ2: X^9 - 6X^6 + 12X^3 + 8X - 8 @ 91/27\n"
+DEGREE9_PROPS = """suite: props   seed: 0   samples: 100
+prime: 2
+chain:
+  p = 2
+  Q0: X @ 1/3
+  Q1: X^3 - 2 @ 10/9
+  Q2: X^9 - 6X^6 + 12X^3 + 8X - 8 @ 91/27
+[pass] key_definitional_property: smaller-degree monic polynomials have smaller growth invariant
+[pass] monotone_level_data: values ['1/3', '10/9', '91/27'], growth invariants ['1/3', '4/9', '13/27']
+[pass] truncation.complete: truncations bounded by the value and one attains it
+[pass] valuation.multiplicative: 100 random pairs
+[pass] valuation.ultrametric: 100 random pairs
+result: all checks passed
+"""
+
+
+def test_the_lemma_suites_take_keys_up_to_the_degree_ceiling(tmp_path, capsys):
+    # a valid chain with a key of degree 9: every suite answers, with the
+    # degree ceiling 16 of extend_to_number_field
+    path = tmp_path / "degree9.vchain"
+    path.write_text(DEGREE9_TEXT)
+    assert run(capsys, ["verify", "--chain", str(path), "--suite", "props"]) == (0, DEGREE9_PROPS, "")
+    code, out, err = run(capsys, ["verify", "--chain", str(path), "--suite", "all"])
+    assert (code, err) == (0, "")
+    assert "minimal_pair.ext0: center degree 9 against d(w) = 9" in out and "[FAIL]" not in out
+
+
+def test_the_lemma_suites_name_the_degree_ceiling(tmp_path, capsys):
+    # a key of degree 17 is a valid chain, outside the lemma suites' limits
+    path = tmp_path / "degree17.vchain"
+    path.write_text("p = 2\nQ0: X @ 1/17\nQ1: X^17 - 2 @ 2\n")
+    assert run(capsys, ["verify", "--chain", str(path), "--suite", "props", "--samples", "3"])[0] == 0
+    assert run(capsys, ["verify", "--chain", str(path), "--suite", "lemmas", "--samples", "3"]) == (
+        2, "", "outside supported limits: degree 17 exceeds the ceiling 16\n")
+
+
+def test_readme_flags_are_the_parser_options():
+    # both directions: every option of every subcommand is in README.md, and
+    # every --flag there is an option (or pip's, in the install line)
+    import argparse
+    import re
+    from pathlib import Path
+
+    from vforge.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    written = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", readme))
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = [a.option_strings for sub in commands.values() for a in sub._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    assert [names for names in options if not written & set(names)] == []
+    known = {name for names in options for name in names} | {"--no-build-isolation"}
+    assert sorted(f for f in written if f.startswith("--") and f not in known) == []

@@ -55,8 +55,6 @@ def invocations(draw):
         argv += ["--poly", draw(polys)]
     if command == "extend":
         argv += ["-p", draw(numbers), "--min-poly", draw(polys)]
-        if draw(st.booleans()):
-            argv += ["--degree-bound", draw(numbers)]
     if command == "verify":
         argv += ["--samples", draw(samples)]
         if draw(st.booleans()):

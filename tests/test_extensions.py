@@ -76,27 +76,24 @@ def test_reducible_factor_is_the_smallest_other_factor(mtxt, factor):
 
 
 def test_degree_bound_rejected():
-    with pytest.raises(ValueError):
-        extend_to_number_field(P("X^9 + X + 2"), 2, degree_bound=8)
+    # the degree test comes before factorization: X^17 + X + 2 has the root -1
+    with pytest.raises(LimitError, match="degree 17 exceeds the ceiling 16"):
+        extend_to_number_field(P("X^17 + X + 2"), 2)
 
 
-@pytest.mark.parametrize("mtxt", ["2X^2 + 1", "X^2 + 1/2", "X^9 + X + 2"])
+@pytest.mark.parametrize("mtxt", ["2X^2 + 1", "X^2 + 1/2", "X^17 + X + 2"])
 def test_inputs_outside_the_limits_raise_limit_error(mtxt):
-    # not monic, not p-integral, degree above the bound; a bound outside
-    # 1..MAX_DEGREE_BOUND stays a plain usage error
+    # not monic, not p-integral, degree above the ceiling
     with pytest.raises(LimitError):
         extend_to_number_field(P(mtxt), 2)
-    with pytest.raises(ValueError) as err:
-        extend_to_number_field(P("X^2 - 2"), 2, degree_bound=0)
-    assert not isinstance(err.value, LimitError)
 
 
 def test_degree_bound_ceiling():
+    # every degree up to the ceiling is answered, with no bound to pass
     assert MAX_DEGREE_BOUND == 16
-    for bound in (0, MAX_DEGREE_BOUND + 1):
-        with pytest.raises(ValueError, match="degree bound"):
-            extend_to_number_field(P("X^2 - 2"), 2, degree_bound=bound)
-    assert len(extend_to_number_field(P("X^2 - 2"), 2, degree_bound=MAX_DEGREE_BOUND)) == 1
+    for mtxt, p, ef in [("X^16 + 1", 2, [(16, 1)]), ("X^16 - 17", 2, [(8, 1), (4, 1), (2, 2)]),
+                        ("X^9 + X^3 + 3", 3, [(3, 2), (3, 1)])]:
+        assert [(e.e, e.f) for e in extend_to_number_field(P(mtxt), p)] == ef
 
 
 # -- factorization over Q ---------------------------------------------------------

@@ -19,7 +19,9 @@ from fractions import Fraction as F
 from test_extensions import _deep_quartic
 from test_random_chains import random_chain
 
-from vforge import INFINITY, Poly, extend_to_number_field, padic_valuation, root_difference_valuations, value_min
+from vforge import (
+    INFINITY, Poly, Value, extend_to_number_field, padic_valuation, root_difference_valuations, value_min,
+)
 
 
 def root_distance_value(chain, f: Poly):
@@ -87,3 +89,38 @@ def test_root_distances_give_deep_extension_chain_values():
             deep += len(ext.chain.levels) >= 3
             _check(ext.chain, _samples(rng, ext.chain, 12))
     assert deep >= 2
+
+
+def beta_from_roots(chain, i):
+    """beta_i read off the roots of phi_i and eps_i = epsilon(phi_i) alone.
+
+    beta_i = w(phi_i) is (1/d_i) times the sum of min(eps_i, v(a - b)) over
+    all pairs of roots a, b of phi_i, where a == b is at infinite distance."""
+    phi = chain.levels[i].key
+    diffs = root_difference_valuations(phi, phi, chain.p) + [INFINITY] * phi.degree
+    eps = chain.epsilon(phi)
+    return sum((value_min(eps, v) for v in diffs), Value(0)).scale(F(1, phi.degree))
+
+
+def _check_betas(chain):
+    for i, level in enumerate(chain.levels):
+        assert beta_from_roots(chain, i) == level.beta, (chain.to_text(), i)
+    return len(chain.levels)
+
+
+def test_root_distances_give_the_corpus_level_values(corpus):
+    assert sum(_check_betas(chain) for chain in corpus.values()) == 28
+
+
+def test_root_distances_give_random_tower_level_values():
+    # towers at p = 2, 3, 5 and 7 with rational, t-positive and t-negative
+    # tops, half of them drawn with beta_0 allowed below 0
+    counts = {"levels": 0, "negative beta_0": 0, "infinitesimal top": 0}
+    for p in (2, 3, 5, 7):
+        for seed in range(10):
+            rng = random.Random(100 * p + seed)
+            chain = random_chain(rng, p, tau_last=(0, 1, -1)[seed % 3], beta0_low=-(seed % 2))
+            counts["levels"] += _check_betas(chain)
+            counts["negative beta_0"] += chain.levels[0].beta < 0
+            counts["infinitesimal top"] += not chain.last_value.is_rational
+    assert counts["levels"] >= 100 and counts["negative beta_0"] >= 4 and counts["infinitesimal top"] >= 20, counts
